@@ -134,15 +134,6 @@ class PrecisionExhausted(ArithmeticError):
         self.last_trustworthy_index = last_trustworthy_index
 
 
-def frac_dist(x: FixedPointFrac, y: FixedPointFrac) -> float:
-    """Distance on the circle: min(|x-y| mod 1, 1 - |x-y| mod 1), in [0, 1/2]."""
-    return x.dist(y)
-
-
-def frac_dist_raw(x: FixedPointFrac, y: FixedPointFrac) -> int:
-    return x.dist_raw(y)
-
-
 @dataclass(frozen=True)
 class ContinuedFraction:
     """Partial quotients a_1..a_K and convergents (p_k, q_k) of alpha.

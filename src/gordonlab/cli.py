@@ -506,6 +506,8 @@ _SUBCOMMANDS = {
             "system",
             "alpha",
             "dim",
+            "lengths",
+            "perm",
             "omega",
             "function",
             "freq",
@@ -525,6 +527,8 @@ _SUBCOMMANDS = {
             "system",
             "alpha",
             "dim",
+            "lengths",
+            "perm",
             "omega",
             "function",
             "freq",

@@ -2,10 +2,15 @@
 skew-shift, d-dimensional triangular skew-products, and interval exchange
 transformations (IETs).
 
-Torus systems run on exact 128-bit fixed-point coordinates, so stepping and
-closed-form iteration agree bit-for-bit.  IETs run on plain floats (or
-``fractions.Fraction`` end-to-end for exact tests) because their breakpoints
-are sums of arbitrary reals.
+Every system has one raw kernel: a one-step map on raw states
+(``raw_stepper``) and the two-sided orbit built from it (``raw_orbit``).  A
+torus state is a tuple of ints mod 2**128, one per coordinate, so stepping and
+closed-form iteration agree bit-for-bit.  An IET state is a plain float (or a
+``fractions.Fraction`` end-to-end for exact tests) because IET breakpoints are
+sums of arbitrary reals.  The repetition searches and the potential sampler
+run on raw states; ``FixedPointFrac``/``TorusPoint`` exist only at the API
+edge, where ``step``, ``orbit`` and ``iterate_closed_form`` unwrap their
+argument once and wrap their result once.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .arithmetic import SCALE, FixedPointFrac, frac_dist
+from .arithmetic import SCALE, FixedPointFrac
 
 # Float IET breakpoints closer than this are treated as one cut.
 IET_TOL = 1e-12
@@ -56,10 +62,15 @@ class TorusPoint:
     def __getitem__(self, i: int) -> FixedPointFrac:
         return self.coords[i]
 
+    @property
+    def raw(self) -> tuple[int, ...]:
+        """The raw state: one int in [0, 2**128) per coordinate."""
+        return tuple(c.value for c in self.coords)
+
     def dist_raw(self, other: "TorusPoint") -> int:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch between torus points")
-        return max(a.dist_raw(b) for a, b in zip(self.coords, other.coords))
+        return raw_dist(self.raw, other.raw)
 
     def dist(self, other: "TorusPoint") -> float:
         return self.dist_raw(other) / SCALE
@@ -118,30 +129,6 @@ class Shift:
     @property
     def dim(self) -> int:
         return len(self.alpha)
-
-    def minimality_advisory(self, max_coeff: int = 10) -> bool:
-        """Shallow rational-independence scan of (alpha_1..alpha_d, 1).
-
-        Looks for a nonzero integer vector k with |k_i| <= max_coeff whose
-        combination k.alpha is within fixed-point noise of an integer.  Cost
-        grows like (2*max_coeff+1)**d; advisory only, never enforced.
-        """
-        noise = 1 << 28  # same 2**-100 resolution as the continued fractions
-        coeffs = [0] * self.dim
-
-        def rec(i: int) -> bool:
-            if i == self.dim:
-                if all(c == 0 for c in coeffs):
-                    return True
-                raw = sum(c * a.value for c, a in zip(coeffs, self.alpha)) % SCALE
-                return min(raw, SCALE - raw) >= noise
-            for c in range(-max_coeff, max_coeff + 1):
-                coeffs[i] = c
-                if not rec(i + 1):
-                    return False
-            return True
-
-        return rec(0)
 
 
 @dataclass(frozen=True)
@@ -276,30 +263,31 @@ def iet_inverse_step(iet: Iet, y, tables: IetTables | None = None):
 
 
 # ---------------------------------------------------------------------------
-# stepping and closed forms
+# raw kernels: stepping and closed forms
 # ---------------------------------------------------------------------------
 
 
-def step(system: SystemSpec, omega):
-    """One application of T."""
-    if isinstance(system, Shift):
-        _check_torus_point(system, omega)
-        return TorusPoint(tuple(w + a for w, a in zip(omega.coords, system.alpha)))
-    if isinstance(system, SkewShift):
-        _check_torus_point(system, omega)
-        w1, w2 = omega.coords
-        return TorusPoint((w1 + 2 * system.alpha, w1 + w2))
-    if isinstance(system, SkewProduct):
-        _check_torus_point(system, omega)
-        out = [omega.coords[0] + system.alpha]
-        running = omega.coords[0]
-        for w in omega.coords[1:]:
-            running = running + w
-            out.append(running)
-        return TorusPoint(tuple(out))
+def raw_state(system: SystemSpec, omega):
+    """Unwrap an API state: a TorusPoint becomes its raw tuple, IET points pass."""
     if isinstance(system, Iet):
-        return iet_step(system, omega)
-    raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
+        return omega
+    _check_torus_point(system, omega)
+    return omega.raw
+
+
+def wrap_state(state):
+    """Inverse of raw_state: raw tuples become TorusPoints, IET points pass."""
+    if isinstance(state, tuple):
+        return TorusPoint(tuple(map(FixedPointFrac, state)))
+    return state
+
+
+def raw_dist(x, y):
+    """Distance of two raw states: the exact max-metric circle distance in raw
+    units for torus tuples, |x - y| for IET points."""
+    if isinstance(x, tuple):
+        return max(min(d, SCALE - d) for d in ((a - b) % SCALE for a, b in zip(x, y)))
+    return abs(x - y)
 
 
 def _check_torus_point(system, omega) -> None:
@@ -309,6 +297,35 @@ def _check_torus_point(system, omega) -> None:
         raise ValueError(
             f"point dimension {omega.dim} does not match system dimension {system_dim(system)}"
         )
+
+
+def raw_stepper(system: SystemSpec):
+    """The one-step map T of the system, as a function of one raw state."""
+    if isinstance(system, Shift):
+        alpha = tuple(a.value for a in system.alpha)
+        return lambda w: tuple([(x + a) % SCALE for x, a in zip(w, alpha)])
+    if isinstance(system, SkewShift):
+        two_alpha = 2 * system.alpha.value
+        return lambda w: ((w[0] + two_alpha) % SCALE, (w[0] + w[1]) % SCALE)
+    if isinstance(system, SkewProduct):
+        alpha = system.alpha.value
+
+        def skewproduct_step(w):
+            out = [s % SCALE for s in accumulate(w)]  # w1 + ... + wi
+            out[0] = (w[0] + alpha) % SCALE
+            return tuple(out)
+
+        return skewproduct_step
+    if isinstance(system, Iet):
+        tables = iet_tables(system)
+        return lambda x: iet_step(system, x, tables)
+    raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
+
+
+def step(system: SystemSpec, omega):
+    """One application of T."""
+    step_raw = raw_stepper(system)
+    return wrap_state(step_raw(raw_state(system, omega)))
 
 
 def _skewproduct_affine(d: int, n: int) -> tuple[list[list[int]], list[int]]:
@@ -351,55 +368,59 @@ def _skewproduct_affine(d: int, n: int) -> tuple[list[list[int]], list[int]]:
     return result_a, result_k
 
 
-def iterate_closed_form(system: SystemSpec, omega, n: int):
-    """T^n in one exact evaluation (any integer n); IETs are unsupported."""
+def _closed_form_raw(system: SystemSpec, w: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """T^n of a raw torus state in one exact evaluation (any integer n)."""
     if isinstance(system, Shift):
-        _check_torus_point(system, omega)
-        return TorusPoint(tuple(w + n * a for w, a in zip(omega.coords, system.alpha)))
+        return tuple((x + n * a.value) % SCALE for x, a in zip(w, system.alpha))
     if isinstance(system, SkewShift):
-        _check_torus_point(system, omega)
-        w1, w2 = omega.coords
-        first = w1 + (2 * n) * system.alpha
-        second = w2 + n * w1 + (n * (n - 1)) * system.alpha
-        return TorusPoint((first, second))
+        a = system.alpha.value
+        return ((w[0] + 2 * n * a) % SCALE, (w[1] + n * w[0] + n * (n - 1) * a) % SCALE)
     if isinstance(system, SkewProduct):
-        _check_torus_point(system, omega)
         mat, kvec = _skewproduct_affine(system.dim, n)
-        coords = []
-        for i in range(system.dim):
-            raw = sum(mat[i][j] * omega.coords[j].value for j in range(system.dim))
-            raw += kvec[i] * system.alpha.value
-            coords.append(FixedPointFrac(raw))
-        return TorusPoint(tuple(coords))
+        return tuple(
+            (sum(m * x for m, x in zip(row, w)) + k * system.alpha.value) % SCALE
+            for row, k in zip(mat, kvec)
+        )
     if isinstance(system, Iet):
         raise UnsupportedSystemError("interval exchanges have no closed-form iterate")
     raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
 
 
-def orbit(system: SystemSpec, omega, n_min: int, n_max: int) -> list:
-    """[T^n omega for n in n_min..n_max], two-sided."""
+def iterate_closed_form(system: SystemSpec, omega, n: int):
+    """T^n in one exact evaluation (any integer n); IETs are unsupported."""
+    return wrap_state(_closed_form_raw(system, raw_state(system, omega), n))
+
+
+def raw_orbit(system: SystemSpec, state, n_min: int, n_max: int) -> list:
+    """[T^n state for n in n_min..n_max] on raw states, two-sided.
+
+    Torus orbits reach n_min by the closed form, IET orbits by stepping
+    (inverse steps when n_min < 0); from there both step forward.
+    """
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
+    step_raw = raw_stepper(system)
     if isinstance(system, Iet):
-        tables = iet_tables(system)
-        cur = omega
+        cur = state
         if n_min >= 0:
             for _ in range(n_min):
-                cur = iet_step(system, cur, tables)
+                cur = step_raw(cur)
         else:
+            tables = iet_tables(system)
             for _ in range(-n_min):
                 cur = iet_inverse_step(system, cur, tables)
-        points = [cur]
-        for _ in range(n_max - n_min):
-            cur = iet_step(system, cur, tables)
-            points.append(cur)
-        return points
-    cur = iterate_closed_form(system, omega, n_min)
-    points = [cur]
+    else:
+        cur = _closed_form_raw(system, state, n_min)
+    states = [cur]
     for _ in range(n_max - n_min):
-        cur = step(system, cur)
-        points.append(cur)
-    return points
+        cur = step_raw(cur)
+        states.append(cur)
+    return states
+
+
+def orbit(system: SystemSpec, omega, n_min: int, n_max: int) -> list:
+    """[T^n omega for n in n_min..n_max], two-sided."""
+    return list(map(wrap_state, raw_orbit(system, raw_state(system, omega), n_min, n_max)))
 
 
 def skewshift_pair_difference(

@@ -12,22 +12,15 @@ exactly in floating point, including lam = 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .arithmetic import SCALE, FixedPointFrac
-from .dynamics import (
-    Iet,
-    Shift,
-    SkewProduct,
-    SkewShift,
-    SystemSpec,
-    TorusPoint,
-    orbit,
-    system_dim,
-)
+from .dynamics import Iet, SystemSpec, TorusPoint, raw_orbit, raw_state, system_dim
 
 
 class DimensionMismatchError(ValueError):
@@ -52,6 +45,11 @@ class Cosine:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "frequency", tuple(int(k) for k in self.frequency))
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], float, float], ...]:
+        """The one-term TrigPoly form: ((frequency, 1.0, phase),)."""
+        return ((self.frequency, 1.0, float(self.phase)),)
 
 
 @dataclass(frozen=True)
@@ -112,79 +110,53 @@ def bourgain_start(omega1: FixedPointFrac, omega2: FixedPointFrac) -> TorusPoint
     return TorusPoint((omega2, omega1))
 
 
-def _phase_to_float(point: TorusPoint, freq: Sequence[int]) -> float:
-    raw = sum(k * c.value for k, c in zip(freq, point.coords)) % SCALE
-    return raw / SCALE
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _check_dims(f: SamplingFunction, d: int) -> None:
+    """Reject f on a d-dimensional phase space (interval exchanges have d = 1)."""
+    if isinstance(f, (Cosine, TrigPoly)):
+        for freq, _, _ in f.terms:
+            if len(freq) != d:
+                raise DimensionMismatchError(
+                    f"frequency vector has {len(freq)} entries, the state is {d}-dimensional"
+                )
+    if isinstance(f, PiecewiseConstant) and d != 1:
+        raise DimensionMismatchError("codings sample one-dimensional systems")
+    if isinstance(f, BourgainQuadratic) and d < 2:
+        raise DimensionMismatchError("quadratic-phase sampling needs a 2-D state")
+
+
+def _sample_raw(f: SamplingFunction, states: list, torus: bool) -> list[float]:
+    """f at each raw state: int tuples mod 2**128 on tori, numbers on intervals."""
+    if isinstance(f, (Cosine, TrigPoly)):
+        out = [0.0] * len(states)
+        for freq, amp, phase in f.terms:
+            if torus:
+                ts = [(sum(map(mul, freq, w)) % SCALE) / SCALE for w in states]
+            else:
+                ts = [freq[0] * float(x) for x in states]
+            out = [o + amp * math.cos(2 * math.pi * (t + phase)) for o, t in zip(out, ts)]
+        return out
+    if isinstance(f, PiecewiseConstant):
+        if torus:
+            # the exact coordinate is < 1; a just-below-1 value can round up
+            # to 1.0 in double, which must stay in the last piece
+            xs = [min(w[0] / SCALE, _BELOW_ONE) for w in states]
+        else:
+            xs = [float(x) - math.floor(float(x)) for x in states]
+        # index -1 (left of the first breakpoint) is the wrapped last piece
+        return [f.values[bisect_right(f.breakpoints, x) - 1] for x in xs]
+    if isinstance(f, BourgainQuadratic):
+        return [math.cos(2 * math.pi * (w[1] / SCALE)) for w in states]
+    raise TypeError(f"unknown sampling function {type(f).__name__}")
 
 
 def evaluate_sampling(f: SamplingFunction, point) -> float:
     """f at a TorusPoint (torus variants) or a plain number (interval codings)."""
-    if isinstance(f, Cosine):
-        if isinstance(point, TorusPoint):
-            if len(f.frequency) != point.dim:
-                raise DimensionMismatchError(
-                    f"frequency vector has {len(f.frequency)} entries, point has {point.dim}"
-                )
-            t = _phase_to_float(point, f.frequency)
-        else:
-            if len(f.frequency) != 1:
-                raise DimensionMismatchError("interval points are one-dimensional")
-            t = f.frequency[0] * float(point)
-        return math.cos(2 * math.pi * (t + f.phase))
-    if isinstance(f, TrigPoly):
-        out = 0.0
-        for freq, amp, phase in f.terms:
-            if isinstance(point, TorusPoint):
-                if len(freq) != point.dim:
-                    raise DimensionMismatchError(
-                        f"frequency vector has {len(freq)} entries, point has {point.dim}"
-                    )
-                t = _phase_to_float(point, freq)
-            else:
-                if len(freq) != 1:
-                    raise DimensionMismatchError("interval points are one-dimensional")
-                t = freq[0] * float(point)
-            out += amp * math.cos(2 * math.pi * (t + phase))
-        return out
-    if isinstance(f, PiecewiseConstant):
-        if isinstance(point, TorusPoint):
-            if point.dim != 1:
-                raise DimensionMismatchError("codings sample one-dimensional systems")
-            x = point.coords[0].to_float()
-            if x >= 1.0:
-                # the exact coordinate is < 1; a just-below-1 value can round
-                # up to 1.0 in double, which must stay in the last piece
-                x = math.nextafter(1.0, 0.0)
-        else:
-            x = float(point)
-            x -= math.floor(x)
-        from bisect import bisect_right
-
-        j = bisect_right(f.breakpoints, x) - 1  # -1 wraps into the last piece
-        return f.values[j if j >= 0 else len(f.values) - 1]
-    if isinstance(f, BourgainQuadratic):
-        if not isinstance(point, TorusPoint) or point.dim < 2:
-            raise DimensionMismatchError("quadratic-phase sampling needs a 2-D state")
-        return math.cos(2 * math.pi * point.coords[1].to_float())
-    raise TypeError(f"unknown sampling function {type(f).__name__}")
-
-
-def _check_compat(system: SystemSpec, f: SamplingFunction) -> None:
-    d = system_dim(system)
-    if isinstance(f, Cosine) and not isinstance(system, Iet) and len(f.frequency) != d:
-        raise DimensionMismatchError(
-            f"frequency vector has {len(f.frequency)} entries, system is {d}-dimensional"
-        )
-    if isinstance(f, TrigPoly) and not isinstance(system, Iet):
-        for freq, _, _ in f.terms:
-            if len(freq) != d:
-                raise DimensionMismatchError(
-                    f"frequency vector has {len(freq)} entries, system is {d}-dimensional"
-                )
-    if isinstance(f, PiecewiseConstant) and not isinstance(system, Iet) and d != 1:
-        raise DimensionMismatchError("codings sample one-dimensional systems")
-    if isinstance(f, BourgainQuadratic) and d < 2:
-        raise DimensionMismatchError("quadratic-phase sampling needs a 2-D system")
+    torus = isinstance(point, TorusPoint)
+    _check_dims(f, point.dim if torus else 1)
+    return _sample_raw(f, [point.raw if torus else point], torus)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +198,9 @@ def sample_potential(
     """Evaluate the potential along the orbit (exact dynamics, float samples)."""
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
-    _check_compat(system, f)
-    points = orbit(system, omega, n_min, n_max)
-    base = np.array([evaluate_sampling(f, p) for p in points], dtype=float)
+    _check_dims(f, system_dim(system))
+    states = raw_orbit(system, raw_state(system, omega), n_min, n_max)
+    base = np.array(_sample_raw(f, states, not isinstance(system, Iet)), dtype=float)
     return PotentialWindow(
         system=system,
         f=f,
@@ -365,10 +337,7 @@ def modulus_bound(f: SamplingFunction, delta: float) -> float:
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    if isinstance(f, Cosine):
-        k1 = sum(abs(k) for k in f.frequency)
-        return min(2.0, 2 * math.pi * k1 * delta)
-    if isinstance(f, TrigPoly):
+    if isinstance(f, (Cosine, TrigPoly)):
         return sum(
             abs(amp) * min(2.0, 2 * math.pi * sum(abs(k) for k in freq) * delta)
             for freq, amp, _ in f.terms

@@ -33,8 +33,12 @@ from .dynamics import (
     iet_inverse_step,
     iet_step,
     iet_tables,
-    step,
-    system_dim,
+    random_point,
+    raw_dist,
+    raw_orbit,
+    raw_state,
+    raw_stepper,
+    skewshift_pair_difference,
 )
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -54,6 +58,11 @@ def _strict_raw_threshold(epsilon: float) -> int:
     f = Fraction(epsilon) * SCALE
     t = f.numerator // f.denominator
     return t if f.denominator == 1 else t + 1
+
+
+def _dist_threshold(system: SystemSpec, epsilon: float):
+    """t such that raw_dist(x, y) < t  <=>  dist(x, y) < epsilon."""
+    return epsilon if isinstance(system, Iet) else _strict_raw_threshold(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -171,55 +180,31 @@ def _find_skewshift(system, omega, epsilon, r, q_max):
     return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
 
 
-def _point_dist(x, y) -> float:
-    if isinstance(x, TorusPoint):
-        return x.dist(y)
-    return abs(x - y)
-
-
 def _find_generic(system, omega, epsilon, r, q_max):
     torus = not isinstance(system, Iet)
-    thresh = _strict_raw_threshold(epsilon) if torus else None
-    tables = iet_tables(system) if isinstance(system, Iet) else None
-    points = [omega]
-
-    def extend_to(n: int) -> None:
-        while len(points) <= n:
-            nxt = (
-                iet_step(system, points[-1], tables)
-                if tables is not None
-                else step(system, points[-1])
-            )
-            points.append(nxt)
-
+    thresh = _dist_threshold(system, epsilon)
+    step_raw = raw_stepper(system)
+    states = [raw_state(system, omega)]
     best_q, best_dist = None, None
     for q in range(1, q_max + 1):
         k_max = _floor_times(r, q)
-        extend_to(k_max + q)
+        while len(states) <= k_max + q:
+            states.append(step_raw(states[-1]))
         ok = True
-        observed_raw = 0
-        observed = 0.0
+        observed = 0 if torus else 0.0
         for k in range(k_max + 1):
-            if torus:
-                d = points[k].dist_raw(points[k + q])
-                observed_raw = max(observed_raw, d)
-                if d >= thresh:
-                    ok = False
-                    break
-            else:
-                d = abs(points[k] - points[k + q])
-                observed = max(observed, d)
-                if d >= epsilon:
-                    ok = False
-                    break
-        if torus:
-            observed = observed_raw / SCALE
+            d = raw_dist(states[k], states[k + q])
+            observed = max(observed, d)
+            if d >= thresh:
+                ok = False
+                break
         if ok:
             if torus:
-                return _certificate(epsilon, r, q, observed_raw, omega)
+                return _certificate(epsilon, r, q, observed, omega)
             return RepetitionCertificate(epsilon, r, q, k_max, observed, omega)
-        if best_dist is None or observed < best_dist:
-            best_q, best_dist = q, observed
+        dist = observed / SCALE if torus else observed
+        if best_dist is None or dist < best_dist:
+            best_q, best_dist = q, dist
     return RepetitionNotFound(epsilon, r, q_max, best_q, best_dist)
 
 
@@ -233,18 +218,8 @@ def repetition_distances(system: SystemSpec, omega, q: int, k_max: int) -> list:
         raise ValueError("q must be >= 1")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    tables = iet_tables(system) if isinstance(system, Iet) else None
-    points = [omega]
-    for _ in range(k_max + q):
-        nxt = (
-            iet_step(system, points[-1], tables)
-            if tables is not None
-            else step(system, points[-1])
-        )
-        points.append(nxt)
-    if isinstance(system, Iet):
-        return [abs(points[k] - points[k + q]) for k in range(k_max + 1)]
-    return [points[k].dist_raw(points[k + q]) for k in range(k_max + 1)]
+    states = raw_orbit(system, raw_state(system, omega), 0, k_max + q)
+    return [raw_dist(states[k], states[k + q]) for k in range(k_max + 1)]
 
 
 def verify_certificate_against_definition(
@@ -257,9 +232,7 @@ def verify_certificate_against_definition(
     if cert.k_max != k_max:
         return False
     dists = repetition_distances(system, cert.omega, cert.q, k_max)
-    if isinstance(system, Iet):
-        return all(d < cert.epsilon for d in dists)
-    thresh = _strict_raw_threshold(cert.epsilon)
+    thresh = _dist_threshold(system, cert.epsilon)
     return all(d < thresh for d in dists)
 
 
@@ -363,8 +336,7 @@ def skewshift_constructive_q(
 
     omega = TorusPoint((omega1, FixedPointFrac(0)))
     k_max = _floor_times(r, q)
-    u = ((2 * q) * alpha).value
-    cur = (q * omega1 + (q * q - q) * alpha).value
+    u, cur = (x.value for x in skewshift_pair_difference(alpha, omega1, 0, q))
     max_raw = min(u, SCALE - u)
     for _ in range(k_max + 1):
         max_raw = max(max_raw, min(cur, SCALE - cur))
@@ -493,13 +465,7 @@ def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
 
 def sample_start_point(system: SystemSpec, seed: int, index: int):
     """The index-th starting point of a seeded run (schedule-independent)."""
-    rng = _sample_rng(seed, index)
-    if isinstance(system, (Shift, SkewShift, SkewProduct)):
-        d = system_dim(system)
-        return TorusPoint(tuple(FixedPointFrac(rng.getrandbits(128)) for _ in range(d)))
-    if isinstance(system, Iet):
-        return rng.random() * float(iet_tables(system).total)
-    raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
+    return random_point(system, _sample_rng(seed, index))
 
 
 def estimate_prp_fraction(

@@ -18,8 +18,6 @@ from gordonlab.arithmetic import (
     cf_expand,
     classify_badly_approximable,
     convergent_denominators,
-    frac_dist,
-    frac_dist_raw,
 )
 
 from oracles import circle_dist_fraction, rational_cf_quotients
@@ -93,34 +91,34 @@ class TestFracDist:
     def test_examples(self):
         x = FixedPointFrac.from_fraction(9, 10)
         y = FixedPointFrac.from_fraction(2, 10)
-        assert frac_dist(x, y) == pytest.approx(0.3, abs=1e-15)
-        assert frac_dist(x, x) == 0.0
-        assert frac_dist(ZERO, FixedPointFrac.from_fraction(1, 2)) == 0.5
+        assert x.dist(y) == pytest.approx(0.3, abs=1e-15)
+        assert x.dist(x) == 0.0
+        assert ZERO.dist(FixedPointFrac.from_fraction(1, 2)) == 0.5
 
     @given(raw_values, raw_values)
     def test_symmetric_and_bounded(self, a, b):
         x, y = FixedPointFrac(a), FixedPointFrac(b)
-        assert frac_dist(x, y) == frac_dist(y, x)
-        assert 0.0 <= frac_dist(x, y) <= 0.5
+        assert x.dist(y) == y.dist(x)
+        assert 0.0 <= x.dist(y) <= 0.5
 
     @given(raw_values, raw_values, raw_values)
     def test_triangle_inequality_exact(self, a, b, c):
         x, y, z = FixedPointFrac(a), FixedPointFrac(b), FixedPointFrac(c)
-        assert frac_dist_raw(x, z) <= frac_dist_raw(x, y) + frac_dist_raw(y, z)
+        assert x.dist_raw(z) <= x.dist_raw(y) + y.dist_raw(z)
 
     @given(raw_values, raw_values, raw_values)
     def test_rotation_invariance_exact(self, a, b, t):
         x, y, shift = FixedPointFrac(a), FixedPointFrac(b), FixedPointFrac(t)
-        assert frac_dist_raw(x + shift, y + shift) == frac_dist_raw(x, y)
+        assert (x + shift).dist_raw(y + shift) == x.dist_raw(y)
 
     @given(raw_values)
     def test_matches_exact_rational_distance(self, a):
         x = FixedPointFrac(a)
         exact = circle_dist_fraction(Fraction(a, SCALE))
-        assert frac_dist_raw(x, ZERO) == exact * SCALE
+        assert x.dist_raw(ZERO) == exact * SCALE
 
     def test_frozen_golden_multiple(self):
-        assert frac_dist(8 * GOLDEN, ZERO) == 0.05572809000084122
+        assert (8 * GOLDEN).dist(ZERO) == 0.05572809000084122
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ class TestContinuedFraction:
     def test_best_approximation_product_below_one(self):
         for alpha in (GOLDEN, SQRT2_MINUS_1, LIOUVILLE10):
             for q in convergent_denominators(cf_expand(alpha, 12)):
-                assert q * frac_dist_raw(q * alpha, ZERO) < SCALE
+                assert q * (q * alpha).dist_raw(ZERO) < SCALE
 
     def test_denominators_are_record_minima(self):
         # convergent denominators = the q achieving record minima of <q*alpha>
@@ -247,7 +245,7 @@ class TestClassify:
     def test_witness_inequality_verified_in_fixed_point(self):
         verdict = classify_badly_approximable(LIOUVILLE10, 0.05, 10**4)
         q = verdict.witness_q
-        dist = Fraction(frac_dist_raw(q * LIOUVILLE10, ZERO), SCALE)
+        dist = Fraction((q * LIOUVILLE10).dist_raw(ZERO), SCALE)
         assert dist <= Fraction(0.05) / q
 
     def test_methods_agree(self):

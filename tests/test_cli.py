@@ -48,6 +48,20 @@ class TestHeaders:
         _, out, _ = run_cli(["cf", "--alpha", "golden", "--depth", "4"], capsys)
         assert "# seed:" not in out
 
+    @pytest.mark.parametrize(
+        "command", [["transfer", "--q", "5", "--energy", "0.3"], ["spectrum", "--sites", "20"]]
+    )
+    def test_iet_lengths_and_perm_are_echoed(self, command, capsys):
+        configs = []
+        for lengths in ("0.2,0.5,0.3", "0.3,0.4,0.3"):
+            _, out, _ = run_cli(
+                command + ["--system", "iet", "--lengths", lengths, "--perm", "3,1,2"], capsys
+            )
+            header, _, _ = parse_csv(out)
+            configs.append(json.loads(header[2][len("# config: ") :]))
+        assert [c["lengths"] for c in configs] == ["0.2,0.5,0.3", "0.3,0.4,0.3"]
+        assert configs[0]["perm"] == "3,1,2"
+
 
 class TestRows:
     def test_cf_convergent_denominators(self, capsys):

@@ -171,11 +171,20 @@ class TestClosedForms:
             assert diff == second.value
 
 
+ORBIT_SYSTEMS = {
+    "shift-d1": lambda alpha: Shift((alpha,)),
+    "shift-d2": lambda alpha: Shift((alpha, SQRT2_MINUS_1)),
+    "skewshift": SkewShift,
+    **{f"skewproduct-d{d}": (lambda alpha, d=d: SkewProduct(d, alpha)) for d in range(1, 5)},
+}
+
+
 class TestOrbit:
+    @pytest.mark.parametrize("make_system", ORBIT_SYSTEMS.values(), ids=ORBIT_SYSTEMS.keys())
     @given(raw_values, st.integers(min_value=-15, max_value=0), st.integers(min_value=0, max_value=15))
-    def test_two_sided_window_matches_closed_form(self, a, n_min, n_max):
-        system = SkewShift(FixedPointFrac(a))
-        start = TorusPoint((FixedPointFrac(777), FixedPointFrac(888)))
+    def test_two_sided_window_matches_closed_form(self, make_system, a, n_min, n_max):
+        system = make_system(FixedPointFrac(a))
+        start = TorusPoint(tuple(FixedPointFrac(777 + 111 * i) for i in range(system.dim)))
         points = orbit(system, start, n_min, n_max)
         assert len(points) == n_max - n_min + 1
         for offset, point in enumerate(points):
@@ -309,12 +318,6 @@ class TestContinuityRefinement:
 
 
 class TestAdvisoriesAndSampling:
-    def test_minimality_advisory(self):
-        assert Shift((GOLDEN,)).minimality_advisory()
-        assert not Shift((GOLDEN, GOLDEN)).minimality_advisory()
-        assert Shift((GOLDEN, SQRT2_MINUS_1)).minimality_advisory(max_coeff=5)
-        assert not Shift((FixedPointFrac.from_fraction(1, 3),)).minimality_advisory()
-
     def test_random_point_deterministic_and_in_range(self):
         for system in (
             Shift((GOLDEN,)),

@@ -12,7 +12,7 @@ from gordonlab.arithmetic import (
     ZERO,
     FixedPointFrac,
 )
-from gordonlab.dynamics import Iet, Permutation, Shift, SkewShift, TorusPoint, orbit
+from gordonlab.dynamics import Iet, Permutation, Shift, SkewProduct, SkewShift, TorusPoint, orbit
 from gordonlab.potentials import (
     DECAY_CONSISTENT,
     NO_DECAY_AT_HORIZON,
@@ -124,6 +124,45 @@ class TestSamplingFunctions:
             sample_potential(SkewShift(GOLDEN), Cosine((1,)), 1.0, TorusPoint((ZERO, ZERO)), 0, 3)
         with pytest.raises(DimensionMismatchError):
             sample_potential(Shift((GOLDEN,)), BourgainQuadratic(), 1.0, torus1(ZERO), 0, 3)
+
+
+def _start(*xs):
+    return TorusPoint(tuple(FixedPointFrac.from_float(x) for x in xs))
+
+
+SAMPLING_SYSTEMS = {
+    "shift-d1": (Shift((GOLDEN,)), _start(0.3)),
+    "shift-d2": (Shift((GOLDEN, SQRT2)), _start(0.3, 0.8)),
+    "skewshift": (SkewShift(LIOUVILLE10), _start(0.3, 0.8)),
+    "skewproduct-d3": (SkewProduct(3, GOLDEN), _start(0.3, 0.8, 0.55)),
+    "iet": (Iet((0.2, 0.5, 0.3), Permutation((3, 1, 2))), 0.123),
+}
+
+
+def _sampling_functions(d):
+    fs = {
+        "cosine": Cosine(tuple(range(1, d + 1)), 0.3),
+        "trigpoly": TrigPoly(((tuple([1] * d), 0.5, 0.0), (tuple(range(d, 0, -1)), -1.25, 0.1))),
+    }
+    if d == 1:
+        fs["coding"] = PiecewiseConstant((0.1, 0.5), (2.0, -1.0))
+    else:
+        fs["bourgain"] = BourgainQuadratic()
+    return fs
+
+
+COMPATIBLE_PAIRS = [
+    pytest.param(system, omega, f, id=f"{sname}-{fname}")
+    for sname, (system, omega) in SAMPLING_SYSTEMS.items()
+    for fname, f in _sampling_functions(1 if isinstance(system, Iet) else system.dim).items()
+]
+
+
+@pytest.mark.parametrize("system, omega, f", COMPATIBLE_PAIRS)
+def test_sample_potential_matches_pointwise_evaluation_along_the_orbit(system, omega, f):
+    window = sample_potential(system, f, 2.0, omega, -20, 50)
+    pointwise = [evaluate_sampling(f, p) for p in orbit(system, omega, -20, 50)]
+    assert np.array_equal(window.base_values, pointwise)
 
 
 class TestPotentialWindow:
