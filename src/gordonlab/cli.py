@@ -54,7 +54,6 @@ from .repetition import (
     InconsistentCertificateError,
     RepetitionNotFound,
     TowerNotFound,
-    badly_approximable_obstruction,
     estimate_prp_fraction,
     find_repetition_time,
     skewshift_constructive_q,
@@ -385,6 +384,8 @@ def cmd_gordon(args) -> list[tuple]:
     c_list = _parse_float_list(args.c_list, "c-list") if args.c_list else (2.0,)
     try:
         profile = gordon_profile(system, f, args.lam, omega, q_list, c_list)
+    except DimensionMismatchError:
+        raise  # a domain failure of system and function, not of the lists
     except ValueError as exc:
         raise ConfigError(f"q-list/c-list: {exc}") from exc
     args._extra = {"verdict": profile.verdict, "c_max": profile.c_max}

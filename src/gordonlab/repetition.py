@@ -14,8 +14,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_left, insort
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -99,10 +99,28 @@ def find_repetition_time(
 ) -> RepetitionCertificate | RepetitionNotFound:
     """Smallest q <= q_max whose certificate validates, else the best near-miss.
 
-    Shifts use the isometry identity T^{k+q}w - T^k w = q*alpha (constant in k
-    and w), skew-shifts the exact arithmetic-progression structure of the
-    second coordinate; other systems fall back to orbit stepping with early
-    exit.  All torus comparisons are exact in fixed point.
+    The search runs in two parts: a plan of the work that does not depend on
+    omega, and a scan of omega against it (``_searcher``).  Shifts use the
+    isometry identity T^{k+q}w - T^k w = q*alpha, so the plan is the whole
+    answer.  For the skew-shift the difference is
+    (2q*alpha, s_q + k*2q*alpha) with s_q = q*w1 + (q^2 - q)*alpha: the plan
+    lists the candidates q with <2q*alpha> < epsilon, the only ones that can
+    certify, and the scan checks each in O(1) for epsilon < 1/3 (the second
+    coordinate is a progression whose step is below epsilon, so it leaves the
+    epsilon-arc at a k given by one ceiling division, and inside the arc its
+    maximum sits at an endpoint), by stepping k otherwise.  Here the plan is
+    streamed, so a search that certifies early stops early.  Other systems
+    step orbits with early exit.  All torus comparisons and reported
+    distances are exact in fixed point.
+    """
+    return _searcher(system, epsilon, r, q_max, reuse=False)(omega)
+
+
+def _searcher(system: SystemSpec, epsilon: float, r: float, q_max: int, reuse: bool):
+    """Validate, plan the omega-free work, and return omega -> result.
+
+    With reuse the search will see many omegas, so the whole plan is built
+    now; without, the returned function may be called once and streams it.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -112,11 +130,39 @@ def find_repetition_time(
         raise ValueError("q_max must be >= 1")
 
     if isinstance(system, Shift):
-        return _find_shift(system, omega, epsilon, r, q_max)
+        found = _find_shift(system, epsilon, r, q_max)
+        if isinstance(found, RepetitionNotFound):
+            return lambda omega: found
+        return lambda omega: replace(found, omega=omega)
     if isinstance(system, SkewShift):
-        return _find_skewshift(system, omega, epsilon, r, q_max)
+        thresh = _strict_raw_threshold(epsilon)
+        plan = _skewshift_plan(system, thresh, r, q_max)
+        if reuse:
+            plan = tuple(plan)
+        # The closed form needs a step below thresh to be unable to jump the
+        # arc of distances >= thresh: 3*thresh <= 2^128 + 2, which for a
+        # double epsilon means epsilon < 1/3.
+        check = _progression_closed if 3 * thresh <= SCALE + 2 else _progression_stepped
+
+        def scan(omega):
+            w1 = omega.coords[0].value
+            best_q, best_raw = None, None
+            for q, first, u, c, k_max in plan:
+                if u is None:
+                    observed = first
+                else:
+                    ok, observed = check((q * w1 + c) % SCALE, u, k_max, first, thresh)
+                    if ok:
+                        return RepetitionCertificate(
+                            epsilon, r, q, k_max, observed / SCALE, omega, observed
+                        )
+                if best_raw is None or observed < best_raw:  # q ascends: earliest wins ties
+                    best_q, best_raw = q, observed
+            return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
+
+        return scan
     if isinstance(system, (SkewProduct, Iet)):
-        return _find_generic(system, omega, epsilon, r, q_max)
+        return lambda omega: _find_generic(system, omega, epsilon, r, q_max)
     raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
 
 
@@ -132,7 +178,8 @@ def _certificate(epsilon, r, q, max_dist_raw, omega) -> RepetitionCertificate:
     )
 
 
-def _find_shift(system, omega, epsilon, r, q_max):
+def _find_shift(system, epsilon, r, q_max):
+    """The shift search; its answer holds for every omega (omega=None here)."""
     thresh = _strict_raw_threshold(epsilon)
     vals = [a.value for a in system.alpha]
     acc = [0] * len(vals)
@@ -143,41 +190,74 @@ def _find_shift(system, omega, epsilon, r, q_max):
             acc[i] = (acc[i] + v) % SCALE
             raw = max(raw, min(acc[i], SCALE - acc[i]))
         if raw < thresh:
-            return _certificate(epsilon, r, q, raw, omega)
+            return _certificate(epsilon, r, q, raw, None)
         if best_raw is None or raw < best_raw:
             best_q, best_raw = q, raw
     return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
 
 
-def _find_skewshift(system, omega, epsilon, r, q_max):
-    thresh = _strict_raw_threshold(epsilon)
+def _skewshift_plan(system, thresh, r, q_max):
+    """The omega-free part of the skew-shift search, in q order (a generator).
+
+    Yields (q, <u>, u, c, k_max) for each candidate q (<u> < thresh, raw
+    units), where u = 2q*alpha, c = (q^2 - q)*alpha (both mod 2^128) and
+    k_max = floor(r*q).  A non-candidate reports <u> as its distance whatever
+    omega is, so only a non-candidate that beats every earlier one is
+    yielded, as (q, <u>, None, None, None).
+    """
+    r_num, r_den = Fraction(r).as_integer_ratio()
     a = system.alpha.value
-    w1 = omega.coords[0].value
     u = 0  # 2*q*alpha
-    s = 0  # q*w1 + (q^2 - q)*alpha, the k = 0 second-coordinate difference
-    best_q, best_raw = None, None
+    best_miss = None
     for q in range(1, q_max + 1):
-        s = (s + w1 + u) % SCALE  # uses u at q-1: s_q = s_{q-1} + w1 + 2(q-1)a
         u = (u + 2 * a) % SCALE
-        first = min(u, SCALE - u)
-        observed = first
+        first = u if u <= SCALE // 2 else SCALE - u
         if first < thresh:
-            k_max = _floor_times(r, q)
-            cur = s
-            ok = True
-            for _ in range(k_max + 1):
-                d = min(cur, SCALE - cur)
-                if d > observed:
-                    observed = d
-                    if d >= thresh:
-                        ok = False
-                        break
-                cur = (cur + u) % SCALE
-            if ok:
-                return _certificate(epsilon, r, q, observed, omega)
-        if best_raw is None or observed < best_raw:
-            best_q, best_raw = q, observed
-    return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
+            yield q, first, u, (q * q - q) * a % SCALE, r_num * q // r_den
+        elif best_miss is None or first < best_miss:
+            best_miss = first
+            yield q, first, None, None, None
+
+
+def _progression_stepped(s, u, k_max, first, thresh):
+    """(ok, observed) for the terms s + k*u, k = 0..k_max, by stepping k.
+
+    observed is the raw distance a certificate or a near-miss reports: the
+    maximum of first and the terms up to the first one >= thresh.
+    """
+    observed = first
+    for _ in range(k_max + 1):
+        d = min(s, SCALE - s)
+        if d > observed:
+            observed = d
+            if d >= thresh:
+                return False, observed
+        s = (s + u) % SCALE
+    return True, observed
+
+
+def _progression_closed(s, u, k_max, first, thresh):
+    """_progression_stepped in O(1), for <u> < thresh and 3*thresh <= 2^128 + 2.
+
+    While the unwrapped signed terms y0 + k*step stay in (-thresh, thresh)
+    they are the exact distances, so the first failing k is one ceiling
+    division and, on success, the maximum sits at k = 0 or k = k_max.  The
+    term that leaves the interval lands in [thresh, 2*thresh - 2] in absolute
+    value, which the bound keeps at circle distance >= thresh.
+    """
+    d = min(s, SCALE - s)
+    if d >= thresh:
+        return False, d
+    y0 = s if s < SCALE // 2 else s - SCALE
+    step = u if u < SCALE // 2 else u - SCALE
+    if step < 0:
+        y0, step = -y0, -step
+    k = -((y0 - thresh) // step) if step else k_max + 1  # ceil((thresh - y0)/step)
+    if k <= k_max:
+        s = (s + k * u) % SCALE
+        return False, min(s, SCALE - s)
+    s = (s + k_max * u) % SCALE
+    return True, max(first, d, min(s, SCALE - s))
 
 
 def _find_generic(system, omega, epsilon, r, q_max):
@@ -481,13 +561,18 @@ def estimate_prp_fraction(
 
     Each sample's generator is derived from (seed, index) by hashing, so the
     result is bit-identical for a fixed seed regardless of thread count.
+    The omega-free part of the search (see ``find_repetition_time``) is
+    planned once, before any sample: a shift is answered by that one search,
+    so its hits are all or none, and skew-shift samples scan only the planned
+    candidates.  ``threads`` gives no speed-up: the work is pure Python, so
+    the GIL serialises it and extra threads add only hand-offs.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    search = _searcher(system, epsilon, r, q_max, reuse=True)
 
     def one(index: int) -> bool:
-        omega = sample_start_point(system, seed, index)
-        found = find_repetition_time(system, omega, epsilon, r, q_max)
+        found = search(sample_start_point(system, seed, index))
         return isinstance(found, RepetitionCertificate)
 
     if threads > 1:

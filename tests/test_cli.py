@@ -296,6 +296,20 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_gordon_dimension_mismatch_is_a_domain_error(self, capsys):
+        # the q/c lists are fine; the 2-D function cannot sample a 1-D shift
+        code, out, err = run_cli(
+            [
+                "gordon", "--system", "shift", "--alpha", "golden",
+                "--function", "bourgain", "--q-list", "5,8",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "q-list" not in err
+
     def test_missing_required_flag_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,10 +15,12 @@ from gordonlab.arithmetic import (
     FixedPointFrac,
     cf_expand,
 )
+from gordonlab import repetition
 from gordonlab.dynamics import (
     Iet,
     Permutation,
     Shift,
+    SkewProduct,
     SkewShift,
     TorusPoint,
     iet_step,
@@ -64,6 +67,56 @@ def brute_find(system, omega, epsilon, r, q_max):
         if ok:
             return q
     return None
+
+
+def stepping_skewshift_search(system, omega, epsilon, r, q_max):
+    """Reference skew-shift search: every q in order, every k by stepping.
+
+    Distances come from repetition_distances.  A q whose first-coordinate gap
+    <2q*alpha> is already >= epsilon misses by that gap; any other q misses by
+    its distance at the first failing k.  The near-miss is the smallest miss,
+    the earliest q among equals.  Returns ("found", q, k_max, max_dist_raw) or
+    ("not_found", best_q, best_dist).
+    """
+    thresh = Fraction(epsilon) * SCALE
+    misses = []
+    for q in range(1, q_max + 1):
+        gap = ((2 * q) * system.alpha).norm_raw()
+        if gap >= thresh:
+            misses.append((gap, q))
+            continue
+        k_max = math.floor(Fraction(r) * q)
+        dists = repetition_distances(system, omega, q, k_max)
+        failing = [d for d in dists if d >= thresh]
+        if not failing:
+            return ("found", q, k_max, max(dists))
+        misses.append((failing[0], q))
+    gap, q = min(misses)
+    return ("not_found", q, gap / SCALE)
+
+
+def as_outcome(result):
+    if isinstance(result, RepetitionCertificate):
+        return ("found", result.q, result.k_max, result.max_dist_raw)
+    return ("not_found", result.best_q, result.best_dist)
+
+
+def per_sample_estimate(system, epsilon, r, q_max, n_samples, seed):
+    """Hits of find_repetition_time, one call per sampled start point."""
+    return sum(
+        isinstance(
+            find_repetition_time(
+                system, sample_start_point(system, seed, i), epsilon, r, q_max
+            ),
+            RepetitionCertificate,
+        )
+        for i in range(n_samples)
+    )
+
+
+# the closed form runs below 1/3 and the stepping loop from 1/3 on; 1/3 is the
+# double just below it, nextafter the double just above
+SKEWSHIFT_EPSILONS = [0.05, 0.2, 0.3, 1 / 3, math.nextafter(1 / 3, 1.0), 0.34, 0.45]
 
 
 class TestFindRepetitionTime:
@@ -145,6 +198,66 @@ class TestFindRepetitionTime:
             find_repetition_time(system, omega, 0.1, 0, 10)
         with pytest.raises(ValueError):
             find_repetition_time(system, omega, 0.1, 1, 0)
+
+    @pytest.mark.parametrize("epsilon", SKEWSHIFT_EPSILONS)
+    def test_skewshift_search_matches_stepping_oracle(self, epsilon):
+        # dyadic alphas make many q tie: <2q*alpha> takes few values and
+        # 2q*alpha = 0 gives zero-step progressions
+        alphas = [
+            GOLDEN,
+            LIOUVILLE10,
+            SQRT2_MINUS_1,
+            FixedPointFrac.from_fraction(1, 4),
+            FixedPointFrac.from_fraction(3, 8),
+        ]
+        rng = random.Random(17)
+        omegas = [
+            TorusPoint((ZERO, ZERO)),
+            TorusPoint((FixedPointFrac.from_fraction(1, 2), FixedPointFrac.from_fraction(1, 8))),
+            TorusPoint((FixedPointFrac(rng.getrandbits(128)), FixedPointFrac(rng.getrandbits(128)))),
+        ]
+        outcomes = set()
+        for alpha in alphas:
+            system = SkewShift(alpha)
+            for omega in omegas:
+                for r, q_max in itertools.product((0.5, 1, 2.5), (3, 40)):
+                    got = as_outcome(find_repetition_time(system, omega, epsilon, r, q_max))
+                    assert got == stepping_skewshift_search(system, omega, epsilon, r, q_max)
+                    outcomes.add(got[0])
+        assert outcomes == {"found", "not_found"}
+
+    def test_skewshift_near_miss_ties_go_to_the_earliest_q(self):
+        # alpha = 1/8: 2q*alpha = q/4, so odd q miss by their gap 1/4 and
+        # q = 4m are zero-step candidates with constant terms m/4 + m/2 for
+        # w1 = 1/16: q = 4 and q = 12 miss by 1/4 as well, q = 16 certifies
+        system = SkewShift(FixedPointFrac.from_fraction(1, 8))
+        omega = TorusPoint((FixedPointFrac.from_fraction(1, 16), ZERO))
+        miss = find_repetition_time(system, omega, 0.2, 1, 15)
+        assert isinstance(miss, RepetitionNotFound)
+        assert (miss.best_q, miss.best_dist) == (1, 0.25)
+        assert as_outcome(miss) == stepping_skewshift_search(system, omega, 0.2, 1, 15)
+        assert find_repetition_time(system, omega, 0.2, 1, 16).q == 16
+
+    @pytest.mark.parametrize(
+        "system",
+        [Shift((GOLDEN,)), SkewShift(GOLDEN), SkewProduct(3, GOLDEN)],
+        ids=["shift", "skewshift", "skewproduct"],
+    )
+    @pytest.mark.parametrize(
+        "args, message",
+        [((0.0, 1, 10), "epsilon"), ((0.1, 0, 10), "r must"), ((0.1, 1, 0), "q_max")],
+    )
+    def test_bad_arguments_raise_before_any_plan(self, system, args, message, monkeypatch):
+        def no_plan(*_):
+            raise AssertionError("planned before validating")
+
+        monkeypatch.setattr(repetition, "_find_shift", no_plan)
+        monkeypatch.setattr(repetition, "_skewshift_plan", no_plan)
+        omega = TorusPoint((ZERO,) * system.dim)
+        with pytest.raises(ValueError, match=message):
+            find_repetition_time(system, omega, *args)
+        with pytest.raises(ValueError, match=message):
+            estimate_prp_fraction(system, *args, 5, seed=1)
 
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=SCALE - 1))
     @settings(max_examples=20)
@@ -340,6 +453,24 @@ class TestPrpEstimate:
         one = estimate_prp_fraction(SkewShift(GOLDEN), 0.05, 1.0, 300, 50, seed=42)
         four = estimate_prp_fraction(SkewShift(GOLDEN), 0.05, 1.0, 300, 50, seed=42, threads=4)
         assert one == four
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize(
+        "system, epsilon, r, q_max",
+        [
+            (Shift((GOLDEN,)), 0.2, 2.0, 50),
+            (Shift((GOLDEN, SQRT2_MINUS_1)), 0.001, 1.0, 100),
+            (SkewShift(LIOUVILLE10), 0.05, 1.0, 150),
+            (SkewShift(LIOUVILLE10), 0.45, 2.5, 60),
+            (SkewProduct(3, GOLDEN), 0.2, 1.0, 60),
+            (Iet((1 - float(GOLDEN), float(GOLDEN)), Permutation((2, 1))), 0.06, 1.0, 60),
+        ],
+        ids=["shift-hit", "shift-miss", "skewshift", "skewshift-stepped", "skewproduct", "iet"],
+    )
+    def test_estimate_matches_per_sample_search(self, system, epsilon, r, q_max, threads):
+        est = estimate_prp_fraction(system, epsilon, r, q_max, 40, seed=3, threads=threads)
+        assert est.n_samples == 40
+        assert est.n_hits == per_sample_estimate(system, epsilon, r, q_max, 40, seed=3)
 
     def test_seed_changes_the_samples(self):
         beta = float(GOLDEN)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from gordonlab.arithmetic import GOLDEN, ZERO, FixedPointFrac
+from gordonlab.arithmetic import GOLDEN, ZERO
 from gordonlab.dynamics import Shift, TorusPoint
 from gordonlab.potentials import (
     Cosine,
@@ -15,9 +15,7 @@ from gordonlab.potentials import (
 )
 from gordonlab.spectral import (
     MissingVectorsError,
-    SpectralReport,
     ThreeBlockReport,
-    TransferProduct,
     gordon_three_block_check,
     localization_diagnostics,
     transfer_block,
