@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -213,6 +214,11 @@ def emit(
     seed: int | None = None,
 ) -> None:
     """Write the header block and rows in the selected format."""
+    # a non-finite float cell (an overflowed product, say) fails before any output
+    for n, row in enumerate(rows, start=1):
+        for column, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"non-finite {column} in row {n}: {value}")
     header = {
         "schema": f"{schema}/v{SCHEMA_VERSION}",
         "version": f"gordonlab {__version__}",

@@ -19,7 +19,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+
+import numpy as np
 
 from .arithmetic import SCALE, FixedPointFrac
 
@@ -208,13 +210,15 @@ class IetTables:
 
     beta[j] is the j-th source breakpoint (beta[0] = 0, beta[m] = total);
     beta_pi are the image-partition breakpoints; interval j translates by
-    jumps[j-1] = beta_pi[perm(j)-1] - beta[j-1].
+    jumps[j-1] = beta_pi[perm(j)-1] - beta[j-1], and the image interval i
+    comes from the interval that jumps by back[i-1] = jumps[perm^-1(i)-1].
     """
 
     beta: tuple
     beta_pi: tuple
     total: object
     jumps: tuple
+    back: tuple
 
 
 def iet_tables(iet: Iet) -> IetTables:
@@ -228,7 +232,8 @@ def iet_tables(iet: Iet) -> IetTables:
     for length in lengths_pi:
         beta_pi.append(beta_pi[-1] + length)
     jumps = tuple(beta_pi[iet.perm(j) - 1] - beta[j - 1] for j in range(1, m + 1))
-    return IetTables(tuple(beta), tuple(beta_pi), beta[-1], jumps)
+    back = tuple(jumps[inv(i) - 1] for i in range(1, m + 1))
+    return IetTables(tuple(beta), tuple(beta_pi), beta[-1], jumps, back)
 
 
 def _iet_interval_index(tables: IetTables, x) -> int:
@@ -251,15 +256,24 @@ def iet_inverse_step(iet: Iet, y, tables: IetTables | None = None):
     tables = tables or iet_tables(iet)
     if not (0 <= y < tables.total):
         raise OutOfDomainError(f"IET point {y!r} outside [0, {tables.total!r})")
-    i = bisect_right(tables.beta_pi, y)
-    j = iet.perm.inverse()(i)
-    x = y - tables.jumps[j - 1]
+    x = y - tables.back[bisect_right(tables.beta_pi, y) - 1]
     if isinstance(x, float):
         if x < 0.0:
             x = 0.0
         elif x >= tables.total:
             x = math.nextafter(float(tables.total), 0.0)
     return x
+
+
+def iet_breakpoint_layers(iet: Iet, tables: IetTables):
+    """Yield T^-l of the internal breakpoints for l = 1, 2, ..., one list each.
+
+    With the breakpoints themselves, layers 1..q-1 are all the cuts of T^q.
+    """
+    layer = tables.beta[1:-1]
+    while True:
+        layer = [iet_inverse_step(iet, y, tables) for y in layer]
+        yield layer
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +476,11 @@ class IetContinuityPiece:
 def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     """Maximal intervals on which T^q is a translation (at most q(m-1)+1).
 
-    Pulls the internal breakpoints back through T^-l for l = 0..q-1, splits
-    [0, total) at those cuts, measures each piece's translation by stepping
-    its midpoint q times, and merges adjacent pieces whose translations agree
-    exactly.
+    Splits [0, total) at the breakpoints and their pull-backs through T^-l,
+    l = 1..q-1 (``iet_breakpoint_layers``, shared with the Veech tower search),
+    steps all piece midpoints q times together (numpy floats with
+    ``iet_step``'s right-edge clamp, or an object array of ``Fraction``s: the
+    bits of ``iet_step``), and merges neighbours whose translations agree.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -474,9 +489,7 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     tol = 0 if exact else IET_TOL * max(1.0, float(tables.total))
 
     cuts = list(tables.beta)  # includes 0 and total
-    layer = list(tables.beta[1:-1])
-    for _ in range(q - 1):
-        layer = [iet_inverse_step(iet, x, tables) for x in layer]
+    for layer in islice(iet_breakpoint_layers(iet, tables), q - 1):
         cuts.extend(layer)
     cuts.sort()
     merged_cuts = [cuts[0]]
@@ -491,12 +504,18 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
         # in float mode their measured translations agree only up to rounding
         return a == b if exact else abs(a - b) <= tol
 
+    mids = [(lo + hi) / 2 for lo, hi in zip(merged_cuts, merged_cuts[1:])]
+    dtype = object if exact else float
+    beta, jumps = np.array(tables.beta, dtype=dtype), np.array(tables.jumps, dtype=dtype)
+    edge = math.nextafter(float(tables.total), 0.0)
+    images = np.array(mids, dtype=dtype)
+    for _ in range(q):
+        images = images + jumps[np.searchsorted(beta, images, side="right") - 1]
+        if not exact:
+            np.minimum(images, edge, out=images)
+
     pieces: list[IetContinuityPiece] = []
-    for lo, hi in zip(merged_cuts, merged_cuts[1:]):
-        mid = (lo + hi) / 2
-        image = mid
-        for _ in range(q):
-            image = iet_step(iet, image, tables)
+    for lo, hi, mid, image in zip(merged_cuts, merged_cuts[1:], mids, images.tolist()):
         translation = image - mid
         if pieces and pieces[-1].hi == lo and same_translation(pieces[-1].translation, translation):
             pieces[-1] = IetContinuityPiece(pieces[-1].lo, hi, translation)

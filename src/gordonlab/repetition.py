@@ -14,11 +14,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .arithmetic import SCALE, ContinuedFraction, FixedPointFrac, convergent_denominators
 from .dynamics import (
@@ -30,8 +28,7 @@ from .dynamics import (
     SystemSpec,
     TorusPoint,
     UnsupportedSystemError,
-    iet_inverse_step,
-    iet_step,
+    iet_breakpoint_layers,
     iet_tables,
     random_point,
     raw_dist,
@@ -623,13 +620,15 @@ class TowerNotFound:
     best_overlap_fraction: float
 
 
-def _insert_cut(cuts: list, x, tol) -> None:
+def _insert_cut(cuts: list, x, tol) -> int | None:
+    """Insert x unless a cut lies within tol; return its index, else None."""
     pos = bisect_left(cuts, x)
     if pos < len(cuts) and cuts[pos] - x <= tol:
-        return
+        return None
     if pos > 0 and x - cuts[pos - 1] <= tol:
-        return
+        return None
     cuts.insert(pos, x)
+    return pos
 
 
 def veech_tower_search(
@@ -637,18 +636,26 @@ def veech_tower_search(
 ) -> VeechTower | TowerNotFound:
     """First (smallest q, leftmost J) tower, scanning continuity pieces of T^q.
 
-    Pieces come from incrementally pulled-back breakpoints; a candidate piece
-    must be long enough for the coverage bound, have iterates
+    Pieces come from incrementally pulled-back breakpoints
+    (``iet_breakpoint_layers``, shared with ``iet_refine_continuity``); a
+    candidate piece must be long enough for the coverage bound, have iterates
     T^l J (1 <= l < q) disjoint from J (checked via its midpoint displacement,
     exact because T^q is a translation on J), and return with overlap
     Leb(J and T^q J) > (1-eps) Leb(J).
+
+    Each piece carries its midpoint's orbit across q: T^l(mid), l, and
+    whether T^k J missed J for all 1 <= k < l.  The orbit starts when the
+    piece first falls in the length window and steps exactly as from scratch;
+    an unsplit piece then costs one step per q, a piece that met J nothing,
+    and a split restarts both halves.  One scalar loop serves float and exact
+    (``Fraction``) IETs.
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     tables = iet_tables(iet)
-    total = tables.total
+    beta, jumps, total = tables.beta, tables.jumps, tables.total
     exact = not isinstance(total, float)
     tol = 0 if exact else IET_TOL * max(1.0, float(total))
 
@@ -657,89 +664,52 @@ def veech_tower_search(
     if epsilon == 0:
         return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)
 
-    cuts = list(tables.beta)
-    layer = list(tables.beta[1:-1])
-    float_mode = not exact
-    if float_mode:
-        beta_arr = np.asarray([float(b) for b in tables.beta])
-        jumps_arr = np.asarray([float(j) for j in tables.jumps])
-
+    cuts = list(beta)
+    lens = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+    # per piece: None until its orbit starts, False once T^k J met J,
+    # else [T^l(mid), l, mid]
+    orbits = [None] * len(lens)
+    layers = iet_breakpoint_layers(iet, tables)
     for q in range(1, q_max + 1):
         if q > 1:
-            layer = [iet_inverse_step(iet, x, tables) for x in layer]
-            for x in layer:
-                _insert_cut(cuts, x, tol)
-        lens = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+            for x in next(layers):
+                pos = _insert_cut(cuts, x, tol)
+                if pos is not None:
+                    lens[pos - 1 : pos] = [x - cuts[pos - 1], cuts[pos + 1] - x]
+                    orbits[pos - 1 : pos] = [None, None]
         min_len = (1 - epsilon) * total / q
-        max_len = total / q
-        cand = [
-            i
-            for i, ln in enumerate(lens)
-            if ln > min_len and ln <= max_len + (tol if float_mode else 0)
-        ]
-        if not cand:
-            continue
-
-        if float_mode:
-            mids = np.asarray([(cuts[i] + cuts[i + 1]) / 2 for i in cand])
-            clen = np.asarray([lens[i] for i in cand])
-            x = mids.copy()
-            alive = np.ones(len(cand), dtype=bool)
-            for _ in range(1, q):
-                idx = np.searchsorted(beta_arr, x, side="right") - 1
-                x = x + jumps_arr[idx]
-                alive &= np.abs(x - mids) >= clen - tol
-                if not alive.any():
+        if exact:
+            min_len = Fraction(min_len)  # convert once, not in every comparison
+        max_len = total / q + tol
+        for i, ln in enumerate(lens):
+            if not min_len < ln <= max_len or (state := orbits[i]) is False:
+                continue
+            if state is None:
+                mid = (cuts[i] + cuts[i + 1]) / 2
+                state = orbits[i] = [mid, 0, mid]
+            x, l, mid = state
+            reach = ln - tol
+            while l < q:
+                if l and abs(x - mid) < reach:
                     break
-            if alive.any():
-                idx = np.searchsorted(beta_arr, x, side="right") - 1
-                x = x + jumps_arr[idx]
-                disp = np.abs(x - mids)
-                overlap = np.maximum(clen - disp, 0.0)
-                coverage = q * clen / float(total)
-                ok = alive & (overlap > (1 - epsilon) * clen) & (coverage > 1 - epsilon)
-                for j in np.flatnonzero(alive):
-                    score = min(float(coverage[j]), float(overlap[j] / clen[j]))
-                    if score > best_score:
-                        best_score = score
-                        best_q, best_cov, best_ovf = q, float(coverage[j]), float(
-                            overlap[j] / clen[j]
-                        )
-                if ok.any():
-                    j = int(np.flatnonzero(ok)[0])
-                    i = cand[j]
-                    return VeechTower(
-                        q=q,
-                        interval=(cuts[i], cuts[i + 1]),
-                        coverage=float(coverage[j]),
-                        return_overlap=float(overlap[j]),
-                    )
-        else:
-            for i in cand:
-                lo, hi = cuts[i], cuts[i + 1]
-                ln = hi - lo
-                mid = (lo + hi) / 2
-                x = mid
-                disjoint = True
-                for _ in range(1, q):
-                    x = iet_step(iet, x, tables)
-                    if abs(x - mid) < ln:
-                        disjoint = False
-                        break
-                if not disjoint:
-                    continue
-                x = iet_step(iet, x, tables)
-                overlap = max(ln - abs(x - mid), 0)
-                coverage = q * ln / total
-                score = min(float(coverage), float(overlap / ln))
-                if score > best_score:
-                    best_score = score
-                    best_q, best_cov, best_ovf = q, float(coverage), float(overlap / ln)
-                if overlap > (1 - epsilon) * ln and coverage > 1 - epsilon:
-                    return VeechTower(
-                        q=q,
-                        interval=(lo, hi),
-                        coverage=float(coverage),
-                        return_overlap=float(overlap),
-                    )
+                # no right-edge clamp: T^l J lies in one interval, mid half a piece inside
+                x = x + jumps[bisect_right(beta, x) - 1]
+                l += 1
+            if l < q:
+                orbits[i] = False
+                continue
+            state[0], state[1] = x, l
+            overlap = max(ln - abs(x - mid), 0)
+            coverage = q * ln / total
+            score = min(float(coverage), float(overlap / ln))
+            if score > best_score:
+                best_score = score
+                best_q, best_cov, best_ovf = q, float(coverage), float(overlap / ln)
+            if overlap > (1 - epsilon) * ln and coverage > 1 - epsilon:
+                return VeechTower(
+                    q=q,
+                    interval=(cuts[i], cuts[i + 1]),
+                    coverage=float(coverage),
+                    return_overlap=float(overlap),
+                )
     return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)

@@ -310,6 +310,24 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "q-list" not in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_output_is_a_domain_error(self, capsys, tmp_path, fmt):
+        # the lam=5 transfer product at q=2000 overflows to nan
+        target = tmp_path / "out.txt"
+        argv = [
+            "transfer", "--system", "shift", "--alpha", "golden", "--lambda", "5",
+            "--q", "2000", "--energy", "0.3", "--format", fmt,
+        ]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: non-finite norm_plus ")
+        assert "nan" in err
+        code, out, _ = run_cli(argv + ["--output", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert not target.exists()
+
     def test_missing_required_flag_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(

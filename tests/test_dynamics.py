@@ -27,6 +27,7 @@ from gordonlab.dynamics import (
     system_dim,
 )
 
+from iet_reference import refine_continuity_stepping
 from oracles import skewshift_orbit_fraction
 
 raw_values = st.integers(min_value=0, max_value=SCALE - 1)
@@ -207,6 +208,17 @@ class TestOrbit:
         with pytest.raises(ValueError):
             orbit(Shift((GOLDEN,)), TorusPoint((ZERO,)), 3, 2)
 
+    @pytest.mark.parametrize("images", [(3, 1, 2), (4, 3, 2, 1), (2, 5, 3, 1, 4)])
+    def test_exact_iet_orbit_negative_side_inverts_stepping(self, images):
+        # exact lengths: every inverse step is undone by a forward step
+        m = len(images)
+        iet = Iet(tuple(Fraction(k + 2, 7 * m + 3) for k in range(m)), Permutation(images))
+        points = orbit(iet, Fraction(1, 3), -8, 8)
+        assert points[8] == Fraction(1, 3)
+        for left, right in zip(points, points[1:]):
+            assert iet_step(iet, left) == right
+            assert iet_inverse_step(iet, right) == left
+
 
 class TestIet:
     def golden_rotation(self) -> Iet:
@@ -315,6 +327,29 @@ class TestContinuityRefinement:
         assert pieces[-1].hi == pytest.approx(1.0, abs=1e-15)
         for left, right in zip(pieces, pieces[1:]):
             assert left.hi == right.lo
+
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 13, 34, 89, 233, 300])
+    def test_exact_rotation_matches_closed_form(self, q):
+        # T^q is the rotation by q*beta: it jumps by {q beta} left of
+        # 1 - {q beta} and by {q beta} - 1 right of it
+        beta = Fraction(381966, 10**6)
+        pieces = iet_refine_continuity(Iet((1 - beta, beta), Permutation((2, 1))), q)
+        frac = q * beta - math.floor(q * beta)
+        assert [(p.lo, p.hi, p.translation) for p in pieces] == [
+            (0, 1 - frac, frac),
+            (1 - frac, 1, frac - 1),
+        ]
+        assert all(isinstance(p.translation, Fraction) for p in pieces)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_float_pieces_match_per_piece_stepping(self, m):
+        # stepping all midpoints together gives the bits of iet_step per piece
+        rng = random.Random(200 + m)
+        for q in (1, 2, 7, 40, 150):
+            perm = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+            iet = Iet(tuple(rng.random() + 0.01 for _ in range(m)), perm)
+            assert repr(iet_refine_continuity(iet, q)) == repr(refine_continuity_stepping(iet, q))
 
 
 class TestAdvisoriesAndSampling:

@@ -16,6 +16,7 @@ from gordonlab.arithmetic import (
     cf_expand,
 )
 from gordonlab import repetition
+from iet_reference import veech_tower_search_stepping
 from gordonlab.dynamics import (
     Iet,
     Permutation,
@@ -570,6 +571,53 @@ class TestVeechTowers:
         for i in range(len(mids)):
             for j in range(i + 1, len(mids)):
                 assert abs(mids[i] - mids[j]) >= length - 1e-9
+
+    def test_exact_halves_full_tower(self):
+        half = Fraction(1, 2)
+        tower = veech_tower_search(Iet((half, half), Permutation((2, 1))), 0.3, 100)
+        assert isinstance(tower, VeechTower)
+        assert tower.q == 2
+        assert tower.interval == (0, half)
+        assert isinstance(tower.interval[1], Fraction)
+        assert tower.coverage == 1.0
+        assert tower.return_overlap == 0.5
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_search_matches_from_scratch_stepping(self, m):
+        # carried orbits must reproduce the search that re-steps every
+        # candidate midpoint at every q: float IETs to q_max=300, exact ones
+        # to 60 (the exact reference is slow), towers and misses both
+        rng = random.Random(100 + m)
+        outcomes = []
+        for epsilon in (0.1, 0.3, 0.5, 0.7):
+            for exact in (False, True):
+                while True:
+                    perm = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+                    if perm.is_irreducible():
+                        break
+                if exact:
+                    cuts = sorted(rng.sample(range(1, 997), m - 1))
+                    lengths = tuple(
+                        Fraction(b - a, 997) for a, b in zip([0, *cuts], [*cuts, 997])
+                    )
+                else:
+                    lengths = tuple(rng.random() + 0.02 for _ in range(m))
+                iet, q_max = Iet(lengths, perm), 60 if exact else 300
+                got = veech_tower_search(iet, epsilon, q_max)
+                assert repr(got) == repr(veech_tower_search_stepping(iet, epsilon, q_max))
+                outcomes.append(type(got))
+        assert set(outcomes) == {VeechTower, TowerNotFound}
+
+    @pytest.mark.parametrize("images", [(3, 1, 2), (4, 3, 2, 1), (2, 5, 3, 1, 4)])
+    def test_search_matches_from_scratch_stepping_on_many_short_searches(self, images):
+        # short searches end at an early tower or scan few q: pieces that
+        # started their orbits and are split later must restart them
+        rng = random.Random(sum(images))
+        for _ in range(40):
+            iet = Iet(tuple(rng.random() + 0.05 for _ in images), Permutation(images))
+            for epsilon in (0.2, 0.3):
+                got = veech_tower_search(iet, epsilon, 42)
+                assert repr(got) == repr(veech_tower_search_stepping(iet, epsilon, 42))
 
     def test_epsilon_zero_is_unreachable(self):
         iet = Iet((0.5, 0.5), Permutation((2, 1)))

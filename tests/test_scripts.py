@@ -1,0 +1,37 @@
+"""Every sweep script must still import and parse its arguments.
+
+The scripts import package internals, so a renamed or removed name breaks
+them at import time; ``--help`` exercises the imports and the parser without
+running a sweep.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def test_scripts_exist():
+    assert SCRIPTS
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
+def test_script_help_exits_zero(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
