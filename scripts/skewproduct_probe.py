@@ -31,7 +31,6 @@ def main() -> int:
     parser.add_argument("--qmax", type=int, default=300)
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     alpha = parse_alpha(args.alpha)
@@ -42,7 +41,7 @@ def main() -> int:
         d = int(text)
         est = estimate_prp_fraction(
             SkewProduct(d, alpha), args.eps, args.r, args.qmax, args.samples,
-            seed=args.seed, threads=args.threads,
+            seed=args.seed,
         )
         lo, hi = est.wilson_ci
         print(f"{d:>4} {est.n_hits:>6} {est.fraction:>10.4f} "

@@ -4,8 +4,8 @@ Every library operation sits behind a subcommand that emits a versioned
 header (schema, code version, config echo, seed) followed by rows, as CSV
 (``#``-prefixed header lines, then RFC-4180 rows) or as one JSON object with
 the same rows.  A config file plus the code version determines every output
-byte; execution-only knobs (thread count, output path) are kept out of the
-echo so re-runs merge byte-identically regardless of parallelism.
+byte; execution-only knobs (output path, the ignored thread count) are kept
+out of the echo so re-runs merge byte-identically.
 
 Exit codes: 0 success, 1 runtime/domain error, 2 config error.
 """
@@ -94,6 +94,25 @@ def parse_alpha(text: str) -> FixedPointFrac:
             "or a decimal/rational literal"
         ) from exc
     return FixedPointFrac.from_fraction(frac.numerator, frac.denominator)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued flags: nan and inf are bad input (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _env_threads() -> int:
+    text = os.environ.get("GORDONLAB_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"GORDONLAB_THREADS: {text!r} is not an integer") from exc
 
 
 def _parse_coord_list(text: str, field: str) -> tuple[FixedPointFrac, ...]:
@@ -579,7 +598,7 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
 def _add_function_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--function", default="cosine", choices=["cosine", "bourgain", "coding"])
     p.add_argument("--freq", help="comma-separated integer frequency vector (cosine)")
-    p.add_argument("--phase", type=float, help="phase offset in turns (cosine)")
+    p.add_argument("--phase", type=_finite_float, help="phase offset in turns (cosine)")
     p.add_argument("--breakpoints", help="comma-separated breakpoints in [0,1) (coding)")
     p.add_argument("--levels", help="comma-separated values per piece (coding)")
 
@@ -618,36 +637,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repeat", help="search for a repetition certificate")
     _add_system_flags(p)
     p.add_argument("--omega")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--r", type=_finite_float, default=1.0)
     p.add_argument("--qmax", type=int, required=True)
     common(p)
 
     p = sub.add_parser("construct-q", help="constructive skew-shift repetition times")
     p.add_argument("--alpha", required=True)
     p.add_argument("--omega1")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--r", type=_finite_float, default=1.0)
     p.add_argument("--max-base-q", type=int, dest="max_base_q")
     common(p)
 
     p = sub.add_parser("prp-measure", help="Monte Carlo repetition-fraction estimate")
     _add_system_flags(p)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--r", type=_finite_float, default=1.0)
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("GORDONLAB_THREADS", "1")),
-    )
+    # accepted for compatibility and ignored: the Monte Carlo runs serially
+    p.add_argument("--threads", type=int, default=_env_threads())
     common(p)
 
     p = sub.add_parser("veech", help="tower search for an interval exchange")
     _add_system_flags(p)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--qmax", type=int, required=True)
     common(p)
 
@@ -655,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     _add_function_flags(p)
     p.add_argument("--omega")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     p.add_argument("--q-list", dest="q_list", required=True)
     p.add_argument("--c-list", dest="c_list")
     common(p)
@@ -664,9 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     _add_function_flags(p)
     p.add_argument("--omega")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--energy", type=float, required=True)
+    p.add_argument("--energy", type=_finite_float, required=True)
     p.add_argument("--u0", help="two comma-separated components (default 1,0)")
     common(p)
 
@@ -674,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     _add_function_flags(p)
     p.add_argument("--omega")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--vectors", action="store_true")
     common(p)
@@ -711,8 +727,8 @@ def _args_from_config(path: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
         if args.command == "run":
             args = parser.parse_args(_args_from_config(args.config))

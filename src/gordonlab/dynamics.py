@@ -21,8 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-import numpy as np
-
 from .arithmetic import SCALE, FixedPointFrac
 
 # Float IET breakpoints closer than this are treated as one cut.
@@ -482,6 +480,8 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     ``iet_step``'s right-edge clamp, or an object array of ``Fraction``s: the
     bits of ``iet_step``), and merges neighbours whose translations agree.
     """
+    import numpy as np
+
     if q < 1:
         raise ValueError("q must be >= 1")
     tables = iet_tables(iet)

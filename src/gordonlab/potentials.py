@@ -15,12 +15,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .arithmetic import SCALE, FixedPointFrac
 from .dynamics import Iet, SystemSpec, TorusPoint, raw_orbit, raw_state, system_dim
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DimensionMismatchError(ValueError):
@@ -196,6 +197,8 @@ def sample_potential(
     n_max: int,
 ) -> PotentialWindow:
     """Evaluate the potential along the orbit (exact dynamics, float samples)."""
+    import numpy as np
+
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     _check_dims(f, system_dim(system))
@@ -221,6 +224,8 @@ def explicit_window(values, n_min: int) -> PotentialWindow:
     of 1/q lands on the coding discontinuity and flips the piece at the wrap
     site.  Direct values stand in for those cases; coupling is taken as 1.
     """
+    import numpy as np
+
     base = np.array([float(v) for v in values], dtype=float)
     if base.size == 0:
         raise ValueError("values must be nonempty")
@@ -259,10 +264,7 @@ def gordon_gamma(window: PotentialWindow, q: int) -> float:
     mid = base[off + 1 : off + q + 1]
     plus = base[off + 1 + q : off + 2 * q + 1]
     minus = base[off + 1 - q : off + 1]
-    raw = max(
-        float(np.max(np.abs(mid - plus))),
-        float(np.max(np.abs(mid - minus))),
-    )
+    raw = max(float(abs(mid - plus).max()), float(abs(mid - minus).max()))
     return abs(window.lam) * raw
 
 

@@ -557,29 +557,20 @@ def estimate_prp_fraction(
     """Monte Carlo frequency of certifiable starting points.
 
     Each sample's generator is derived from (seed, index) by hashing, so the
-    result is bit-identical for a fixed seed regardless of thread count.
-    The omega-free part of the search (see ``find_repetition_time``) is
-    planned once, before any sample: a shift is answered by that one search,
-    so its hits are all or none, and skew-shift samples scan only the planned
-    candidates.  ``threads`` gives no speed-up: the work is pure Python, so
-    the GIL serialises it and extra threads add only hand-offs.
+    result is bit-identical for a fixed seed.  The omega-free part of the
+    search (see ``find_repetition_time``) is planned once, before any sample:
+    a shift is answered by that one search, so its hits are all or none, and
+    skew-shift samples scan only the planned candidates.  ``threads`` is
+    accepted and ignored: the work is pure Python, so the GIL serialises it,
+    and a thread pool ran slower than this one loop.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     search = _searcher(system, epsilon, r, q_max, reuse=True)
-
-    def one(index: int) -> bool:
-        found = search(sample_start_point(system, seed, index))
-        return isinstance(found, RepetitionCertificate)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_samples)))
-    else:
-        results = [one(i) for i in range(n_samples)]
-    hits = sum(results)
+    hits = sum(
+        isinstance(search(sample_start_point(system, seed, i)), RepetitionCertificate)
+        for i in range(n_samples)
+    )
     return PrpEstimate(
         system=system,
         epsilon=epsilon,

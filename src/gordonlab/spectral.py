@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from typing import TYPE_CHECKING
 
 from .potentials import PotentialWindow, WindowTooSmallError, gordon_gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConvergenceFailureError(RuntimeError):
@@ -54,6 +55,8 @@ class TransferProduct:
         return (a * u[0] + b * u[1], c * u[0] + d * u[1])
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.entries, dtype=float)
 
 
@@ -176,6 +179,9 @@ def truncated_spectrum(
     window: PotentialWindow, n_sites: int, report_vectors: bool = False
 ) -> SpectralReport:
     """Spectrum of the truncation onto the first n_sites sites of the window."""
+    import numpy as np
+    from scipy.linalg import eigh_tridiagonal
+
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     if window.n_max - window.n_min + 1 < n_sites:
@@ -220,6 +226,8 @@ class LocalizationSummary:
 
 
 def localization_diagnostics(report: SpectralReport) -> LocalizationSummary:
+    import numpy as np
+
     if report.ipr is None or report.edge_mass is None:
         raise MissingVectorsError("spectral report was computed without eigenvectors")
     counts, edges = np.histogram(report.ipr, bins=10, range=(0.0, 1.0))

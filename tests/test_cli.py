@@ -1,6 +1,9 @@
 import csv
 import json
+import math
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -328,6 +331,51 @@ class TestExitCodes:
         assert out == ""
         assert not target.exists()
 
+    def test_malformed_threads_environment_is_a_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("GORDONLAB_THREADS", "abc")
+        code, out, err = run_cli(["cf", "--alpha", "golden", "--depth", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: GORDONLAB_THREADS: ")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["repeat", "--alpha", "golden", "--eps", "nan", "--qmax", "10"], "--eps"),
+            (["repeat", "--alpha", "golden", "--eps", "0.1", "--r", "inf", "--qmax", "10"], "--r"),
+            (["spectrum", "--alpha", "golden", "--lambda", "nan", "--sites", "5"], "--lambda"),
+            (["transfer", "--alpha", "golden", "--q", "3", "--energy=-inf"], "--energy"),
+            (["gordon", "--alpha", "golden", "--q-list", "3", "--phase", "nan"], "--phase"),
+            (["construct-q", "--alpha", "golden", "--eps", "1e999"], "--eps"),
+        ],
+    )
+    def test_non_finite_float_flag_is_a_config_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err
+        assert "is not a finite number" in captured.err
+
+    @pytest.mark.parametrize(
+        "config, flag",
+        [
+            ('{"subcommand": "repeat", "alpha": "golden", "qmax": 10, "eps": NaN}', "--eps"),
+            ('{"subcommand": "transfer", "alpha": "golden", "q": 5, "energy": 0.3, '
+             '"lambda": Infinity}', "--lambda"),
+        ],
+    )
+    def test_non_finite_float_in_a_config_file_is_a_config_error(self, config, flag, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err
+
     def test_missing_required_flag_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -362,3 +410,68 @@ class TestBundledRecipes:
 
     def test_recipes_exist(self):
         assert len(RECIPES) >= 8
+
+
+class TestImportPolicy:
+    """numpy and scipy load only where a subcommand computes with them."""
+
+    LIGHT = {
+        "cf": "cf --alpha golden --depth 8",
+        "classify": "classify --alpha golden --c 0.3 --qmax 100",
+        "orbit": "orbit --system iet --lengths 0.3,0.7 --perm 2,1 --nmin -3 --nmax 3",
+        "repeat": "repeat --system skewshift --alpha golden --eps 0.2 --qmax 50",
+        "construct-q": "construct-q --alpha liouville10 --eps 0.3 --max-base-q 1000",
+        "prp-measure": "prp-measure --system skewshift --alpha golden --eps 0.1 --qmax 50 "
+        "--samples 5 --seed 1",
+        "veech": "veech --system iet --lengths 0.5,0.5 --perm 2,1 --eps 0.3 --qmax 10",
+    }
+    NUMPY_ONLY = {
+        "gordon": "gordon --system shift --alpha golden --q-list 3,5",
+        "transfer": "transfer --system shift --alpha golden --q 5 --energy 0.3",
+    }
+    FREE_CHAIN = "spectrum --system shift --alpha golden --lambda 0 --sites 30"
+    CHILD = """
+import contextlib, io, json, sys
+import gordonlab, gordonlab.cli
+from gordonlab.cli import main
+
+def loaded():
+    return [m for m in ("numpy", "scipy") if m in sys.modules]
+
+runs = json.loads(sys.argv[1])
+report = {"import": [loaded(), ""]}
+for name, argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, (name, code)
+    report[name] = [loaded(), out.getvalue()]
+print(json.dumps(report))
+"""
+
+    def test_heavy_packages_load_only_where_they_compute(self, capsys, src_env):
+        runs = [
+            (name, command.split())
+            for name, command in [*self.LIGHT.items(), *self.NUMPY_ONLY.items(),
+                                  ("spectrum", self.FREE_CHAIN)]
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(runs)],
+            capture_output=True, text=True, env=src_env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["import"][0] == []
+        for name in self.LIGHT:
+            assert report[name][0] == [], name
+        for name in self.NUMPY_ONLY:
+            assert report[name][0] == ["numpy"], name
+        assert report["spectrum"][0] == ["numpy", "scipy"]
+        # the lazily loaded solver gives the bits of an in-process run
+        for name, argv in runs:
+            _, out, _ = run_cli(argv, capsys)
+            assert report[name][1] == out, name
+        _, _, rows = parse_csv(report["spectrum"][1])
+        n = len(rows)
+        expected = sorted(2 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
+        assert [float(e) for _, e in rows] == pytest.approx(expected, abs=1e-12)

@@ -5,7 +5,6 @@ them at import time; ``--help`` exercises the imports and the parser without
 running a sweep.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,16 +20,12 @@ def test_scripts_exist():
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
-def test_script_help_exits_zero(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+def test_script_help_exits_zero(script, src_env):
     proc = subprocess.run(
         [sys.executable, str(script), "--help"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
