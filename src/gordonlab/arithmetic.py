@@ -214,7 +214,11 @@ def classify_badly_approximable(
 ) -> DiophantineVerdict:
     """First q <= q_max with <q*alpha> <= c/q, or a bounded-horizon pass.
 
-    method="scan" walks q = 1..q_max accumulating q*alpha exactly.
+    method="scan" walks q = 1..q_max accumulating q*alpha exactly.  It visits
+    every q, in doubling blocks [lo, 2*lo - 1]: a witness q in a block has
+    <q*alpha> <= c/q <= c/lo, so one comparison of q*alpha against the raw
+    bound floor(c*2^128/lo) rejects every other q of the block exactly, and
+    only a q that passes gets the full witness test.
     method="convergents" tests only q=1 and the convergent denominators, which
     give the same first witness because q<q*alpha> is minimized at convergents;
     it is used only when the computed expansion covers q_max.  method="auto"
@@ -228,10 +232,11 @@ def classify_badly_approximable(
     if method not in ("auto", "scan", "convergents"):
         raise ValueError(f"unknown method: {method!r}")
 
-    c_frac = Fraction(c)
+    c_num, c_den = Fraction(c).as_integer_ratio()
+    c_scaled = c_num * SCALE
     # Witness test, exact: umin/S <= c/q  <=>  umin * q * c.den <= c.num * S.
     def is_witness(q: int, umin: int) -> bool:
-        return umin * q * c_frac.denominator <= c_frac.numerator * SCALE
+        return umin * q * c_den <= c_scaled
 
     if method in ("auto", "convergents") and (method == "convergents" or q_max > 10**6):
         cf = cf_expand(alpha, depth=200)
@@ -260,17 +265,23 @@ def classify_badly_approximable(
                 criterion="convergent-minima",
             )
 
-    u = 0
+    u = 0  # q*alpha mod 2^128
     v = alpha.value
-    for q in range(1, q_max + 1):
-        u = (u + v) % SCALE
-        umin = min(u, SCALE - u)
-        if is_witness(q, umin):
-            return DiophantineVerdict(
-                alpha, c, q_max, NOT_BADLY_APPROXIMABLE_WITNESS,
-                witness_q=q, witness_dist=umin / SCALE,
-                criterion="exhaustive-scan",
-            )
+    lo = 1
+    while lo <= q_max:
+        bound = c_scaled // (lo * c_den)  # a witness q >= lo has umin <= bound
+        top = SCALE - bound
+        for q in range(lo, min(2 * lo, q_max + 1)):
+            u += v
+            if u >= SCALE:
+                u -= SCALE
+            if (u <= bound or u >= top) and is_witness(q, umin := min(u, SCALE - u)):
+                return DiophantineVerdict(
+                    alpha, c, q_max, NOT_BADLY_APPROXIMABLE_WITNESS,
+                    witness_q=q, witness_dist=umin / SCALE,
+                    criterion="exhaustive-scan",
+                )
+        lo *= 2
     return DiophantineVerdict(
         alpha, c, q_max, BADLY_APPROXIMABLE_UP_TO_BOUND, criterion="exhaustive-scan"
     )

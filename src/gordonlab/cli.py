@@ -107,6 +107,27 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--flag -1e-3`` as ``--flag=-1e-3``.
+
+    argparse takes a dash-led token for an option unless it looks like -5 or
+    -.5, so a negative number in exponent form (or -inf) would lose its flag.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if token.startswith("-") and prev.startswith("--") and prev != "--" and "=" not in prev:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def _env_threads() -> int:
     text = os.environ.get("GORDONLAB_THREADS", "1")
     try:
@@ -729,9 +750,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
         if args.command == "run":
-            args = parser.parse_args(_args_from_config(args.config))
+            args = parser.parse_args(_attach_negative_values(_args_from_config(args.config)))
         handler, columns, echo_fields = _SUBCOMMANDS[args.command]
         args._extra = {}
         rows = handler(args)

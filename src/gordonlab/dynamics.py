@@ -26,6 +26,8 @@ from .arithmetic import SCALE, FixedPointFrac
 # Float IET breakpoints closer than this are treated as one cut.
 IET_TOL = 1e-12
 
+_HALF = SCALE // 2  # circle distances reflect past this raw value
+
 
 class OutOfDomainError(ValueError):
     """An IET was evaluated outside [0, |lambda|)."""
@@ -298,7 +300,14 @@ def raw_dist(x, y):
     """Distance of two raw states: the exact max-metric circle distance in raw
     units for torus tuples, |x - y| for IET points."""
     if isinstance(x, tuple):
-        return max(min(d, SCALE - d) for d in ((a - b) % SCALE for a, b in zip(x, y)))
+        worst = 0
+        for a, b in zip(x, y):
+            d = (a - b) % SCALE
+            if d > _HALF:
+                d = SCALE - d
+            if d > worst:
+                worst = d
+        return worst
     return abs(x - y)
 
 

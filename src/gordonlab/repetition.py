@@ -45,11 +45,6 @@ class InconsistentCertificateError(ValueError):
     """The certificate violates a precondition of the circle argument."""
 
 
-def _floor_times(r: float, q: int) -> int:
-    """floor(r*q) computed exactly from the binary value of r."""
-    return math.floor(Fraction(r) * q)
-
-
 def _strict_raw_threshold(epsilon: float) -> int:
     """t such that raw < t  <=>  raw/SCALE < epsilon (exact, strict)."""
     f = Fraction(epsilon) * SCALE
@@ -163,12 +158,12 @@ def _searcher(system: SystemSpec, epsilon: float, r: float, q_max: int, reuse: b
     raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
 
 
-def _certificate(epsilon, r, q, max_dist_raw, omega) -> RepetitionCertificate:
+def _certificate(epsilon, r, q, k_max, max_dist_raw, omega) -> RepetitionCertificate:
     return RepetitionCertificate(
         epsilon=epsilon,
         r=r,
         q=q,
-        k_max=_floor_times(r, q),
+        k_max=k_max,
         max_dist=max_dist_raw / SCALE,
         omega=omega,
         max_dist_raw=max_dist_raw,
@@ -187,7 +182,8 @@ def _find_shift(system, epsilon, r, q_max):
             acc[i] = (acc[i] + v) % SCALE
             raw = max(raw, min(acc[i], SCALE - acc[i]))
         if raw < thresh:
-            return _certificate(epsilon, r, q, raw, None)
+            r_num, r_den = Fraction(r).as_integer_ratio()
+            return _certificate(epsilon, r, q, r_num * q // r_den, raw, None)
         if best_raw is None or raw < best_raw:
             best_q, best_raw = q, raw
     return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
@@ -260,24 +256,26 @@ def _progression_closed(s, u, k_max, first, thresh):
 def _find_generic(system, omega, epsilon, r, q_max):
     torus = not isinstance(system, Iet)
     thresh = _dist_threshold(system, epsilon)
+    r_num, r_den = Fraction(r).as_integer_ratio()
     step_raw = raw_stepper(system)
     states = [raw_state(system, omega)]
     best_q, best_dist = None, None
     for q in range(1, q_max + 1):
-        k_max = _floor_times(r, q)
+        k_max = r_num * q // r_den
         while len(states) <= k_max + q:
             states.append(step_raw(states[-1]))
         ok = True
         observed = 0 if torus else 0.0
         for k in range(k_max + 1):
             d = raw_dist(states[k], states[k + q])
-            observed = max(observed, d)
+            if d > observed:
+                observed = d
             if d >= thresh:
                 ok = False
                 break
         if ok:
             if torus:
-                return _certificate(epsilon, r, q, observed, omega)
+                return _certificate(epsilon, r, q, k_max, observed, omega)
             return RepetitionCertificate(epsilon, r, q, k_max, observed, omega)
         dist = observed / SCALE if torus else observed
         if best_dist is None or dist < best_dist:
@@ -305,7 +303,8 @@ def verify_certificate_against_definition(
     """Recompute every distance by stepping and confirm the strict inequality."""
     if cert.q < 1 or cert.epsilon <= 0 or cert.r <= 0:
         return False
-    k_max = _floor_times(cert.r, cert.q)
+    r_num, r_den = Fraction(cert.r).as_integer_ratio()
+    k_max = r_num * cert.q // r_den
     if cert.k_max != k_max:
         return False
     dists = repetition_distances(system, cert.omega, cert.q, k_max)
@@ -412,7 +411,8 @@ def skewshift_constructive_q(
         eps_rep = math.nextafter(eps_rep, math.inf)
 
     omega = TorusPoint((omega1, FixedPointFrac(0)))
-    k_max = _floor_times(r, q)
+    r_num, r_den = r_frac.as_integer_ratio()
+    k_max = r_num * q // r_den
     u, cur = (x.value for x in skewshift_pair_difference(alpha, omega1, 0, q))
     max_raw = min(u, SCALE - u)
     for _ in range(k_max + 1):

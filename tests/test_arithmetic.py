@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,32 @@ from gordonlab.arithmetic import (
 from oracles import circle_dist_fraction, rational_cf_quotients
 
 raw_values = st.integers(min_value=0, max_value=SCALE - 1)
+
+SCAN_CS = [1e-9, 0.3, 0.5, 1.0, 2.0]
+SCAN_HORIZONS = [1, 2, 3, 4, 7, 8, 9, 64, 1024]
+
+
+def naive_scan(alpha, c, q_max):
+    """Reference classify scan: every q, q*alpha from the raw value, the
+    witness test <q*alpha> <= c/q in exact rationals."""
+    x = Fraction(alpha.value, SCALE)
+    for q in range(1, q_max + 1):
+        dist = circle_dist_fraction(q * x)
+        if dist <= Fraction(c) / q:
+            return (NOT_BADLY_APPROXIMABLE_WITNESS, q, float(dist), "exhaustive-scan")
+    return (BADLY_APPROXIMABLE_UP_TO_BOUND, None, None, "exhaustive-scan")
+
+
+def scan_outcome(verdict):
+    return (verdict.verdict, verdict.witness_q, verdict.witness_dist, verdict.criterion)
+
+
+def tight_c(product_raw):
+    """The smallest double c with c >= product_raw / 2**128."""
+    c = float(Fraction(product_raw, SCALE))
+    while Fraction(c) * SCALE < product_raw:
+        c = math.nextafter(c, math.inf)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +296,40 @@ class TestClassify:
                 FixedPointFrac.from_fraction(3, 10), 0.001, 10**7, method="convergents"
             )
         assert err.value.last_trustworthy_index == 2
+
+    def test_scan_matches_naive_fraction_loop_on_random_alphas(self):
+        rng = random.Random(23)
+        alphas = [FixedPointFrac(rng.getrandbits(128)) for _ in range(40)]
+        outcomes = set()
+        for alpha, c, q_max in itertools.product(alphas, SCAN_CS, SCAN_HORIZONS):
+            got = scan_outcome(classify_badly_approximable(alpha, c, q_max, method="scan"))
+            assert got == naive_scan(alpha, c, q_max), (alpha.value, c, q_max)
+            outcomes.add(got[0])
+        assert outcomes == {BADLY_APPROXIMABLE_UP_TO_BOUND, NOT_BADLY_APPROXIMABLE_WITNESS}
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 8, 10])
+    def test_scan_matches_naive_fraction_loop_at_block_edges(self, j):
+        # alpha = p/q0 first meets c = 1e-9 at q0; q0 = 2^j opens a block of
+        # the scan, 2^j - 1 closes the one before, 2^j + 1 comes second
+        rng = random.Random(j)
+        for q0 in (2**j - 1, 2**j, 2**j + 1):
+            if q0 < 2:
+                continue
+            p = rng.choice([p for p in range(1, q0) if math.gcd(p, q0) == 1])
+            alpha = FixedPointFrac.from_fraction(p, q0)
+            first = naive_scan(alpha, 1e-9, 4 * q0)
+            assert first[:2] == (NOT_BADLY_APPROXIMABLE_WITNESS, q0)
+            # the tightest double c that still admits q0: its witness test is
+            # an equality up to rounding, so a bound one block-length too
+            # strict rejects it
+            umin = (q0 * alpha).norm_raw()
+            tight = [] if umin == 0 else [tight_c(q0 * umin)]
+            for c in SCAN_CS + tight:
+                for q_max in sorted({1, 2, 3, q0 - 1, q0, q0 + 1, 2**j, 4 * q0}):
+                    got = scan_outcome(classify_badly_approximable(alpha, c, q_max, method="scan"))
+                    assert got == naive_scan(alpha, c, q_max), (p, q0, c, q_max)
+            for c in tight:
+                assert naive_scan(alpha, c, q0)[:2] == (NOT_BADLY_APPROXIMABLE_WITNESS, q0)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -359,6 +359,37 @@ class TestExitCodes:
         assert "is not a finite number" in captured.err
 
     @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["transfer", "--alpha", "golden", "--q", "3"], "--energy", "-1e-3"),
+            (["transfer", "--alpha", "golden", "--q", "3", "--energy", "0.2"], "--lambda", "-2.5E0"),
+            (["gordon", "--alpha", "golden", "--q-list", "3,5"], "--phase", "-2.5e-1"),
+            (["repeat", "--alpha", "golden", "--qmax", "10"], "--eps", "-1e-2"),
+            (["repeat", "--alpha", "golden", "--eps", "0.1", "--qmax", "10"], "--r", "-5e-1"),
+        ],
+    )
+    def test_negative_exponent_value_may_follow_its_flag(self, argv, flag, value, capsys):
+        # argparse alone reads "-1e-3" as an option: "expected one argument", exit 2
+        separate = run_cli(argv + [flag, value], capsys)
+        joined = run_cli(argv + [f"{flag}={value}"], capsys)
+        assert separate == joined
+        assert "expected one argument" not in separate[2]
+
+    def test_negative_infinity_after_its_flag_is_not_finite(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transfer", "--alpha", "golden", "--q", "3", "--energy", "-inf"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --energy: '-inf' is not a finite number" in err
+
+    def test_negative_exponent_value_in_a_config_file(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"subcommand": "transfer", "alpha": "golden", "q": 3, "energy": -1e-10}')
+        code, out, _ = run_cli(["run", str(path)], capsys)
+        assert code == 0
+        assert '"energy": -1e-10' in out
+
+    @pytest.mark.parametrize(
         "config, flag",
         [
             ('{"subcommand": "repeat", "alpha": "golden", "qmax": 10, "eps": NaN}', "--eps"),

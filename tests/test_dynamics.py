@@ -28,7 +28,7 @@ from gordonlab.dynamics import (
 )
 
 from iet_reference import refine_continuity_stepping
-from oracles import skewshift_orbit_fraction
+from oracles import circle_dist_fraction, skewshift_orbit_fraction
 
 raw_values = st.integers(min_value=0, max_value=SCALE - 1)
 # dyadic rationals are exactly representable, so Fraction oracles are exact
@@ -55,6 +55,21 @@ class TestTorusPoint:
         y = TorusPoint(tuple(FixedPointFrac(v) for v in b[:n]))
         assert x.dist_raw(y) == y.dist_raw(x)
         assert x.dist_raw(x) == 0
+
+    @given(st.lists(st.tuples(raw_values, raw_values), min_size=1, max_size=4))
+    def test_dist_raw_is_the_exact_max_metric(self, pairs):
+        x = TorusPoint(tuple(FixedPointFrac(a) for a, _ in pairs))
+        y = TorusPoint(tuple(FixedPointFrac(b) for _, b in pairs))
+        exact = max(circle_dist_fraction(Fraction(a - b, SCALE)) for a, b in pairs)
+        assert Fraction(x.dist_raw(y), SCALE) == exact
+
+    def test_dist_raw_reflects_past_half_a_turn(self):
+        half = SCALE // 2
+        for diff, expected in [(half - 1, half - 1), (half, half), (half + 1, half - 1)]:
+            for base in (0, 5, SCALE - 3):
+                x = TorusPoint((FixedPointFrac(base + diff), ZERO))
+                y = TorusPoint((FixedPointFrac(base), ZERO))
+                assert x.dist_raw(y) == y.dist_raw(x) == expected
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -96,6 +96,38 @@ def stepping_skewshift_search(system, omega, epsilon, r, q_max):
     return ("not_found", q, gap / SCALE)
 
 
+def stepping_generic_search(system, omega, epsilon, r, q_max):
+    """Reference skew-product/IET search: every q in order, the distances of
+    repetition_distances up to the first one >= epsilon.
+
+    A q misses by the largest distance it saw; the near-miss is the smallest
+    miss, the earliest q among equals.  Returns ("found", q, k_max, max_dist)
+    or ("not_found", best_q, best_dist): raw integers for a found torus
+    distance, floats otherwise.
+    """
+    unit = 1 if isinstance(system, Iet) else SCALE
+    thresh = Fraction(epsilon) * unit
+    misses = []
+    for q in range(1, q_max + 1):
+        k_max = math.floor(Fraction(r) * q)
+        dists = repetition_distances(system, omega, q, k_max)
+        failing = [k for k, d in enumerate(dists) if d >= thresh]
+        if not failing:
+            return ("found", q, k_max, max(dists))
+        misses.append((max(dists[: failing[0] + 1]), q))
+    miss, q = min(misses)
+    return ("not_found", q, miss / unit)
+
+
+def as_generic_outcome(result):
+    if isinstance(result, RepetitionNotFound):
+        return ("not_found", result.best_q, result.best_dist)
+    if result.max_dist_raw is None:
+        return ("found", result.q, result.k_max, result.max_dist)
+    assert result.max_dist == result.max_dist_raw / SCALE
+    return ("found", result.q, result.k_max, result.max_dist_raw)
+
+
 def as_outcome(result):
     if isinstance(result, RepetitionCertificate):
         return ("found", result.q, result.k_max, result.max_dist_raw)
@@ -224,6 +256,42 @@ class TestFindRepetitionTime:
                 for r, q_max in itertools.product((0.5, 1, 2.5), (3, 40)):
                     got = as_outcome(find_repetition_time(system, omega, epsilon, r, q_max))
                     assert got == stepping_skewshift_search(system, omega, epsilon, r, q_max)
+                    outcomes.add(got[0])
+        assert outcomes == {"found", "not_found"}
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            SkewProduct(2, GOLDEN),
+            SkewProduct(3, GOLDEN),
+            SkewProduct(4, GOLDEN),
+            Iet((1 - float(GOLDEN), float(GOLDEN)), Permutation((2, 1))),
+            Iet((0.31, 0.227, 0.463), Permutation((3, 1, 2))),
+            # dyadic lengths make near-misses tie (q = 15 and 17 at 0.01): the earliest wins
+            Iet((Fraction(15, 32), Fraction(1, 32), Fraction(1, 2)), Permutation((3, 1, 2))),
+        ],
+        ids=["skewproduct2", "skewproduct3", "skewproduct4", "iet2", "iet3", "iet3-exact"],
+    )
+    def test_generic_search_matches_stepping_oracle(self, system):
+        # r as doubles: floor(r*q) must use the exact binary value of r (the
+        # double 1/3 lies below 1/3, so floor(r*3) is 0 though r*3 rounds to 1.0)
+        if isinstance(system, Iet):
+            exact = isinstance(system.lengths[0], Fraction)
+            omegas = [Fraction(1, 3), Fraction(5, 8)] if exact else [0.0, 0.61803]
+        else:
+            rng = random.Random(system.dim)
+            omegas = [
+                TorusPoint((ZERO,) * system.dim),
+                TorusPoint(tuple(FixedPointFrac(rng.getrandbits(128)) for _ in range(system.dim))),
+            ]
+        outcomes = set()
+        for omega in omegas:
+            for epsilon in (0.01, 0.1, 1 / 3, math.nextafter(1 / 3, 1.0), 0.5):
+                for r in (0.1, 1 / 3, 0.5, 1.0, 2.5):
+                    got = as_generic_outcome(find_repetition_time(system, omega, epsilon, r, 30))
+                    assert got == stepping_generic_search(system, omega, epsilon, r, 30), (
+                        omega, epsilon, r,
+                    )
                     outcomes.add(got[0])
         assert outcomes == {"found", "not_found"}
 
