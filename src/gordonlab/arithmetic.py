@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import floor, isfinite, isqrt
 
 FRAC_BITS = 128
@@ -122,18 +123,6 @@ ALPHA_PRESETS: dict[str, FixedPointFrac] = {
 }
 
 
-class PrecisionExhausted(ArithmeticError):
-    """An operation would need partial quotients beyond the trustworthy range.
-
-    Carries the last trustworthy index; cf_expand itself reports exhaustion as
-    data (``exhausted_at``) so partial results stay usable.
-    """
-
-    def __init__(self, message: str, last_trustworthy_index: int | None = None):
-        super().__init__(message)
-        self.last_trustworthy_index = last_trustworthy_index
-
-
 @dataclass(frozen=True)
 class ContinuedFraction:
     """Partial quotients a_1..a_K and convergents (p_k, q_k) of alpha.
@@ -149,34 +138,39 @@ class ContinuedFraction:
     exhausted_at: int | None = None
 
 
+def _euclid(value: int):
+    """(a_k, p_k, q_k) of value / 2**128, by Euclid on (2**128, value) to termination."""
+    p_prev2, q_prev2, p_prev, q_prev = 1, 0, 0, 1  # (p_-1, q_-1), (p_0, q_0)
+    prev, cur = SCALE, value
+    while cur:
+        a, rem = divmod(prev, cur)
+        p, q = a * p_prev + p_prev2, a * q_prev + q_prev2
+        yield a, p, q
+        p_prev2, q_prev2, p_prev, q_prev = p_prev, q_prev, p, q
+        prev, cur = cur, rem
+
+
 def cf_expand(alpha: FixedPointFrac, depth: int) -> ContinuedFraction:
     """Continued-fraction expansion of alpha to at most ``depth`` quotients.
 
     Runs the Euclidean algorithm on the exact integers (2**128, raw value).
     Stops early with ``exhausted_at`` set when the remainder drops below the
-    noise floor, and silently when the expansion terminates exactly.
+    noise floor, and silently when the expansion terminates exactly.  The
+    remainder divided at step k is |q_{k-1}*value - p_{k-1}*2**128|.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     quotients: list[int] = []
     convergents: list[tuple[int, int]] = []
-    p_prev2, q_prev2 = 1, 0  # (p_-1, q_-1)
     p_prev, q_prev = 0, 1  # (p_0, q_0)
-    prev, cur = SCALE, alpha.value
     exhausted_at: int | None = None
-    for k in range(1, depth + 1):
-        if cur == 0:
-            break  # exact rational termination: expansion is complete
-        if cur < _NOISE_FLOOR:
-            exhausted_at = k - 1
+    for a, p, q in islice(_euclid(alpha.value), depth):
+        if abs(q_prev * alpha.value - p_prev * SCALE) < _NOISE_FLOOR:
+            exhausted_at = len(quotients)
             break
-        a, rem = divmod(prev, cur)
         quotients.append(a)
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
         convergents.append((p, q))
-        p_prev2, q_prev2, p_prev, q_prev = p_prev, q_prev, p, q
-        prev, cur = cur, rem
+        p_prev, q_prev = p, q
     return ContinuedFraction(alpha, tuple(quotients), tuple(convergents), exhausted_at)
 
 
@@ -219,11 +213,14 @@ def classify_badly_approximable(
     <q*alpha> <= c/q <= c/lo, so one comparison of q*alpha against the raw
     bound floor(c*2^128/lo) rejects every other q of the block exactly, and
     only a q that passes gets the full witness test.
-    method="convergents" tests only q=1 and the convergent denominators, which
-    give the same first witness because q<q*alpha> is minimized at convergents;
-    it is used only when the computed expansion covers q_max.  method="auto"
-    picks "scan" below one million and falls back to it whenever the
-    convergent path cannot cover the horizon.
+    method="auto" (or its other name, "convergents") tests q = 1 and then
+    the convergent denominators of the stored rational, from Euclid run to
+    termination, and is exact at every horizon.  For c >= 1/2, q = 1 is a
+    witness.  For c < 1/2, the first witness q is reduced (else q/gcd would
+    be an earlier one) and |alpha - p/q| <= c/q^2 < 1/(2q^2), so by
+    Legendre's theorem p/q is a convergent; the expansion ends in a quotient
+    >= 2, so its other form adds no candidate.  "scan" is the exhaustive
+    oracle.
     """
     if c <= 0:
         raise ValueError("c must be positive")
@@ -238,32 +235,19 @@ def classify_badly_approximable(
     def is_witness(q: int, umin: int) -> bool:
         return umin * q * c_den <= c_scaled
 
-    if method in ("auto", "convergents") and (method == "convergents" or q_max > 10**6):
-        cf = cf_expand(alpha, depth=200)
-        denoms = [1] + convergent_denominators(cf)
-        covered = (cf.exhausted_at is None and len(cf.partial_quotients) < 200) or (
-            denoms and denoms[-1] > q_max
+    if method != "scan":
+        for q in chain((1,), (q for _, _, q in _euclid(alpha.value))):
+            if q > q_max:
+                break
+            if is_witness(q, umin := (alpha * q).norm_raw()):
+                return DiophantineVerdict(
+                    alpha, c, q_max, NOT_BADLY_APPROXIMABLE_WITNESS,
+                    witness_q=q, witness_dist=umin / SCALE,
+                    criterion="convergent-minima",
+                )
+        return DiophantineVerdict(
+            alpha, c, q_max, BADLY_APPROXIMABLE_UP_TO_BOUND, criterion="convergent-minima"
         )
-        if method == "convergents" and not covered:
-            raise PrecisionExhausted(
-                f"expansion trustworthy only up to q={denoms[-1]}, horizon is {q_max}",
-                last_trustworthy_index=cf.exhausted_at,
-            )
-        if covered or method == "convergents":
-            for q in denoms:
-                if q > q_max:
-                    break
-                umin = (alpha * q).norm_raw()
-                if is_witness(q, umin):
-                    return DiophantineVerdict(
-                        alpha, c, q_max, NOT_BADLY_APPROXIMABLE_WITNESS,
-                        witness_q=q, witness_dist=umin / SCALE,
-                        criterion="convergent-minima",
-                    )
-            return DiophantineVerdict(
-                alpha, c, q_max, BADLY_APPROXIMABLE_UP_TO_BOUND,
-                criterion="convergent-minima",
-            )
 
     u = 0  # q*alpha mod 2^128
     v = alpha.value

@@ -25,7 +25,6 @@ from . import __version__
 from .arithmetic import (
     ALPHA_PRESETS,
     FixedPointFrac,
-    PrecisionExhausted,
     cf_expand,
     classify_badly_approximable,
 )
@@ -70,6 +69,9 @@ from .spectral import (
 )
 
 SCHEMA_VERSION = 1
+
+# construct-q verifies by stepping k_max + q states (about 150 bytes each)
+_VERIFY_STEP_BUDGET = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -136,45 +138,39 @@ def _env_threads() -> int:
         raise ConfigError(f"GORDONLAB_THREADS: {text!r} is not an integer") from exc
 
 
-def _parse_coord_list(text: str, field: str) -> tuple[FixedPointFrac, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ConfigError(f"{field}: empty list")
-    return tuple(parse_alpha(p) for p in parts)
+def _parse_list(text: str, field: str, parse, kind: str = "") -> tuple:
+    """The comma-separated items of text, each through parse.
 
-
-def _parse_float_list(text: str, field: str) -> tuple[float, ...]:
+    A ValueError from parse becomes a config error that names kind; a
+    ConfigError (parse_alpha's) keeps its own message.
+    """
     parts = [p for p in text.split(",") if p.strip() != ""]
     if not parts:
         raise ConfigError(f"{field}: empty list")
     try:
-        return tuple(float(Fraction(p.strip())) for p in parts)
+        return tuple(parse(p) for p in parts)
+    except ConfigError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{field}: {text!r} is not a comma-separated number list") from exc
+        raise ConfigError(f"{field}: {text!r} is not a comma-separated {kind} list") from exc
 
 
-def _parse_int_list(text: str, field: str) -> tuple[int, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ConfigError(f"{field}: empty list")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{field}: {text!r} is not a comma-separated integer list") from exc
+def _number(text: str) -> float:
+    return float(Fraction(text.strip()))
 
 
 def build_system(args: argparse.Namespace):
     name = args.system
     if name == "shift":
-        alphas = _parse_coord_list(args.alpha, "alpha")
+        alphas = _parse_list(args.alpha, "alpha", parse_alpha)
         return Shift(alphas)
     if name == "skewshift":
-        alphas = _parse_coord_list(args.alpha, "alpha")
+        alphas = _parse_list(args.alpha, "alpha", parse_alpha)
         if len(alphas) != 1:
             raise ConfigError("alpha: skewshift takes a single frequency")
         return SkewShift(alphas[0])
     if name == "skewproduct":
-        alphas = _parse_coord_list(args.alpha, "alpha")
+        alphas = _parse_list(args.alpha, "alpha", parse_alpha)
         if len(alphas) != 1:
             raise ConfigError("alpha: skewproduct takes a single frequency")
         if args.dim is None:
@@ -183,8 +179,8 @@ def build_system(args: argparse.Namespace):
     if name == "iet":
         if not args.lengths or not args.perm:
             raise ConfigError("lengths/perm: required for iet")
-        lengths = _parse_float_list(args.lengths, "lengths")
-        images = _parse_int_list(args.perm, "perm")
+        lengths = _parse_list(args.lengths, "lengths", _number, "number")
+        images = _parse_list(args.perm, "perm", int, "integer")
         try:
             return Iet(lengths, Permutation(images))
         except ValueError as exc:
@@ -206,7 +202,7 @@ def build_omega(args: argparse.Namespace, system):
         return x
     if args.omega is None:
         return TorusPoint((FixedPointFrac(0),) * dim)
-    coords = _parse_coord_list(args.omega, "omega")
+    coords = _parse_list(args.omega, "omega", parse_alpha)
     if len(coords) != dim:
         raise ConfigError(f"omega: expected {dim} coordinates, got {len(coords)}")
     return TorusPoint(coords)
@@ -215,7 +211,7 @@ def build_omega(args: argparse.Namespace, system):
 def build_function(args: argparse.Namespace):
     name = getattr(args, "function", "cosine")
     if name == "cosine":
-        freq = _parse_int_list(args.freq, "freq") if args.freq else (1,)
+        freq = _parse_list(args.freq, "freq", int, "integer") if args.freq else (1,)
         phase = float(args.phase) if args.phase is not None else 0.0
         return Cosine(frequency=freq, phase=phase)
     if name == "bourgain":
@@ -223,8 +219,8 @@ def build_function(args: argparse.Namespace):
     if name == "coding":
         if not args.breakpoints or not args.levels:
             raise ConfigError("breakpoints/levels: required for coding")
-        breaks = _parse_float_list(args.breakpoints, "breakpoints")
-        levels = _parse_float_list(args.levels, "levels")
+        breaks = _parse_list(args.breakpoints, "breakpoints", _number, "number")
+        levels = _parse_list(args.levels, "levels", _number, "number")
         try:
             return PiecewiseConstant(breaks, levels)
         except ValueError as exc:
@@ -374,6 +370,12 @@ def cmd_construct_q(args) -> list[tuple]:
     if isinstance(rep, ConstructiveNotAvailable):
         args._extra = {"reason": rep.reason}
         return [("not_available", "", "", "", "", 0)]
+    steps = rep.certificate.k_max + rep.q
+    if steps > _VERIFY_STEP_BUDGET:
+        raise ValueError(
+            f"verifying q={rep.q} would step {steps} states, over the budget of "
+            f"{_VERIFY_STEP_BUDGET}; pass --max-base-q"
+        )
     verified = verify_certificate_against_definition(rep.certificate, SkewShift(alpha))
     return [("found", rep.q, rep.m, rep.base_q, rep.reported_epsilon, int(verified))]
 
@@ -426,8 +428,8 @@ def cmd_gordon(args) -> list[tuple]:
     system = build_system(args)
     omega = build_omega(args, system)
     f = build_function(args)
-    q_list = _parse_int_list(args.q_list, "q-list")
-    c_list = _parse_float_list(args.c_list, "c-list") if args.c_list else (2.0,)
+    q_list = _parse_list(args.q_list, "q-list", int, "integer")
+    c_list = _parse_list(args.c_list, "c-list", _number, "number") if args.c_list else (2.0,)
     try:
         profile = gordon_profile(system, f, args.lam, omega, q_list, c_list)
     except DimensionMismatchError:
@@ -444,7 +446,7 @@ def cmd_transfer(args) -> list[tuple]:
     f = build_function(args)
     q = args.q
     window = sample_potential(system, f, args.lam, omega, 1 - q, 2 * q)
-    u0 = _parse_float_list(args.u0, "u0") if args.u0 else (1.0, 0.0)
+    u0 = _parse_list(args.u0, "u0", _number, "number") if args.u0 else (1.0, 0.0)
     if len(u0) != 2:
         raise ConfigError("u0: expected two components")
     report = gordon_three_block_check(window, args.energy, q, u0)
@@ -485,6 +487,9 @@ def cmd_spectrum(args) -> list[tuple]:
     return [(k, float(e)) for k, e in enumerate(report.eigenvalues)]
 
 
+_SYSTEM_FIELDS = ("system", "alpha", "dim", "lengths", "perm")
+_FUNCTION_FIELDS = ("function", "freq", "phase", "breakpoints", "levels")
+
 _SUBCOMMANDS = {
     "cf": (cmd_cf, ["k", "a_k", "p_k", "q_k"], ["alpha", "depth"]),
     "classify": (
@@ -495,12 +500,12 @@ _SUBCOMMANDS = {
     "orbit": (
         cmd_orbit,
         None,  # depends on dimension; filled at runtime
-        ["system", "alpha", "dim", "lengths", "perm", "omega", "nmin", "nmax"],
+        [*_SYSTEM_FIELDS, "omega", "nmin", "nmax"],
     ),
     "repeat": (
         cmd_repeat,
         ["status", "q", "k_max", "best_q", "max_dist"],
-        ["system", "alpha", "dim", "lengths", "perm", "omega", "eps", "r", "qmax"],
+        [*_SYSTEM_FIELDS, "omega", "eps", "r", "qmax"],
     ),
     "construct-q": (
         cmd_construct_q,
@@ -510,7 +515,7 @@ _SUBCOMMANDS = {
     "prp-measure": (
         cmd_prp_measure,
         ["n_samples", "n_hits", "fraction", "wilson_lo", "wilson_hi"],
-        ["system", "alpha", "dim", "lengths", "perm", "eps", "r", "qmax", "samples"],
+        [*_SYSTEM_FIELDS, "eps", "r", "qmax", "samples"],
     ),
     "veech": (
         cmd_veech,
@@ -520,22 +525,7 @@ _SUBCOMMANDS = {
     "gordon": (
         cmd_gordon,
         ["q", "gamma"],
-        [
-            "system",
-            "alpha",
-            "dim",
-            "lengths",
-            "perm",
-            "omega",
-            "function",
-            "freq",
-            "phase",
-            "breakpoints",
-            "levels",
-            "lam",
-            "q_list",
-            "c_list",
-        ],
+        [*_SYSTEM_FIELDS, "omega", *_FUNCTION_FIELDS, "lam", "q_list", "c_list"],
     ),
     "transfer": (
         cmd_transfer,
@@ -549,43 +539,12 @@ _SUBCOMMANDS = {
             "gamma",
             "det_drift",
         ],
-        [
-            "system",
-            "alpha",
-            "dim",
-            "lengths",
-            "perm",
-            "omega",
-            "function",
-            "freq",
-            "phase",
-            "breakpoints",
-            "levels",
-            "lam",
-            "q",
-            "energy",
-            "u0",
-        ],
+        [*_SYSTEM_FIELDS, "omega", *_FUNCTION_FIELDS, "lam", "q", "energy", "u0"],
     ),
     "spectrum": (
         cmd_spectrum,
         None,
-        [
-            "system",
-            "alpha",
-            "dim",
-            "lengths",
-            "perm",
-            "omega",
-            "function",
-            "freq",
-            "phase",
-            "breakpoints",
-            "levels",
-            "lam",
-            "sites",
-            "vectors",
-        ],
+        [*_SYSTEM_FIELDS, "omega", *_FUNCTION_FIELDS, "lam", "sites", "vectors"],
     ),
 }
 
@@ -782,7 +741,6 @@ def main(argv: list[str] | None = None) -> int:
         DimensionMismatchError,
         WindowTooSmallError,
         InconsistentCertificateError,
-        PrecisionExhausted,
         ConvergenceFailureError,
         MissingVectorsError,
         OSError,

@@ -19,6 +19,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, islice
 
 from .arithmetic import SCALE, FixedPointFrac
@@ -195,7 +196,9 @@ def random_point(system: SystemSpec, rng: random.Random):
         return TorusPoint(tuple(FixedPointFrac(rng.getrandbits(128)) for _ in range(d)))
     if isinstance(system, Iet):
         total = iet_tables(system).total
-        return rng.random() * float(total)
+        if isinstance(total, float):
+            return rng.random() * total
+        return Fraction(rng.random()) * total  # exact IETs stay exact
     raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
 
 

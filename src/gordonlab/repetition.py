@@ -131,10 +131,7 @@ def _searcher(system: SystemSpec, epsilon: float, r: float, q_max: int, reuse: b
         plan = _skewshift_plan(system, thresh, r, q_max)
         if reuse:
             plan = tuple(plan)
-        # The closed form needs a step below thresh to be unable to jump the
-        # arc of distances >= thresh: 3*thresh <= 2^128 + 2, which for a
-        # double epsilon means epsilon < 1/3.
-        check = _progression_closed if 3 * thresh <= SCALE + 2 else _progression_stepped
+        check = _progression_check(thresh)
 
         def scan(omega):
             w1 = omega.coords[0].value
@@ -210,6 +207,16 @@ def _skewshift_plan(system, thresh, r, q_max):
         elif best_miss is None or first < best_miss:
             best_miss = first
             yield q, first, None, None, None
+
+
+def _progression_check(thresh):
+    """The check of s + k*u, k = 0..k_max, against thresh (for <u> < thresh).
+
+    The closed form needs a step below thresh to be unable to jump the arc
+    of distances >= thresh: 3*thresh <= 2^128 + 2, which for a double
+    epsilon means epsilon < 1/3.  Above that, k is stepped.
+    """
+    return _progression_closed if 3 * thresh <= SCALE + 2 else _progression_stepped
 
 
 def _progression_stepped(s, u, k_max, first, thresh):
@@ -413,11 +420,11 @@ def skewshift_constructive_q(
     omega = TorusPoint((omega1, FixedPointFrac(0)))
     r_num, r_den = r_frac.as_integer_ratio()
     k_max = r_num * q // r_den
-    u, cur = (x.value for x in skewshift_pair_difference(alpha, omega1, 0, q))
-    max_raw = min(u, SCALE - u)
-    for _ in range(k_max + 1):
-        max_raw = max(max_raw, min(cur, SCALE - cur))
-        cur = (cur + u) % SCALE
+    u, s = (x.value for x in skewshift_pair_difference(alpha, omega1, 0, q))
+    # every distance is at most total_raw < thresh, so the check passes and
+    # observes the maximum over k = 0..k_max
+    thresh = _strict_raw_threshold(eps_rep)
+    _, max_raw = _progression_check(thresh)(s, u, k_max, min(u, SCALE - u), thresh)
     cert = RepetitionCertificate(
         epsilon=eps_rep,
         r=r,

@@ -50,15 +50,6 @@ class TransferProduct:
         (a, b), (c, d) = self.entries
         return a * d - b * c
 
-    def matvec(self, u) -> tuple[float, float]:
-        (a, b), (c, d) = self.entries
-        return (a * u[0] + b * u[1], c * u[0] + d * u[1])
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.entries, dtype=float)
-
 
 def transfer_block(window: PotentialWindow, energy: float, n_lo: int, n_hi: int) -> TransferProduct:
     """Transfer matrix of the difference equation across sites n_lo..n_hi."""
@@ -87,6 +78,11 @@ def _matmul(x, y):
     (a, b), (c, d) = x
     (e, f), (g, h) = y
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _matvec(m, u):
+    (a, b), (c, d) = m
+    return (a * u[0] + b * u[1], c * u[0] + d * u[1])
 
 
 def _norm2(u) -> float:
@@ -131,15 +127,10 @@ def gordon_three_block_check(
     a = block.entries
     a2 = _matmul(a, a)
     ainv = _adjugate(a)
-
-    def apply(mat, vec):
-        (p, r), (s, t) = mat
-        return (p * vec[0] + r * vec[1], s * vec[0] + t * vec[1])
-
     n0 = _norm2(u)
-    np_ = _norm2(apply(a, u))
-    np2 = _norm2(apply(a2, u))
-    nm = _norm2(apply(ainv, u))
+    np_ = _norm2(_matvec(a, u))
+    np2 = _norm2(_matvec(a2, u))
+    nm = _norm2(_matvec(ainv, u))
     return ThreeBlockReport(
         q=q,
         energy=float(energy),

@@ -282,7 +282,7 @@ def test_criterion_5_three_block_inequality_and_determinants():
         vals = [rng2.uniform(-0.5, 0.5) for _ in range(200)]
         window = explicit_window(vals, n_min=0)
         block = transfer_block(window, rng2.uniform(-1.5, 1.5), 0, 199)
-        if np.max(np.abs(block.as_array())) <= 1e2:
+        if np.max(np.abs(block.entries)) <= 1e2:
             n_qualifying += 1
             max_drift = max(max_drift, abs(block.det() - 1.0))
     elapsed = time.perf_counter() - t0

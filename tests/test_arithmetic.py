@@ -16,7 +16,6 @@ from gordonlab.arithmetic import (
     SQRT2_MINUS_1,
     ZERO,
     FixedPointFrac,
-    PrecisionExhausted,
     cf_expand,
     classify_badly_approximable,
     convergent_denominators,
@@ -28,6 +27,8 @@ raw_values = st.integers(min_value=0, max_value=SCALE - 1)
 
 SCAN_CS = [1e-9, 0.3, 0.5, 1.0, 2.0]
 SCAN_HORIZONS = [1, 2, 3, 4, 7, 8, 9, 64, 1024]
+# past the scan's reach; the naive loop still ends at an early first witness
+LONG_HORIZONS = [10**7, 10**30]
 
 
 def naive_scan(alpha, c, q_max):
@@ -43,6 +44,34 @@ def naive_scan(alpha, c, q_max):
 
 def scan_outcome(verdict):
     return (verdict.verdict, verdict.witness_q, verdict.witness_dist, verdict.criterion)
+
+
+def witness_outcome(verdict):
+    return (verdict.verdict, verdict.witness_q, verdict.witness_dist)
+
+
+def random_alphas():
+    rng = random.Random(23)
+    return [FixedPointFrac(rng.getrandbits(128)) for _ in range(40)]
+
+
+def block_edge_cases(j):
+    """(alpha, cs) with alpha = p/q0 first meeting c = 1e-9 at q0, for q0 =
+    2^j - 1, 2^j, 2^j + 1: 2^j opens a block of the scan, 2^j - 1 closes the
+    one before, 2^j + 1 comes second.  cs ends with the tightest double c
+    that still admits q0 (its witness test is an equality up to rounding)."""
+    rng = random.Random(j)
+    for q0 in (2**j - 1, 2**j, 2**j + 1):
+        if q0 < 2:
+            continue
+        p = rng.choice([p for p in range(1, q0) if math.gcd(p, q0) == 1])
+        alpha = FixedPointFrac.from_fraction(p, q0)
+        assert naive_scan(alpha, 1e-9, 4 * q0)[:2] == (NOT_BADLY_APPROXIMABLE_WITNESS, q0)
+        umin = (q0 * alpha).norm_raw()
+        tight = [] if umin == 0 else [tight_c(q0 * umin)]
+        for c in tight:
+            assert naive_scan(alpha, c, q0)[:2] == (NOT_BADLY_APPROXIMABLE_WITNESS, q0)
+        yield alpha, q0, SCAN_CS + tight
 
 
 def tight_c(product_raw):
@@ -290,18 +319,42 @@ class TestClassify:
         assert verdict.witness_q == 4
         assert verdict.witness_dist == 0.0
 
-    def test_precision_exhausted_when_convergents_cannot_cover(self):
-        with pytest.raises(PrecisionExhausted) as err:
-            classify_badly_approximable(
-                FixedPointFrac.from_fraction(3, 10), 0.001, 10**7, method="convergents"
-            )
-        assert err.value.last_trustworthy_index == 2
+    def test_exhausted_expansion_still_classifies_at_any_horizon(self):
+        # cf_expand trusts two quotients of the stored 3/10 (denominators 3
+        # and 10); the horizon past them needs no more, q = 10 is the witness
+        alpha = FixedPointFrac.from_fraction(3, 10)
+        assert cf_expand(alpha, 200).exhausted_at == 2
+        for method in ("auto", "convergents", "scan"):
+            verdict = classify_badly_approximable(alpha, 0.001, 10**7, method=method)
+            assert verdict.witness_q == 10, method
+        assert witness_outcome(
+            classify_badly_approximable(alpha, 0.001, 10**7)
+        ) == naive_scan(alpha, 0.001, 10**7)[:3]
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            FixedPointFrac.from_fraction(3, 10),
+            GOLDEN,
+            LIOUVILLE10,
+            FixedPointFrac(1),
+            FixedPointFrac(SCALE - 1),
+            *random_alphas()[:5],
+        ],
+    )
+    def test_only_the_full_denominator_meets_the_smallest_c(self, alpha):
+        # <q*alpha> <= 5e-324/q holds only at distance 0, first at the
+        # reduced denominator of the stored rational value / 2^128, which lies
+        # far past the 2^-100 noise floor of cf_expand
+        denominator = SCALE // math.gcd(alpha.value, SCALE)
+        verdict = classify_badly_approximable(alpha, 5e-324, SCALE)
+        assert (verdict.witness_q, verdict.witness_dist) == (denominator, 0.0)
+        below = classify_badly_approximable(alpha, 5e-324, denominator - 1)
+        assert below.verdict == BADLY_APPROXIMABLE_UP_TO_BOUND
 
     def test_scan_matches_naive_fraction_loop_on_random_alphas(self):
-        rng = random.Random(23)
-        alphas = [FixedPointFrac(rng.getrandbits(128)) for _ in range(40)]
         outcomes = set()
-        for alpha, c, q_max in itertools.product(alphas, SCAN_CS, SCAN_HORIZONS):
+        for alpha, c, q_max in itertools.product(random_alphas(), SCAN_CS, SCAN_HORIZONS):
             got = scan_outcome(classify_badly_approximable(alpha, c, q_max, method="scan"))
             assert got == naive_scan(alpha, c, q_max), (alpha.value, c, q_max)
             outcomes.add(got[0])
@@ -309,27 +362,35 @@ class TestClassify:
 
     @pytest.mark.parametrize("j", [1, 2, 3, 5, 8, 10])
     def test_scan_matches_naive_fraction_loop_at_block_edges(self, j):
-        # alpha = p/q0 first meets c = 1e-9 at q0; q0 = 2^j opens a block of
-        # the scan, 2^j - 1 closes the one before, 2^j + 1 comes second
-        rng = random.Random(j)
-        for q0 in (2**j - 1, 2**j, 2**j + 1):
-            if q0 < 2:
-                continue
-            p = rng.choice([p for p in range(1, q0) if math.gcd(p, q0) == 1])
-            alpha = FixedPointFrac.from_fraction(p, q0)
-            first = naive_scan(alpha, 1e-9, 4 * q0)
-            assert first[:2] == (NOT_BADLY_APPROXIMABLE_WITNESS, q0)
-            # the tightest double c that still admits q0: its witness test is
-            # an equality up to rounding, so a bound one block-length too
-            # strict rejects it
-            umin = (q0 * alpha).norm_raw()
-            tight = [] if umin == 0 else [tight_c(q0 * umin)]
-            for c in SCAN_CS + tight:
+        for alpha, q0, cs in block_edge_cases(j):
+            for c in cs:
                 for q_max in sorted({1, 2, 3, q0 - 1, q0, q0 + 1, 2**j, 4 * q0}):
                     got = scan_outcome(classify_badly_approximable(alpha, c, q_max, method="scan"))
-                    assert got == naive_scan(alpha, c, q_max), (p, q0, c, q_max)
-            for c in tight:
-                assert naive_scan(alpha, c, q0)[:2] == (NOT_BADLY_APPROXIMABLE_WITNESS, q0)
+                    assert got == naive_scan(alpha, c, q_max), (q0, c, q_max)
+
+    def test_auto_matches_naive_fraction_loop_on_random_alphas(self):
+        outcomes = set()
+        cases = itertools.chain(
+            itertools.product(random_alphas(), SCAN_CS, SCAN_HORIZONS),
+            # c >= 0.3 meets every one of these alphas by q = 21
+            itertools.product(random_alphas(), SCAN_CS[1:], LONG_HORIZONS),
+        )
+        for alpha, c, q_max in cases:
+            verdict = classify_badly_approximable(alpha, c, q_max)
+            assert verdict.criterion == "convergent-minima"
+            got = witness_outcome(verdict)
+            assert got == naive_scan(alpha, c, q_max)[:3], (alpha.value, c, q_max)
+            outcomes.add(got[0])
+        assert outcomes == {BADLY_APPROXIMABLE_UP_TO_BOUND, NOT_BADLY_APPROXIMABLE_WITNESS}
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 8, 10])
+    def test_auto_matches_naive_fraction_loop_at_block_edges(self, j):
+        for alpha, q0, cs in block_edge_cases(j):
+            for c in cs:
+                horizons = sorted({1, 2, 3, q0 - 1, q0, q0 + 1, 2**j, 4 * q0, *LONG_HORIZONS})
+                for q_max in horizons:
+                    got = witness_outcome(classify_badly_approximable(alpha, c, q_max))
+                    assert got == naive_scan(alpha, c, q_max)[:3], (q0, c, q_max)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -288,16 +289,24 @@ class TestExitCodes:
         assert code == 2
 
     def test_runtime_error_exits_one(self, capsys):
-        # rational alpha with a finite expansion that cannot cover the horizon
-        code, _, err = run_cli(
-            [
-                "classify", "--alpha", "3/10", "--c", "0.1",
-                "--qmax", "10000000", "--method", "convergents",
-            ],
-            capsys,
+        # uncapped, the depth-64 base q of liouville10 is about 1.05e30, far
+        # past the states construct-q may step to verify
+        code, out, err = run_cli(
+            ["construct-q", "--alpha", "liouville10", "--eps", "0.1"], capsys
         )
         assert code == 1
-        assert "error" in err
+        assert out == ""
+        assert err.startswith("error: ") and err.rstrip().endswith("pass --max-base-q")
+
+    def test_uncapped_construct_q_stops_at_the_step_budget(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            ["construct-q", "--alpha", "liouville10", "--eps", "0.05"], capsys
+        )
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 1
+        assert out == ""
+        assert "over the budget of 1000000; pass --max-base-q" in err
 
     def test_gordon_dimension_mismatch_is_a_domain_error(self, capsys):
         # the q/c lists are fine; the 2-D function cannot sample a 1-D shift

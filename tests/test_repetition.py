@@ -442,6 +442,28 @@ class TestConstructive:
             )
             assert verify_certificate_against_definition(rep.certificate, system)
 
+    def test_certificate_distance_is_the_stepped_maximum(self):
+        # reported epsilons below 1/3 take the closed progression check and
+        # the others step k; both must observe the maximum over every k,
+        # and for small q (base q <= 2) that can be the first coordinate
+        rng = random.Random(29)
+        paths = set()
+        for alpha in (GOLDEN, SQRT2_MINUS_1, LIOUVILLE10):
+            cf = cf_expand(alpha, 64)
+            cases = itertools.product((0.05, 0.3, 0.6, 1.0), (0.5, 1.0, 2.5), (2, 1000))
+            for eps, r, max_base_q in cases:
+                omega1 = FixedPointFrac(rng.getrandbits(128))
+                rep = skewshift_constructive_q(
+                    alpha, omega1, eps, cf, r=r, max_base_q=max_base_q
+                )
+                if isinstance(rep, ConstructiveNotAvailable):
+                    continue
+                cert = rep.certificate
+                dists = repetition_distances(SkewShift(alpha), cert.omega, cert.q, cert.k_max)
+                assert cert.max_dist_raw == max(dists), (alpha, eps, r)
+                paths.add(rep.reported_epsilon < 1 / 3)
+        assert paths == {True, False}
+
     def test_golden_unavailable(self):
         rep = skewshift_constructive_q(GOLDEN, ZERO, 0.01, cf_expand(GOLDEN, 64))
         assert isinstance(rep, ConstructiveNotAvailable)
@@ -548,6 +570,20 @@ class TestPrpEstimate:
         b = sample_start_point(iet, seed=2, index=0)
         assert a != b
         assert sample_start_point(iet, seed=1, index=0) == a
+
+    def test_exact_iet_samples_stay_exact(self):
+        lengths = (Fraction(15, 32), Fraction(1, 32), Fraction(1, 2))
+        iet = Iet(lengths, Permutation((3, 1, 2)))
+        point = sample_start_point(iet, seed=3, index=0)
+        assert isinstance(point, Fraction)
+        assert 0 <= point < 1
+        # the same draw as the float IET of these lengths, kept exact
+        float_iet = Iet(tuple(float(x) for x in lengths), iet.perm)
+        assert point == Fraction(sample_start_point(float_iet, seed=3, index=0))
+        assert isinstance(find_repetition_time(iet, point, 0.01, 1.0, 20).best_dist, Fraction)
+        miss = find_repetition_time(iet, Fraction(0), 0.01, 1.0, 20)
+        assert miss.best_dist == Fraction(1, 32)
+        assert isinstance(miss.best_dist, Fraction)
 
     def test_wilson_interval_matches_reference(self):
         est = estimate_prp_fraction(SkewShift(LIOUVILLE10), 0.3, 1.0, 200, 80, seed=5)
