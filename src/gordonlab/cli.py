@@ -4,8 +4,9 @@ Every library operation sits behind a subcommand that emits a versioned
 header (schema, code version, config echo, seed) followed by rows, as CSV
 (``#``-prefixed header lines, then RFC-4180 rows) or as one JSON object with
 the same rows.  A config file plus the code version determines every output
-byte; execution-only knobs (output path, the ignored thread count) are kept
-out of the echo so re-runs merge byte-identically.
+byte.  The echo holds every option the subcommand defines except the
+execution-only ones (format, output path, the ignored thread count, and the
+seed, which has its own line), so re-runs merge byte-identically.
 
 Exit codes: 0 success, 1 runtime/domain error, 2 config error.
 """
@@ -24,6 +25,7 @@ from fractions import Fraction
 from . import __version__
 from .arithmetic import (
     ALPHA_PRESETS,
+    SCALE,
     FixedPointFrac,
     cf_expand,
     classify_badly_approximable,
@@ -37,7 +39,8 @@ from .dynamics import (
     SkewShift,
     TorusPoint,
     UnsupportedSystemError,
-    orbit,
+    raw_orbit,
+    raw_state,
     system_dim,
 )
 from .potentials import (
@@ -287,89 +290,94 @@ def emit(
         sys.stdout.write(text)
 
 
-def _config_echo(args: argparse.Namespace, fields: list[str]) -> dict:
-    """Echo only the scientific parameters, as the raw strings given."""
+# run-only options (the seed has its own header line) and the parser's names
+_NOT_ECHOED = frozenset({"format", "output", "threads", "seed", "command", "handler"})
+
+
+def _config_echo(args: argparse.Namespace, computed: dict) -> dict:
+    """Every option the subcommand defines, as the raw strings given (None
+    dropped), then the values the run computed."""
     out = {}
-    for field in fields:
-        value = getattr(args, field, None)
-        if value is not None:
+    for field, value in vars(args).items():
+        if value is not None and field not in _NOT_ECHOED:
             out[field] = value if isinstance(value, (int, float, str)) else str(value)
+    for field, value in computed.items():
+        out[field] = _render(value) if isinstance(value, float) else value
     return out
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (columns, rows, computed values for the echo)
 # ---------------------------------------------------------------------------
 
 
-def cmd_cf(args) -> list[tuple]:
+def cmd_cf(args) -> tuple:
     alpha = parse_alpha(args.alpha)
     cf = cf_expand(alpha, args.depth)
     rows = []
     for k, (a_k, (p, q)) in enumerate(zip(cf.partial_quotients, cf.convergents)):
         rows.append((k, a_k, p, q))
-    args._extra = {"exhausted_at": cf.exhausted_at}
-    return rows
+    return ["k", "a_k", "p_k", "q_k"], rows, {"exhausted_at": cf.exhausted_at}
 
 
-def cmd_classify(args) -> list[tuple]:
+def cmd_classify(args) -> tuple:
     alpha = parse_alpha(args.alpha)
     try:
         c = Fraction(args.c)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"c: {args.c!r} is not a number") from exc
     verdict = classify_badly_approximable(alpha, c, args.qmax, method=args.method)
-    return [
-        (
-            verdict.verdict,
-            "" if verdict.witness_q is None else verdict.witness_q,
-            "" if verdict.witness_dist is None else verdict.witness_dist,
-        )
-    ]
+    row = (
+        verdict.verdict,
+        "" if verdict.witness_q is None else verdict.witness_q,
+        "" if verdict.witness_dist is None else verdict.witness_dist,
+    )
+    return ["verdict", "witness_q", "witness_dist"], [row], {}
 
 
-def cmd_orbit(args) -> list[tuple]:
+def cmd_orbit(args) -> tuple:
     system = build_system(args)
     omega = build_omega(args, system)
     if args.nmin > args.nmax:
         raise ConfigError("nmin: must be <= nmax")
-    points = orbit(system, omega, args.nmin, args.nmax)
-    rows = []
-    for n, p in zip(range(args.nmin, args.nmax + 1), points):
-        if isinstance(p, TorusPoint):
-            rows.append((n, *(c.to_float() for c in p.coords)))
-        else:
-            rows.append((n, p))
-    return rows
+    states = raw_orbit(system, raw_state(system, omega), args.nmin, args.nmax)
+    sites = range(args.nmin, args.nmax + 1)
+    if isinstance(system, Iet):
+        rows = list(zip(sites, states))
+    else:  # c / SCALE is the float FixedPointFrac(c).to_float() gives
+        rows = [(n, *(c / SCALE for c in state)) for n, state in zip(sites, states)]
+    dim = system_dim(system)
+    columns = ["n", "x"] if dim == 1 else ["n"] + [f"w{i + 1}" for i in range(dim)]
+    return columns, rows, {}
 
 
-def cmd_repeat(args) -> list[tuple]:
+def cmd_repeat(args) -> tuple:
     system = build_system(args)
     omega = build_omega(args, system)
     result = find_repetition_time(system, omega, args.eps, args.r, args.qmax)
+    columns = ["status", "q", "k_max", "best_q", "max_dist"]
     if isinstance(result, RepetitionNotFound):
-        return [
-            (
-                "not_found",
-                "",
-                "",
-                "" if result.best_q is None else result.best_q,
-                result.best_dist,
-            )
-        ]
-    return [("found", result.q, result.k_max, result.q, result.max_dist)]
+        row = (
+            "not_found",
+            "",
+            "",
+            "" if result.best_q is None else result.best_q,
+            result.best_dist,
+        )
+        return columns, [row], {}
+    return columns, [("found", result.q, result.k_max, result.q, result.max_dist)], {}
 
 
-def cmd_construct_q(args) -> list[tuple]:
+def cmd_construct_q(args) -> tuple:
     alpha = parse_alpha(args.alpha)
     omega1 = parse_alpha(args.omega1) if args.omega1 else FixedPointFrac(0)
     cf = cf_expand(alpha, 64)
     rep = skewshift_constructive_q(
         alpha, omega1, args.eps, cf, r=args.r, max_base_q=args.max_base_q
     )
+    columns = ["status", "q", "m", "base_q", "epsilon_rep", "verified"]
     if isinstance(rep, ConstructiveNotAvailable):
-        args._extra = {"reason": rep.reason}
-        return [("not_available", "", "", "", "", 0)]
+        return columns, [("not_available", "", "", "", "", 0)], {"reason": rep.reason}
     steps = rep.certificate.k_max + rep.q
     if steps > _VERIFY_STEP_BUDGET:
         raise ValueError(
@@ -377,10 +385,11 @@ def cmd_construct_q(args) -> list[tuple]:
             f"{_VERIFY_STEP_BUDGET}; pass --max-base-q"
         )
     verified = verify_certificate_against_definition(rep.certificate, SkewShift(alpha))
-    return [("found", rep.q, rep.m, rep.base_q, rep.reported_epsilon, int(verified))]
+    row = ("found", rep.q, rep.m, rep.base_q, rep.reported_epsilon, int(verified))
+    return columns, [row], {}
 
 
-def cmd_prp_measure(args) -> list[tuple]:
+def cmd_prp_measure(args) -> tuple:
     system = build_system(args)
     est = estimate_prp_fraction(
         system,
@@ -391,40 +400,38 @@ def cmd_prp_measure(args) -> list[tuple]:
         seed=args.seed,
         threads=args.threads,
     )
-    return [
-        (
-            est.n_samples,
-            est.n_hits,
-            est.fraction,
-            est.wilson_ci[0],
-            est.wilson_ci[1],
-        )
-    ]
+    row = (
+        est.n_samples,
+        est.n_hits,
+        est.fraction,
+        est.wilson_ci[0],
+        est.wilson_ci[1],
+    )
+    return ["n_samples", "n_hits", "fraction", "wilson_lo", "wilson_hi"], [row], {}
 
 
-def cmd_veech(args) -> list[tuple]:
+def cmd_veech(args) -> tuple:
     system = build_system(args)
     if not isinstance(system, Iet):
         raise ConfigError("system: veech requires --system iet")
     tower = veech_tower_search(system, args.eps, args.qmax)
+    columns = ["status", "q", "interval_lo", "interval_len", "coverage", "return_overlap"]
     if isinstance(tower, TowerNotFound):
-        return [
-            (
-                "not_found",
-                "",
-                "",
-                "",
-                tower.best_coverage,
-                tower.best_overlap_fraction,
-            )
-        ]
+        row = (
+            "not_found",
+            "",
+            "",
+            "",
+            tower.best_coverage,
+            tower.best_overlap_fraction,
+        )
+        return columns, [row], {}
     lo, hi = tower.interval
-    return [
-        ("found", tower.q, float(lo), float(hi - lo), tower.coverage, tower.return_overlap)
-    ]
+    row = ("found", tower.q, float(lo), float(hi - lo), tower.coverage, tower.return_overlap)
+    return columns, [row], {}
 
 
-def cmd_gordon(args) -> list[tuple]:
+def cmd_gordon(args) -> tuple:
     system = build_system(args)
     omega = build_omega(args, system)
     f = build_function(args)
@@ -436,35 +443,46 @@ def cmd_gordon(args) -> list[tuple]:
         raise  # a domain failure of system and function, not of the lists
     except ValueError as exc:
         raise ConfigError(f"q-list/c-list: {exc}") from exc
-    args._extra = {"verdict": profile.verdict, "c_max": profile.c_max}
-    return [(q, g) for q, g in profile.entries]
+    rows = [(q, g) for q, g in profile.entries]
+    return ["q", "gamma"], rows, {"verdict": profile.verdict, "c_max": profile.c_max}
 
 
-def cmd_transfer(args) -> list[tuple]:
+def cmd_transfer(args) -> tuple:
     system = build_system(args)
     omega = build_omega(args, system)
     f = build_function(args)
     q = args.q
+    if q < 1:
+        raise ConfigError("q: must be >= 1")
     window = sample_potential(system, f, args.lam, omega, 1 - q, 2 * q)
     u0 = _parse_list(args.u0, "u0", _number, "number") if args.u0 else (1.0, 0.0)
     if len(u0) != 2:
         raise ConfigError("u0: expected two components")
     report = gordon_three_block_check(window, args.energy, q, u0)
-    return [
-        (
-            report.q,
-            report.energy,
-            report.norm_plus,
-            report.norm_plus2,
-            report.norm_minus,
-            report.min_ratio,
-            report.gamma,
-            report.det_drift,
-        )
+    columns = [
+        "q",
+        "energy",
+        "norm_plus",
+        "norm_plus2",
+        "norm_minus",
+        "min_ratio",
+        "gamma",
+        "det_drift",
     ]
+    row = (
+        report.q,
+        report.energy,
+        report.norm_plus,
+        report.norm_plus2,
+        report.norm_minus,
+        report.min_ratio,
+        report.gamma,
+        report.det_drift,
+    )
+    return columns, [row], {}
 
 
-def cmd_spectrum(args) -> list[tuple]:
+def cmd_spectrum(args) -> tuple:
     system = build_system(args)
     omega = build_omega(args, system)
     f = build_function(args)
@@ -474,92 +492,18 @@ def cmd_spectrum(args) -> list[tuple]:
     report = truncated_spectrum(window, args.sites, report_vectors=args.vectors)
     if args.vectors:
         summary = localization_diagnostics(report)
-        args._extra = {
-            "median_ipr": summary.median_ipr,
-            "max_edge_mass": summary.max_edge_mass,
-        }
-        return [
+        rows = [
             (k, float(e), float(i), float(m))
             for k, (e, i, m) in enumerate(
                 zip(report.eigenvalues, report.ipr, report.edge_mass)
             )
         ]
-    return [(k, float(e)) for k, e in enumerate(report.eigenvalues)]
-
-
-_SYSTEM_FIELDS = ("system", "alpha", "dim", "lengths", "perm")
-_FUNCTION_FIELDS = ("function", "freq", "phase", "breakpoints", "levels")
-
-_SUBCOMMANDS = {
-    "cf": (cmd_cf, ["k", "a_k", "p_k", "q_k"], ["alpha", "depth"]),
-    "classify": (
-        cmd_classify,
-        ["verdict", "witness_q", "witness_dist"],
-        ["alpha", "c", "qmax", "method"],
-    ),
-    "orbit": (
-        cmd_orbit,
-        None,  # depends on dimension; filled at runtime
-        [*_SYSTEM_FIELDS, "omega", "nmin", "nmax"],
-    ),
-    "repeat": (
-        cmd_repeat,
-        ["status", "q", "k_max", "best_q", "max_dist"],
-        [*_SYSTEM_FIELDS, "omega", "eps", "r", "qmax"],
-    ),
-    "construct-q": (
-        cmd_construct_q,
-        ["status", "q", "m", "base_q", "epsilon_rep", "verified"],
-        ["alpha", "omega1", "eps", "r", "max_base_q"],
-    ),
-    "prp-measure": (
-        cmd_prp_measure,
-        ["n_samples", "n_hits", "fraction", "wilson_lo", "wilson_hi"],
-        [*_SYSTEM_FIELDS, "eps", "r", "qmax", "samples"],
-    ),
-    "veech": (
-        cmd_veech,
-        ["status", "q", "interval_lo", "interval_len", "coverage", "return_overlap"],
-        ["system", "lengths", "perm", "eps", "qmax"],
-    ),
-    "gordon": (
-        cmd_gordon,
-        ["q", "gamma"],
-        [*_SYSTEM_FIELDS, "omega", *_FUNCTION_FIELDS, "lam", "q_list", "c_list"],
-    ),
-    "transfer": (
-        cmd_transfer,
-        [
-            "q",
-            "energy",
-            "norm_plus",
-            "norm_plus2",
-            "norm_minus",
-            "min_ratio",
-            "gamma",
-            "det_drift",
-        ],
-        [*_SYSTEM_FIELDS, "omega", *_FUNCTION_FIELDS, "lam", "q", "energy", "u0"],
-    ),
-    "spectrum": (
-        cmd_spectrum,
-        None,
-        [*_SYSTEM_FIELDS, "omega", *_FUNCTION_FIELDS, "lam", "sites", "vectors"],
-    ),
-}
-
-
-def _spectrum_columns(args) -> list[str]:
-    if args.vectors:
-        return ["k", "energy", "ipr", "edge_mass"]
-    return ["k", "energy"]
-
-
-def _orbit_columns(args, rows) -> list[str]:
-    if rows and len(rows[0]) == 2:
-        return ["n", "x"]
-    width = len(rows[0]) - 1 if rows else 1
-    return ["n"] + [f"w{i + 1}" for i in range(width)]
+        computed = {
+            "median_ipr": summary.median_ipr,
+            "max_edge_mass": summary.max_edge_mass,
+        }
+        return ["k", "energy", "ipr", "edge_mass"], rows, computed
+    return ["k", "energy"], [(k, float(e)) for k, e in enumerate(report.eigenvalues)], {}
 
 
 # ---------------------------------------------------------------------------
@@ -591,28 +535,30 @@ def build_parser() -> argparse.ArgumentParser:
     root.add_argument("--version", action="version", version=f"gordonlab {__version__}")
     sub = root.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def finish(p, handler):
+        """The output flags every subcommand shares, and the handler it runs."""
         p.add_argument("--format", default="csv", choices=["csv", "json"])
         p.add_argument("--output", help="output path (default: stdout)")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("cf", help="continued-fraction expansion and convergents")
     p.add_argument("--alpha", required=True)
     p.add_argument("--depth", type=int, default=32)
-    common(p)
+    finish(p, cmd_cf)
 
     p = sub.add_parser("classify", help="badly-approximable scan up to a horizon")
     p.add_argument("--alpha", required=True)
     p.add_argument("--c", required=True, help="constant c in q<q alpha> >= c")
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--method", default="auto", choices=["auto", "scan", "convergents"])
-    common(p)
+    finish(p, cmd_classify)
 
     p = sub.add_parser("orbit", help="orbit coordinates over a site range")
     _add_system_flags(p)
     p.add_argument("--omega", help="start point (comma-separated; default origin)")
     p.add_argument("--nmin", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    common(p)
+    finish(p, cmd_orbit)
 
     p = sub.add_parser("repeat", help="search for a repetition certificate")
     _add_system_flags(p)
@@ -620,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--r", type=_finite_float, default=1.0)
     p.add_argument("--qmax", type=int, required=True)
-    common(p)
+    finish(p, cmd_repeat)
 
     p = sub.add_parser("construct-q", help="constructive skew-shift repetition times")
     p.add_argument("--alpha", required=True)
@@ -628,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--r", type=_finite_float, default=1.0)
     p.add_argument("--max-base-q", type=int, dest="max_base_q")
-    common(p)
+    finish(p, cmd_construct_q)
 
     p = sub.add_parser("prp-measure", help="Monte Carlo repetition-fraction estimate")
     _add_system_flags(p)
@@ -639,13 +585,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     # accepted for compatibility and ignored: the Monte Carlo runs serially
     p.add_argument("--threads", type=int, default=_env_threads())
-    common(p)
+    finish(p, cmd_prp_measure)
 
     p = sub.add_parser("veech", help="tower search for an interval exchange")
     _add_system_flags(p)
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--qmax", type=int, required=True)
-    common(p)
+    finish(p, cmd_veech)
 
     p = sub.add_parser("gordon", help="defect profile gamma(q) and decay verdict")
     _add_system_flags(p)
@@ -654,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     p.add_argument("--q-list", dest="q_list", required=True)
     p.add_argument("--c-list", dest="c_list")
-    common(p)
+    finish(p, cmd_gordon)
 
     p = sub.add_parser("transfer", help="three-block norms for a period block")
     _add_system_flags(p)
@@ -664,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--energy", type=_finite_float, required=True)
     p.add_argument("--u0", help="two comma-separated components (default 1,0)")
-    common(p)
+    finish(p, cmd_transfer)
 
     p = sub.add_parser("spectrum", help="truncated spectrum with localization stats")
     _add_system_flags(p)
@@ -673,14 +619,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--vectors", action="store_true")
-    common(p)
+    finish(p, cmd_spectrum)
 
+    configurable = tuple(sub.choices)  # every subcommand but run itself
     p = sub.add_parser("run", help="run a subcommand from a JSON config file")
     p.add_argument("config", help="path to a JSON config file")
+    p.set_defaults(subcommands=configurable)
     return root
 
 
-def _args_from_config(path: str) -> list[str]:
+def _args_from_config(path: str, subcommands: tuple) -> list[str]:
     """Translate a JSON config into the equivalent flag list."""
     try:
         with open(path) as fh:
@@ -692,7 +640,7 @@ def _args_from_config(path: str) -> list[str]:
     if not isinstance(raw, dict) or "subcommand" not in raw:
         raise ConfigError("config: top-level object with a 'subcommand' field required")
     sub_name = raw.pop("subcommand")
-    if sub_name not in _SUBCOMMANDS:
+    if sub_name not in subcommands:
         raise ConfigError(f"config: subcommand {sub_name!r} unknown")
     argv = [sub_name]
     for key, value in raw.items():
@@ -711,21 +659,13 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(_attach_negative_values(argv))
         if args.command == "run":
-            args = parser.parse_args(_attach_negative_values(_args_from_config(args.config)))
-        handler, columns, echo_fields = _SUBCOMMANDS[args.command]
-        args._extra = {}
-        rows = handler(args)
-        if args.command == "spectrum":
-            columns = _spectrum_columns(args)
-        elif args.command == "orbit":
-            columns = _orbit_columns(args, rows)
-        config = _config_echo(args, echo_fields)
-        if getattr(args, "_extra", None):
-            config.update({k: _render(v) if isinstance(v, float) else v for k, v in args._extra.items()})
+            config_argv = _args_from_config(args.config, args.subcommands)
+            args = parser.parse_args(_attach_negative_values(config_argv))
+        columns, rows, computed = args.handler(args)
         emit(
             args,
             args.command,
-            config,
+            _config_echo(args, computed),
             columns,
             rows,
             seed=getattr(args, "seed", None),

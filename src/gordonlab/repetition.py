@@ -21,6 +21,7 @@ from fractions import Fraction
 from .arithmetic import SCALE, ContinuedFraction, FixedPointFrac, convergent_denominators
 from .dynamics import (
     IET_TOL,
+    _HALF,
     Iet,
     Shift,
     SkewProduct,
@@ -97,13 +98,11 @@ def find_repetition_time(
     answer.  For the skew-shift the difference is
     (2q*alpha, s_q + k*2q*alpha) with s_q = q*w1 + (q^2 - q)*alpha: the plan
     lists the candidates q with <2q*alpha> < epsilon, the only ones that can
-    certify, and the scan checks each in O(1) for epsilon < 1/3 (the second
-    coordinate is a progression whose step is below epsilon, so it leaves the
-    epsilon-arc at a k given by one ceiling division, and inside the arc its
-    maximum sits at an endpoint), by stepping k otherwise.  Here the plan is
-    streamed, so a search that certifies early stops early.  Other systems
-    step orbits with early exit.  All torus comparisons and reported
-    distances are exact in fixed point.
+    certify, and the scan checks the second coordinate, a progression in k,
+    with ``_progression``: O(1) per candidate for epsilon < 1/3, and never a
+    step per k.  Here the plan is streamed, so a search that certifies early
+    stops early.  Other systems step orbits with early exit.  All torus
+    comparisons and reported distances are exact in fixed point.
     """
     return _searcher(system, epsilon, r, q_max, reuse=False)(omega)
 
@@ -131,7 +130,6 @@ def _searcher(system: SystemSpec, epsilon: float, r: float, q_max: int, reuse: b
         plan = _skewshift_plan(system, thresh, r, q_max)
         if reuse:
             plan = tuple(plan)
-        check = _progression_check(thresh)
 
         def scan(omega):
             w1 = omega.coords[0].value
@@ -140,7 +138,7 @@ def _searcher(system: SystemSpec, epsilon: float, r: float, q_max: int, reuse: b
                 if u is None:
                     observed = first
                 else:
-                    ok, observed = check((q * w1 + c) % SCALE, u, k_max, first, thresh)
+                    ok, observed = _progression((q * w1 + c) % SCALE, u, k_max, first, thresh)
                     if ok:
                         return RepetitionCertificate(
                             epsilon, r, q, k_max, observed / SCALE, omega, observed
@@ -209,55 +207,50 @@ def _skewshift_plan(system, thresh, r, q_max):
             yield q, first, None, None, None
 
 
-def _progression_check(thresh):
-    """The check of s + k*u, k = 0..k_max, against thresh (for <u> < thresh).
-
-    The closed form needs a step below thresh to be unable to jump the arc
-    of distances >= thresh: 3*thresh <= 2^128 + 2, which for a double
-    epsilon means epsilon < 1/3.  Above that, k is stepped.
-    """
-    return _progression_closed if 3 * thresh <= SCALE + 2 else _progression_stepped
+def _circle(y: int) -> int:
+    """The circle distance of an unwrapped raw integer, in raw units."""
+    y %= SCALE
+    return min(y, SCALE - y)
 
 
-def _progression_stepped(s, u, k_max, first, thresh):
-    """(ok, observed) for the terms s + k*u, k = 0..k_max, by stepping k.
+def _progression(s, u, k_max, first, thresh):
+    """(ok, observed) for the terms s + k*u, k = 0..k_max, against thresh.
 
-    observed is the raw distance a certificate or a near-miss reports: the
-    maximum of first and the terms up to the first one >= thresh.
-    """
-    observed = first
-    for _ in range(k_max + 1):
-        d = min(s, SCALE - s)
-        if d > observed:
-            observed = d
-            if d >= thresh:
-                return False, observed
-        s = (s + u) % SCALE
-    return True, observed
-
-
-def _progression_closed(s, u, k_max, first, thresh):
-    """_progression_stepped in O(1), for <u> < thresh and 3*thresh <= 2^128 + 2.
-
-    While the unwrapped signed terms y0 + k*step stay in (-thresh, thresh)
-    they are the exact distances, so the first failing k is one ceiling
-    division and, on success, the maximum sits at k = 0 or k = k_max.  The
-    term that leaves the interval lands in [thresh, 2*thresh - 2] in absolute
-    value, which the bound keeps at circle distance >= thresh.
+    observed is the raw distance a certificate or a near-miss reports: on
+    failure the distance of the first term >= thresh, on success the maximum
+    of first (< thresh) and every term.  With the signed y0 of s and step of
+    u, negated together when step < 0, the terms are the unwrapped integers
+    Y_k = y0 + k*step, which never decrease.  A term fails when it lies on an
+    arc [n*2^128 + thresh, (n+1)*2^128 - thresh]; the first k at or past each
+    arc, in order, is one ceiling division, and Y_k either lies on the arc or
+    the step jumped it.  The circle distance of Y rises to each half turn and
+    falls after it, so the maximum sits at k = 0, at k = k_max, or either
+    side of a half turn.  The cost is O(1 + k_max*<u>/2^128); when
+    3*thresh <= 2^128 + 2 no step jumps an arc and no half turn is crossed.
     """
     d = min(s, SCALE - s)
     if d >= thresh:
         return False, d
-    y0 = s if s < SCALE // 2 else s - SCALE
-    step = u if u < SCALE // 2 else u - SCALE
+    y0 = s if s < _HALF else s - SCALE
+    step = u if u < _HALF else u - SCALE
     if step < 0:
         y0, step = -y0, -step
-    k = -((y0 - thresh) // step) if step else k_max + 1  # ceil((thresh - y0)/step)
-    if k <= k_max:
-        s = (s + k * u) % SCALE
-        return False, min(s, SCALE - s)
-    s = (s + k_max * u) % SCALE
-    return True, max(first, d, min(s, SCALE - s))
+    y_end = y0 + k_max * step
+    start, width = thresh, SCALE - 2 * thresh  # the arc is [start, start + width]
+    while width >= 0 and start <= y_end:
+        k = -((y0 - start) // step)  # ceil((start - y0)/step)
+        y = y0 + k * step
+        if y <= start + width:
+            return False, _circle(y)
+        start += SCALE
+    observed = max(first, d, _circle(y_end))
+    half = _HALF
+    while step and half <= y_end:
+        k = (half - y0) // step  # Y_k <= half < Y_{k+1}
+        for j in (k, min(k + 1, k_max)):
+            observed = max(observed, _circle(y0 + j * step))
+        half += SCALE
+    return True, observed
 
 
 def _find_generic(system, omega, epsilon, r, q_max):
@@ -424,7 +417,7 @@ def skewshift_constructive_q(
     # every distance is at most total_raw < thresh, so the check passes and
     # observes the maximum over k = 0..k_max
     thresh = _strict_raw_threshold(eps_rep)
-    _, max_raw = _progression_check(thresh)(s, u, k_max, min(u, SCALE - u), thresh)
+    _, max_raw = _progression(s, u, k_max, min(u, SCALE - u), thresh)
     cert = RepetitionCertificate(
         epsilon=eps_rep,
         r=r,

@@ -8,7 +8,9 @@ import time
 
 import pytest
 
-from gordonlab.cli import main
+from gordonlab.arithmetic import GOLDEN, SQRT2_MINUS_1
+from gordonlab.cli import main, parse_alpha
+from gordonlab.dynamics import Iet, Permutation, Shift, SkewProduct, SkewShift, TorusPoint, orbit
 
 RECIPES = sorted((pathlib.Path(__file__).parent.parent / "recipes").glob("*.json"))
 
@@ -66,6 +68,34 @@ class TestHeaders:
         assert [c["lengths"] for c in configs] == ["0.2,0.5,0.3", "0.3,0.4,0.3"]
         assert configs[0]["perm"] == "3,1,2"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cf", "--alpha", "golden", "--depth", "4"],
+            ["classify", "--alpha", "golden", "--c", "0.2", "--qmax", "50"],
+            ["orbit", "--system", "skewshift", "--alpha", "golden", "--nmin", "0", "--nmax", "2"],
+            ["repeat", "--alpha", "golden", "--eps", "0.1", "--qmax", "20"],
+            ["construct-q", "--alpha", "liouville10", "--eps", "0.3", "--max-base-q", "1000"],
+            [
+                "prp-measure", "--system", "skewshift", "--alpha", "golden", "--eps", "0.05",
+                "--qmax", "50", "--samples", "5", "--seed", "3", "--threads", "2",
+            ],
+            ["veech", "--system", "iet", "--lengths", "1,1", "--perm", "2,1", "--eps", "0.3", "--qmax", "5"],
+            ["gordon", "--alpha", "golden", "--q-list", "3,5"],
+            ["transfer", "--alpha", "golden", "--q", "3", "--energy", "0.2"],
+            ["spectrum", "--alpha", "golden", "--sites", "6", "--vectors"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_echo_is_every_option_but_the_run_only_ones(self, argv, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        code, out, err = run_cli(argv + ["--format", "json", "--output", str(target)], capsys)
+        assert (code, out, err) == (0, "", "")
+        config = json.loads(target.read_text())["config"]
+        assert not set(config) & {"format", "output", "threads", "seed", "command", "handler"}
+        given = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+        assert given - {"seed", "threads"} <= set(config)
+
 
 class TestRows:
     def test_cf_convergent_denominators(self, capsys):
@@ -110,6 +140,37 @@ class TestRows:
         assert columns == ["n", "w1", "w2"]
         assert rows[0] == ["0", "0.0", "0.0"]
         assert rows[2] == ["2", "0.0", "0.5"]  # w1 = 4*(1/4) = 0 mod 1
+
+    @pytest.mark.parametrize(
+        "system_argv, system, omega",
+        [
+            (["--system", "shift", "--alpha", "golden"], Shift((GOLDEN,)), ("0.3",)),
+            (["--system", "skewshift", "--alpha", "sqrt2"], SkewShift(SQRT2_MINUS_1), ("0.3", "0.7")),
+            (
+                ["--system", "skewproduct", "--dim", "3", "--alpha", "golden"],
+                SkewProduct(3, GOLDEN),
+                ("0.1", "0.2", "0.3"),
+            ),
+            (
+                ["--system", "iet", "--lengths", "0.2,0.5,0.3", "--perm", "3,1,2"],
+                Iet((0.2, 0.5, 0.3), Permutation((3, 1, 2))),
+                ("0.15",),
+            ),
+        ],
+        ids=["shift", "skewshift", "skewproduct", "iet"],
+    )
+    def test_orbit_rows_are_the_api_orbit(self, system_argv, system, omega, capsys):
+        argv = ["orbit", *system_argv, "--omega", ",".join(omega), "--nmin", "-4", "--nmax", "5"]
+        _, out, _ = run_cli(argv, capsys)
+        _, _, rows = parse_csv(out)
+        if isinstance(system, Iet):
+            start = float(omega[0])
+            expected = [[repr(x)] for x in orbit(system, start, -4, 5)]
+        else:
+            start = TorusPoint(tuple(parse_alpha(w) for w in omega))
+            expected = [[repr(c.to_float()) for c in p.coords] for p in orbit(system, start, -4, 5)]
+        assert [row[0] for row in rows] == [str(n) for n in range(-4, 6)]
+        assert [row[1:] for row in rows] == expected
 
     def test_classify_row(self, capsys):
         _, out, _ = run_cli(
@@ -307,6 +368,30 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "over the budget of 1000000; pass --max-base-q" in err
+
+    def test_uncapped_golden_construct_q_at_eps_half_stops_at_the_step_budget(self, capsys):
+        # the reported epsilon is above 1/3 and the base q about 1.7e13
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["construct-q", "--alpha", "golden", "--eps", "0.5"], capsys)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.rstrip().endswith("pass --max-base-q")
+
+    @pytest.mark.parametrize("q", ["0", "-3"])
+    def test_transfer_q_below_one_is_a_config_error(self, q, capsys):
+        code, out, err = run_cli(
+            ["transfer", "--alpha", "golden", "--q", q, "--energy", "0.3"], capsys
+        )
+        assert (code, out, err) == (2, "", "config error: q: must be >= 1\n")
+
+    @pytest.mark.parametrize("name", ["run", "nope"])
+    def test_config_subcommand_must_be_a_runnable_one(self, name, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"subcommand": name, "config": "x"}))
+        code, out, err = run_cli(["run", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: config: subcommand {name!r} unknown\n"
 
     def test_gordon_dimension_mismatch_is_a_domain_error(self, capsys):
         # the q/c lists are fine; the 2-D function cannot sample a 1-D shift

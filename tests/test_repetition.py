@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,8 +148,8 @@ def per_sample_estimate(system, epsilon, r, q_max, n_samples, seed):
     )
 
 
-# the closed form runs below 1/3 and the stepping loop from 1/3 on; 1/3 is the
-# double just below it, nextafter the double just above
+# below 1/3 a progression step cannot jump the failing arc, from 1/3 on it
+# can; 1/3 is the double just below it, nextafter the double just above
 SKEWSHIFT_EPSILONS = [0.05, 0.2, 0.3, 1 / 3, math.nextafter(1 / 3, 1.0), 0.34, 0.45]
 
 
@@ -401,6 +402,81 @@ class TestVerification:
         assert verify_certificate_against_definition(cert_with(0.5000001), system)
 
 
+def stepping_progression(s, u, k_max, first, thresh):
+    """_progression's contract, one term at a time."""
+    observed = first
+    for k in range(k_max + 1):
+        term = (s + k * u) % SCALE
+        d = min(term, SCALE - term)
+        if d >= thresh:
+            return False, d
+        observed = max(observed, d)
+    return True, observed
+
+
+HALF_TURN = SCALE // 2
+
+
+class TestProgression:
+    def test_matches_stepping_on_random_and_edge_inputs(self):
+        rng = random.Random(41)
+        thirds = [SCALE // 3 + d for d in (-3, 0, 1, 2, 5)]
+        halves = [HALF_TURN + d for d in (-2, -1, 0, 1, 4)]
+        specials = [0, 1, HALF_TURN - 1, HALF_TURN, HALF_TURN + 1, SCALE - 1]
+        for _ in range(3000):
+            thresh = rng.choice(
+                [
+                    rng.choice(thirds),
+                    rng.choice(halves),
+                    rng.randrange(1, SCALE // 3),
+                    rng.randrange(SCALE // 3, HALF_TURN),
+                    rng.randrange(HALF_TURN, SCALE),
+                ]
+            )
+            s, u = (
+                rng.choice(specials) if rng.random() < 0.3 else rng.getrandbits(128)
+                for _ in range(2)
+            )
+            if rng.random() < 0.3:  # a step below thresh, either sign
+                u = rng.randrange(min(thresh, HALF_TURN)) * rng.choice((1, -1)) % SCALE
+            k_max = rng.choice([0, 1, 2, rng.randrange(40), rng.randrange(200)])
+            first = rng.randrange(min(thresh, HALF_TURN)) if rng.random() < 0.5 else 0
+            case = (s, u, k_max, first, thresh)
+            assert repetition._progression(*case) == stepping_progression(*case), case
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_a_term_on_the_arc_end_fails(self, negate):
+        # thresh 3/8: the arc is [6/16, 10/16] and Y_2 = 2*(5/16) is its end
+        thresh, step = 6 * SCALE // 16, 5 * SCALE // 16
+        u = SCALE - step if negate else step
+        assert repetition._progression(0, u, 2, 0, thresh) == (False, thresh)
+        assert repetition._progression(0, u, 1, 0, thresh) == (True, step)
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_a_jumped_arc_is_not_a_failure(self, negate):
+        # steps of 11/32 jump the arc [12/32, 20/32] at k = 2 and land on the
+        # start of the next one at k = 4; the maximum before that is at k = 1,
+        # next to a half turn
+        thresh, step = 12 * SCALE // 32, 11 * SCALE // 32
+        u = SCALE - step if negate else step
+        assert repetition._progression(0, u, 3, 0, thresh) == (True, step)
+        assert repetition._progression(0, u, 4, 0, thresh) == (False, thresh)
+
+    def test_zero_step_and_zero_k_max(self):
+        thresh = SCALE // 10
+        for s in (0, 5, SCALE - 5, thresh - 1, SCALE - thresh + 1):
+            d = min(s, SCALE - s)
+            for u, k_max in ((0, 10**30), (SCALE // 7, 0)):
+                assert repetition._progression(s, u, k_max, 3, thresh) == (True, max(3, d))
+        assert repetition._progression(thresh, 0, 0, 0, thresh) == (False, thresh)
+        # above half a turn nothing fails; half-turn steps cross a half turn
+        # at every term, so here k_max sets the cost
+        assert repetition._progression(HALF_TURN, HALF_TURN, 1000, 0, HALF_TURN + 1) == (
+            True,
+            HALF_TURN,
+        )
+
+
 class TestConstructive:
     def test_liouville_zero_omega_frozen(self):
         cf = cf_expand(LIOUVILLE10, 64)
@@ -443,9 +519,9 @@ class TestConstructive:
             assert verify_certificate_against_definition(rep.certificate, system)
 
     def test_certificate_distance_is_the_stepped_maximum(self):
-        # reported epsilons below 1/3 take the closed progression check and
-        # the others step k; both must observe the maximum over every k,
-        # and for small q (base q <= 2) that can be the first coordinate
+        # reported epsilons on both sides of 1/3 (above it a step may jump
+        # the failing arc) must observe the maximum over every k, and for
+        # small q (base q <= 2) that can be the first coordinate
         rng = random.Random(29)
         paths = set()
         for alpha in (GOLDEN, SQRT2_MINUS_1, LIOUVILLE10):
@@ -463,6 +539,16 @@ class TestConstructive:
                 assert cert.max_dist_raw == max(dists), (alpha, eps, r)
                 paths.add(rep.reported_epsilon < 1 / 3)
         assert paths == {True, False}
+
+    def test_uncapped_golden_at_eps_half_returns_at_once(self):
+        # the depth-64 base q is about 1.7e13, so stepping k would not end
+        t0 = time.perf_counter()
+        rep = skewshift_constructive_q(GOLDEN, ZERO, 0.5, cf_expand(GOLDEN, 64))
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(rep, ConstructiveRepetition)
+        assert rep.base_q > 10**13
+        cert = rep.certificate
+        assert cert.max_dist_raw < repetition._strict_raw_threshold(rep.reported_epsilon)
 
     def test_golden_unavailable(self):
         rep = skewshift_constructive_q(GOLDEN, ZERO, 0.01, cf_expand(GOLDEN, 64))
