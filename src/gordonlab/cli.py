@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -131,14 +130,6 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
                 continue
         out.append(token)
     return out
-
-
-def _env_threads() -> int:
-    text = os.environ.get("GORDONLAB_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"GORDONLAB_THREADS: {text!r} is not an integer") from exc
 
 
 def _parse_list(text: str, field: str, parse, kind: str = "") -> tuple:
@@ -584,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     # accepted for compatibility and ignored: the Monte Carlo runs serially
-    p.add_argument("--threads", type=int, default=_env_threads())
+    p.add_argument("--threads", type=int, default=1)
     finish(p, cmd_prp_measure)
 
     p = sub.add_parser("veech", help="tower search for an interval exchange")

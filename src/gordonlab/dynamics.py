@@ -4,13 +4,14 @@ transformations (IETs).
 
 Every system has one raw kernel: a one-step map on raw states
 (``raw_stepper``) and the two-sided orbit built from it (``raw_orbit``).  A
-torus state is a tuple of ints mod 2**128, one per coordinate, so stepping and
-closed-form iteration agree bit-for-bit.  An IET state is a plain float (or a
-``fractions.Fraction`` end-to-end for exact tests) because IET breakpoints are
-sums of arbitrary reals.  The repetition searches and the potential sampler
-run on raw states; ``FixedPointFrac``/``TorusPoint`` exist only at the API
-edge, where ``step``, ``orbit`` and ``iterate_closed_form`` unwrap their
-argument once and wrap their result once.
+torus state is a tuple of ints mod 2**128, one per coordinate.  Every
+skew-product, and the skew-shift as the 2-D one with increment 2*alpha, reaches
+T^n by one exact binomial formula in n, with no matrix powers.  An IET state is
+a plain float (or a ``fractions.Fraction`` end-to-end for exact tests) because
+IET breakpoints are sums of arbitrary reals.  The repetition searches and the
+potential sampler run on raw states; ``FixedPointFrac``/``TorusPoint`` exist
+only at the API edge, where ``step``, ``orbit`` and ``iterate_closed_form``
+unwrap their argument once and wrap their result once.
 """
 
 from __future__ import annotations
@@ -215,6 +216,7 @@ class IetTables:
     beta_pi are the image-partition breakpoints; interval j translates by
     jumps[j-1] = beta_pi[perm(j)-1] - beta[j-1], and the image interval i
     comes from the interval that jumps by back[i-1] = jumps[perm^-1(i)-1].
+    Cuts closer than tol merge: IET_TOL * max(1, total) for floats, 0 if exact.
     """
 
     beta: tuple
@@ -222,6 +224,7 @@ class IetTables:
     total: object
     jumps: tuple
     back: tuple
+    tol: object
 
 
 def iet_tables(iet: Iet) -> IetTables:
@@ -236,7 +239,8 @@ def iet_tables(iet: Iet) -> IetTables:
         beta_pi.append(beta_pi[-1] + length)
     jumps = tuple(beta_pi[iet.perm(j) - 1] - beta[j - 1] for j in range(1, m + 1))
     back = tuple(jumps[inv(i) - 1] for i in range(1, m + 1))
-    return IetTables(tuple(beta), tuple(beta_pi), beta[-1], jumps, back)
+    tol = IET_TOL * max(1.0, float(beta[-1])) if isinstance(beta[-1], float) else 0
+    return IetTables(tuple(beta), tuple(beta_pi), beta[-1], jumps, back, tol)
 
 
 def _iet_interval_index(tables: IetTables, x) -> int:
@@ -352,58 +356,29 @@ def step(system: SystemSpec, omega):
     return wrap_state(step_raw(raw_state(system, omega)))
 
 
-def _skewproduct_affine(d: int, n: int) -> tuple[list[list[int]], list[int]]:
-    """Integer pair (A, k) with T^n(w) = A.w + alpha*k, by repeated squaring.
-
-    The one-step map is w -> L.w + alpha*e1 with L the lower-triangular
-    all-ones matrix; its inverse is the (1, -1) bidiagonal matrix.  All
-    arithmetic is exact integer arithmetic.
-    """
-    ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    if n == 0:
-        return ident, [0] * d
-    if n > 0:
-        base = [[1 if j <= i else 0 for j in range(d)] for i in range(d)]
-        kbase = [1] + [0] * (d - 1)
-    else:
-        base = [
-            [1 if i == j else (-1 if j == i - 1 else 0) for j in range(d)] for i in range(d)
-        ]
-        # T^-1(w) = Linv.w - alpha*Linv.e1; the first column of Linv is (1, -1, 0, ...)
-        kbase = [-1, 1] + [0] * (d - 2) if d >= 2 else [-1]
-
-    def compose(a2, k2, a1, k1):
-        a = [
-            [sum(a2[i][t] * a1[t][j] for t in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        k = [sum(a2[i][t] * k1[t] for t in range(d)) + k2[i] for i in range(d)]
-        return a, k
-
-    result_a, result_k = ident, [0] * d
-    power_a, power_k = base, kbase
-    e = abs(n)
-    while e:
-        if e & 1:
-            result_a, result_k = compose(power_a, power_k, result_a, result_k)
-        e >>= 1
-        if e:
-            power_a, power_k = compose(power_a, power_k, power_a, power_k)
-    return result_a, result_k
+def _binom(x: int, k: int) -> int:
+    """C(x, k) = x(x-1)...(x-k+1)/k!, exact for every integer x, negative too."""
+    product = 1
+    for j in range(k):
+        product *= x - j
+    return product // math.factorial(k)
 
 
 def _closed_form_raw(system: SystemSpec, w: tuple[int, ...], n: int) -> tuple[int, ...]:
     """T^n of a raw torus state in one exact evaluation (any integer n)."""
     if isinstance(system, Shift):
         return tuple((x + n * a.value) % SCALE for x, a in zip(w, system.alpha))
-    if isinstance(system, SkewShift):
+    if isinstance(system, (SkewShift, SkewProduct)):
+        # T(w) = L.w + inc*e_1 with L = (I - S)^-1 and S the nilpotent down-shift, so
+        # L^n = sum_k C(n+k-1, k) S^k for every integer n; by the hockey stick,
+        # coordinate i of sum_{j<n} L^j e_1 is n at i = 0, else C(n+i-1, i+1).
         a = system.alpha.value
-        return ((w[0] + 2 * n * a) % SCALE, (w[1] + n * w[0] + n * (n - 1) * a) % SCALE)
-    if isinstance(system, SkewProduct):
-        mat, kvec = _skewproduct_affine(system.dim, n)
+        inc = 2 * a if isinstance(system, SkewShift) else a
+        coef = [_binom(n + k - 1, k) for k in range(len(w))]
+        drift = [n] + [_binom(n + i - 1, i + 1) for i in range(1, len(w))]
         return tuple(
-            (sum(m * x for m, x in zip(row, w)) + k * system.alpha.value) % SCALE
-            for row, k in zip(mat, kvec)
+            (sum(coef[k] * w[i - k] for k in range(i + 1)) + inc * drift[i]) % SCALE
+            for i in range(len(w))
         )
     if isinstance(system, Iet):
         raise UnsupportedSystemError("interval exchanges have no closed-form iterate")
@@ -498,7 +473,6 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
         raise ValueError("q must be >= 1")
     tables = iet_tables(iet)
     exact = not isinstance(tables.total, float)
-    tol = 0 if exact else IET_TOL * max(1.0, float(tables.total))
 
     cuts = list(tables.beta)  # includes 0 and total
     for layer in islice(iet_breakpoint_layers(iet, tables), q - 1):
@@ -506,7 +480,7 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     cuts.sort()
     merged_cuts = [cuts[0]]
     for c in cuts[1:]:
-        if c - merged_cuts[-1] > tol:
+        if c - merged_cuts[-1] > tables.tol:
             merged_cuts.append(c)
     if merged_cuts[-1] != tables.total:
         merged_cuts[-1] = tables.total  # the right edge is always a cut
@@ -514,7 +488,7 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     def same_translation(a, b) -> bool:
         # cyclic permutations make some neighbours genuinely continuous;
         # in float mode their measured translations agree only up to rounding
-        return a == b if exact else abs(a - b) <= tol
+        return a == b if exact else abs(a - b) <= tables.tol
 
     mids = [(lo + hi) / 2 for lo, hi in zip(merged_cuts, merged_cuts[1:])]
     dtype = object if exact else float

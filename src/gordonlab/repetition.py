@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .arithmetic import SCALE, ContinuedFraction, FixedPointFrac, convergent_denominators
 from .dynamics import (
-    IET_TOL,
     _HALF,
     Iet,
     Shift,
@@ -339,7 +338,7 @@ class ConstructiveRepetition:
 
 @dataclass(frozen=True)
 class ConstructiveNotAvailable:
-    """No convergent is good enough at this depth/horizon."""
+    """No convergent is good enough at this depth/horizon, or its bound is vacuous."""
 
     reason: str
     best_product: float | None = None
@@ -361,7 +360,8 @@ def skewshift_constructive_q(
     minimizing the total bound
         <2 m q_k alpha>  +  <m q_k omega1>  +  (1+2r) m^2 q_k <q_k alpha>,
     i.e. first coordinate + omega term + worst-case quadratic term over
-    k = 0..floor(r q).  The returned certificate uses that bound as epsilon.
+    k = 0..floor(r q).  The returned certificate uses that bound as epsilon;
+    a bound of 1/2 or more says nothing, so it is not available.
     """
     if epsilon <= 0 or epsilon > 1:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -403,6 +403,12 @@ def skewshift_constructive_q(
             best = (total, m, t_first, t_omega, t_alpha)
     total_raw, m, t_first, t_omega, t_alpha = best
     q = m * base_q
+    if 2 * total_raw >= SCALE:
+        # every circle distance is at most 1/2, so this bound would certify nothing
+        return ConstructiveNotAvailable(
+            reason=f"the term-sum bound {total_raw / SCALE:.6g} at q={q} is not below 1/2",
+            best_product=float(best_product),
+        )
 
     # Smallest double whose exact value exceeds the raw bound, so the strict
     # fixed-point comparison in verification cannot be lost to rounding.
@@ -646,9 +652,8 @@ def veech_tower_search(
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     tables = iet_tables(iet)
-    beta, jumps, total = tables.beta, tables.jumps, tables.total
+    beta, jumps, total, tol = tables.beta, tables.jumps, tables.total, tables.tol
     exact = not isinstance(total, float)
-    tol = 0 if exact else IET_TOL * max(1.0, float(total))
 
     best_q, best_cov, best_ovf = None, 0.0, 0.0
     best_score = -1.0

@@ -369,14 +369,15 @@ class TestExitCodes:
         assert out == ""
         assert "over the budget of 1000000; pass --max-base-q" in err
 
-    def test_uncapped_golden_construct_q_at_eps_half_stops_at_the_step_budget(self, capsys):
-        # the reported epsilon is above 1/3 and the base q about 1.7e13
+    def test_uncapped_golden_construct_q_at_eps_half_is_not_available(self, capsys):
+        # the base q is about 1.7e13 and its term-sum bound above 1/2
         t0 = time.perf_counter()
         code, out, err = run_cli(["construct-q", "--alpha", "golden", "--eps", "0.5"], capsys)
         assert time.perf_counter() - t0 < 2.0
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.rstrip().endswith("pass --max-base-q")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "not_available,,,,,0"
+        config = json.loads(out.split("# config: ", 1)[1].split("\n", 1)[0])
+        assert "not below 1/2" in config["reason"]
 
     @pytest.mark.parametrize("q", ["0", "-3"])
     def test_transfer_q_below_one_is_a_config_error(self, q, capsys):
@@ -425,12 +426,20 @@ class TestExitCodes:
         assert out == ""
         assert not target.exists()
 
-    def test_malformed_threads_environment_is_a_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("GORDONLAB_THREADS", "abc")
-        code, out, err = run_cli(["cf", "--alpha", "golden", "--depth", "4"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("config error: GORDONLAB_THREADS: ")
+    def test_threads_environment_is_not_read(self, capsys, monkeypatch):
+        argv = [
+            "prp-measure", "--system", "skewshift", "--alpha", "golden", "--eps", "0.1",
+            "--qmax", "50", "--samples", "5", "--seed", "3",
+        ]
+        runs = []
+        for value in (None, "4", "abc"):
+            if value is None:
+                monkeypatch.delenv("GORDONLAB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("GORDONLAB_THREADS", value)
+            runs.append(run_cli(argv, capsys))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     @pytest.mark.parametrize(
         "argv, flag",

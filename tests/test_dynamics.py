@@ -36,6 +36,15 @@ dyadics = st.integers(min_value=0, max_value=2**20 - 1).map(
     lambda k: Fraction(k, 2**20)
 )
 
+large_n = st.integers(min_value=-(10**12), max_value=10**12)
+small_or_large_n = st.one_of(st.integers(min_value=-20, max_value=20), large_n)
+TORUS_SYSTEMS = {
+    "shift-d1": lambda alpha: Shift((alpha,)),
+    "shift-d2": lambda alpha: Shift((alpha, SQRT2_MINUS_1)),
+    "skewshift": SkewShift,
+    **{f"skewproduct-d{d}": (lambda alpha, d=d: SkewProduct(d, alpha)) for d in range(1, 7)},
+}
+
 
 def fxp(f: Fraction) -> FixedPointFrac:
     return FixedPointFrac.from_fraction(f.numerator, f.denominator)
@@ -131,7 +140,7 @@ class TestClosedForms:
         for coord, expected in zip(got.coords, want):
             assert coord.to_fraction() == expected
 
-    @given(raw_values, raw_values, raw_values, st.integers(min_value=0, max_value=20))
+    @given(raw_values, raw_values, raw_values, small_or_large_n)
     def test_skewshift_is_skewproduct_with_doubled_frequency(self, a, w1, w2, n):
         alpha = FixedPointFrac(a)
         start = TorusPoint((FixedPointFrac(w1), FixedPointFrac(w2)))
@@ -142,9 +151,9 @@ class TestClosedForms:
         ]
 
     @given(
-        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=1, max_value=6),
         raw_values,
-        st.lists(raw_values, min_size=5, max_size=5),
+        st.lists(raw_values, min_size=6, max_size=6),
         st.integers(min_value=-20, max_value=20),
     )
     def test_skewproduct_closed_form_equals_stepping_and_inverts(self, d, a, ws, n):
@@ -158,6 +167,19 @@ class TestClosedForms:
             assert [c.value for c in walked.coords] == [c.value for c in target.coords]
         back = iterate_closed_form(system, target, -n)
         assert [c.value for c in back.coords] == [c.value for c in start.coords]
+
+    @pytest.mark.parametrize("make_system", TORUS_SYSTEMS.values(), ids=TORUS_SYSTEMS.keys())
+    @given(raw_values, st.lists(raw_values, min_size=6, max_size=6), large_n, large_n)
+    def test_closed_form_is_a_group_action(self, make_system, a, ws, m, n):
+        system = make_system(FixedPointFrac(a))
+        start = TorusPoint(tuple(FixedPointFrac(w) for w in ws[: system.dim]))
+        inner = iterate_closed_form(system, start, n)
+        assert (
+            iterate_closed_form(system, inner, m).raw
+            == iterate_closed_form(system, start, m + n).raw
+        )
+        there = iterate_closed_form(system, start, m)
+        assert iterate_closed_form(system, there, -m).raw == start.raw
 
     def test_closed_form_rejects_iets(self):
         iet = Iet((0.5, 0.5), Permutation((2, 1)))
@@ -187,16 +209,8 @@ class TestClosedForms:
             assert diff == second.value
 
 
-ORBIT_SYSTEMS = {
-    "shift-d1": lambda alpha: Shift((alpha,)),
-    "shift-d2": lambda alpha: Shift((alpha, SQRT2_MINUS_1)),
-    "skewshift": SkewShift,
-    **{f"skewproduct-d{d}": (lambda alpha, d=d: SkewProduct(d, alpha)) for d in range(1, 5)},
-}
-
-
 class TestOrbit:
-    @pytest.mark.parametrize("make_system", ORBIT_SYSTEMS.values(), ids=ORBIT_SYSTEMS.keys())
+    @pytest.mark.parametrize("make_system", TORUS_SYSTEMS.values(), ids=TORUS_SYSTEMS.keys())
     @given(raw_values, st.integers(min_value=-15, max_value=0), st.integers(min_value=0, max_value=15))
     def test_two_sided_window_matches_closed_form(self, make_system, a, n_min, n_max):
         system = make_system(FixedPointFrac(a))

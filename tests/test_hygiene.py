@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and no
-module imports numpy or scipy when it is itself imported."""
+"""Source hygiene: every name a package module imports is used in it, every
+private module-level name is used somewhere in the package, and no module
+imports numpy or scipy when it is itself imported."""
 
 import ast
 import pathlib
@@ -36,6 +37,56 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text()) == []
+
+
+def _bound_private_names(statement) -> list[str]:
+    """Single-underscore names a module-level def, class or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        targets = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        nodes = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        targets = []
+    return [t for t in targets if t.startswith("_") and not t.startswith("__")]
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no statement of any module loads or
+    imports, apart from the statement that defines them."""
+    defined, uses = [], []
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            uses.append((statement, names))
+            defined.extend((module, name, statement) for name in _bound_private_names(statement))
+    return [
+        f"{module}: {name} (line {where.lineno})"
+        for module, name, where in defined
+        if not any(name in names for statement, names in uses if statement is not where)
+    ]
+
+
+def test_the_scan_sees_a_dead_private_name():
+    sources = {
+        "a.py": (
+            "__all__ = ['f']\n_used = 1\n_dead, _shared = 2, 3\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "def f():\n    return _used\n"
+        ),
+        "b.py": "from .a import _shared\n",
+    }
+    assert dead_private_names(sources) == ["a.py: _dead (line 3)", "a.py: _recursive (line 4)"]
+
+
+def test_every_private_module_level_name_is_used():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
 
 
 def import_time_heavy_imports(source: str) -> list[str]:

@@ -541,14 +541,34 @@ class TestConstructive:
         assert paths == {True, False}
 
     def test_uncapped_golden_at_eps_half_returns_at_once(self):
-        # the depth-64 base q is about 1.7e13, so stepping k would not end
+        # the depth-64 base q is about 1.7e13 and its term-sum bound about 1.34
         t0 = time.perf_counter()
         rep = skewshift_constructive_q(GOLDEN, ZERO, 0.5, cf_expand(GOLDEN, 64))
         assert time.perf_counter() - t0 < 1.0
-        assert isinstance(rep, ConstructiveRepetition)
-        assert rep.base_q > 10**13
-        cert = rep.certificate
-        assert cert.max_dist_raw < repetition._strict_raw_threshold(rep.reported_epsilon)
+        assert isinstance(rep, ConstructiveNotAvailable)
+        assert "1.34164" in rep.reason and "1/2" in rep.reason
+        assert rep.best_product == pytest.approx(0.381966, abs=1e-6)
+
+    def test_no_certificate_reports_more_than_half_a_turn(self):
+        # a bound of 1/2 or more holds for every q and omega, so it is refused
+        rng = random.Random(41)
+        for alpha in (GOLDEN, SQRT2_MINUS_1, LIOUVILLE10):
+            cf = cf_expand(alpha, 64)
+            cases = itertools.product(
+                (0.05, 0.1, 0.3, 0.5, 0.6, 1.0), (0.5, 1.0, 2.5), (1000, 10**5, None)
+            )
+            for eps, r, max_base_q in cases:
+                for _ in range(5):
+                    omega1 = FixedPointFrac(rng.getrandbits(128))
+                    rep = skewshift_constructive_q(
+                        alpha, omega1, eps, cf, r=r, max_base_q=max_base_q
+                    )
+                    if isinstance(rep, ConstructiveRepetition):
+                        assert rep.reported_epsilon <= 0.5, (alpha, eps, r, max_base_q)
+        rep = skewshift_constructive_q(
+            GOLDEN, ZERO, 0.5, cf_expand(GOLDEN, 64), r=0.5, max_base_q=1000
+        )
+        assert isinstance(rep, ConstructiveNotAvailable)
 
     def test_golden_unavailable(self):
         rep = skewshift_constructive_q(GOLDEN, ZERO, 0.01, cf_expand(GOLDEN, 64))
