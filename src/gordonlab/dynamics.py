@@ -4,14 +4,16 @@ transformations (IETs).
 
 Every system has one raw kernel: a one-step map on raw states
 (``raw_stepper``) and the two-sided orbit built from it (``raw_orbit``).  A
-torus state is a tuple of ints mod 2**128, one per coordinate.  Every
-skew-product, and the skew-shift as the 2-D one with increment 2*alpha, reaches
-T^n by one exact binomial formula in n, with no matrix powers.  An IET state is
-a plain float (or a ``fractions.Fraction`` end-to-end for exact tests) because
-IET breakpoints are sums of arbitrary reals.  The repetition searches and the
-potential sampler run on raw states; ``FixedPointFrac``/``TorusPoint`` exist
-only at the API edge, where ``step``, ``orbit`` and ``iterate_closed_form``
-unwrap their argument once and wrap their result once.
+torus state is a tuple of ints mod 2**128, one per coordinate.  Every torus
+map is T(w) = L.w + b with L unipotent (I for a shift; the skew-shift is the
+2-D skew-product with increment 2*alpha), and ``_unipotent_power`` gives T^n
+by one exact binomial formula in n, with no matrix powers, to the closed form
+and to the repetition plan.  An IET state is a plain float (or a
+``fractions.Fraction`` end-to-end for exact tests) because IET breakpoints are
+sums of arbitrary reals.  The repetition searches and the potential sampler
+run on raw states; ``FixedPointFrac``/``TorusPoint`` exist only at the API
+edge, where ``step``, ``orbit`` and ``iterate_closed_form`` unwrap their
+argument once and wrap their result once.
 """
 
 from __future__ import annotations
@@ -292,7 +294,12 @@ def raw_state(system: SystemSpec, omega):
     """Unwrap an API state: a TorusPoint becomes its raw tuple, IET points pass."""
     if isinstance(system, Iet):
         return omega
-    _check_torus_point(system, omega)
+    if not isinstance(omega, TorusPoint):
+        raise TypeError("torus systems take TorusPoint states")
+    if omega.dim != system_dim(system):
+        raise ValueError(
+            f"point dimension {omega.dim} does not match system dimension {system_dim(system)}"
+        )
     return omega.raw
 
 
@@ -316,15 +323,6 @@ def raw_dist(x, y):
                 worst = d
         return worst
     return abs(x - y)
-
-
-def _check_torus_point(system, omega) -> None:
-    if not isinstance(omega, TorusPoint):
-        raise TypeError("torus systems take TorusPoint states")
-    if omega.dim != system_dim(system):
-        raise ValueError(
-            f"point dimension {omega.dim} does not match system dimension {system_dim(system)}"
-        )
 
 
 def raw_stepper(system: SystemSpec):
@@ -357,32 +355,38 @@ def step(system: SystemSpec, omega):
 
 
 def _binom(x: int, k: int) -> int:
-    """C(x, k) = x(x-1)...(x-k+1)/k!, exact for every integer x, negative too."""
-    product = 1
-    for j in range(k):
-        product *= x - j
-    return product // math.factorial(k)
+    """C(x, k) = x(x-1)...(x-k+1)/k!, exact for every integer x: C(x, k) is
+    (-1)^k C(k-x-1, k) for x < 0, where ``math.comb`` takes no negative x."""
+    return math.comb(x, k) if x >= 0 else (-1) ** k * math.comb(k - x - 1, k)
 
 
-def _closed_form_raw(system: SystemSpec, w: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """T^n of a raw torus state in one exact evaluation (any integer n)."""
+def _unipotent_power(system: SystemSpec, n: int) -> tuple[list[int], list[int]]:
+    """(coef, drift) of T^n = L^n.w + drift, exact for every integer n.
+
+    Coordinate i of T^n(w) is sum_{k=0..i} coef[k]*w[i-k] + drift[i] (mod 2**128);
+    L = I for a shift, so coef = (1, 0, ..., 0) and drift = n*alpha.
+    """
     if isinstance(system, Shift):
-        return tuple((x + n * a.value) % SCALE for x, a in zip(w, system.alpha))
+        return [1] + [0] * (system.dim - 1), [n * a.value for a in system.alpha]
     if isinstance(system, (SkewShift, SkewProduct)):
         # T(w) = L.w + inc*e_1 with L = (I - S)^-1 and S the nilpotent down-shift, so
         # L^n = sum_k C(n+k-1, k) S^k for every integer n; by the hockey stick,
         # coordinate i of sum_{j<n} L^j e_1 is n at i = 0, else C(n+i-1, i+1).
         a = system.alpha.value
         inc = 2 * a if isinstance(system, SkewShift) else a
-        coef = [_binom(n + k - 1, k) for k in range(len(w))]
-        drift = [n] + [_binom(n + i - 1, i + 1) for i in range(1, len(w))]
-        return tuple(
-            (sum(coef[k] * w[i - k] for k in range(i + 1)) + inc * drift[i]) % SCALE
-            for i in range(len(w))
-        )
-    if isinstance(system, Iet):
-        raise UnsupportedSystemError("interval exchanges have no closed-form iterate")
-    raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
+        coef = [_binom(n + k - 1, k) for k in range(system.dim)]
+        drift = [n * inc] + [inc * _binom(n + i - 1, i + 1) for i in range(1, system.dim)]
+        return coef, drift
+    raise UnsupportedSystemError(f"{type(system).__name__} has no closed-form iterate")
+
+
+def _closed_form_raw(system: SystemSpec, w: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """T^n of a raw torus state in one exact evaluation (any integer n)."""
+    coef, drift = _unipotent_power(system, n)
+    return tuple(
+        (sum(coef[k] * w[i - k] for k in range(i + 1)) + drift[i]) % SCALE
+        for i in range(len(w))
+    )
 
 
 def iterate_closed_form(system: SystemSpec, omega, n: int):

@@ -15,8 +15,9 @@ import hashlib
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .arithmetic import SCALE, ContinuedFraction, FixedPointFrac, convergent_denominators
 from .dynamics import (
@@ -28,6 +29,7 @@ from .dynamics import (
     SystemSpec,
     TorusPoint,
     UnsupportedSystemError,
+    _unipotent_power,
     iet_breakpoint_layers,
     iet_tables,
     random_point,
@@ -52,11 +54,6 @@ def _strict_raw_threshold(epsilon: float) -> int:
     return t if f.denominator == 1 else t + 1
 
 
-def _dist_threshold(system: SystemSpec, epsilon: float):
-    """t such that raw_dist(x, y) < t  <=>  dist(x, y) < epsilon."""
-    return epsilon if isinstance(system, Iet) else _strict_raw_threshold(epsilon)
-
-
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -77,7 +74,14 @@ class RepetitionCertificate:
 
 @dataclass(frozen=True)
 class RepetitionNotFound:
-    """No q <= q_max certifies; best_q/best_dist record the closest miss."""
+    """No q <= q_max certifies; best_q/best_dist record the closest miss.
+
+    A q misses by the distance that rejected it.  On the torus that is its
+    coordinate-0 gap <q*inc> (every coordinate, for a shift) if that fails,
+    else its first failing coordinate-1 term, else the max-metric distance at
+    its first failing k; for an IET, the largest distance up to its first
+    failing k.  The closest miss is the smallest, the earliest q among equals.
+    """
 
     epsilon: float
     r: float
@@ -89,19 +93,16 @@ class RepetitionNotFound:
 def find_repetition_time(
     system: SystemSpec, omega, epsilon: float, r: float, q_max: int
 ) -> RepetitionCertificate | RepetitionNotFound:
-    """Smallest q <= q_max whose certificate validates, else the best near-miss.
+    """Smallest q <= q_max whose certificate validates, else the closest miss.
 
-    The search runs in two parts: a plan of the work that does not depend on
-    omega, and a scan of omega against it (``_searcher``).  Shifts use the
-    isometry identity T^{k+q}w - T^k w = q*alpha, so the plan is the whole
-    answer.  For the skew-shift the difference is
-    (2q*alpha, s_q + k*2q*alpha) with s_q = q*w1 + (q^2 - q)*alpha: the plan
-    lists the candidates q with <2q*alpha> < epsilon, the only ones that can
-    certify, and the scan checks the second coordinate, a progression in k,
-    with ``_progression``: O(1) per candidate for epsilon < 1/3, and never a
-    step per k.  Here the plan is streamed, so a search that certifies early
-    stops early.  Other systems step orbits with early exit.  All torus
-    comparisons and reported distances are exact in fixed point.
+    A torus map is T(w) = L.w + b with L unipotent (I for a shift), so
+    T^{k+q}w - T^k w = L^k.delta with delta = T^q w - w.  An omega-free plan
+    (``_searcher``) lists the candidates q, whose coordinate-0 gap <q*inc> is
+    below epsilon; a shift certifies at the first.  The scan checks
+    coordinate 1, the progression delta_1 + k*q*inc, with ``_progression``,
+    and only then steps the difference, never the orbit, in coordinates >= 2.
+    The plan is streamed, so an early certificate stops it.  IETs step orbits
+    with early exit.  Torus distances are exact in fixed point.
     """
     return _searcher(system, epsilon, r, q_max, reuse=False)(omega)
 
@@ -118,92 +119,90 @@ def _searcher(system: SystemSpec, epsilon: float, r: float, q_max: int, reuse: b
         raise ValueError("r must be positive")
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-
-    if isinstance(system, Shift):
-        found = _find_shift(system, epsilon, r, q_max)
-        if isinstance(found, RepetitionNotFound):
-            return lambda omega: found
-        return lambda omega: replace(found, omega=omega)
-    if isinstance(system, SkewShift):
-        thresh = _strict_raw_threshold(epsilon)
-        plan = _skewshift_plan(system, thresh, r, q_max)
-        if reuse:
-            plan = tuple(plan)
-
-        def scan(omega):
-            w1 = omega.coords[0].value
-            best_q, best_raw = None, None
-            for q, first, u, c, k_max in plan:
-                if u is None:
-                    observed = first
-                else:
-                    ok, observed = _progression((q * w1 + c) % SCALE, u, k_max, first, thresh)
-                    if ok:
-                        return RepetitionCertificate(
-                            epsilon, r, q, k_max, observed / SCALE, omega, observed
-                        )
-                if best_raw is None or observed < best_raw:  # q ascends: earliest wins ties
-                    best_q, best_raw = q, observed
-            return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
-
-        return scan
-    if isinstance(system, (SkewProduct, Iet)):
-        return lambda omega: _find_generic(system, omega, epsilon, r, q_max)
-    raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
-
-
-def _certificate(epsilon, r, q, k_max, max_dist_raw, omega) -> RepetitionCertificate:
-    return RepetitionCertificate(
-        epsilon=epsilon,
-        r=r,
-        q=q,
-        k_max=k_max,
-        max_dist=max_dist_raw / SCALE,
-        omega=omega,
-        max_dist_raw=max_dist_raw,
-    )
-
-
-def _find_shift(system, epsilon, r, q_max):
-    """The shift search; its answer holds for every omega (omega=None here)."""
+    if isinstance(system, Iet):
+        return lambda omega: _find_iet(system, omega, epsilon, r, q_max)
+    if not isinstance(system, (Shift, SkewShift, SkewProduct)):
+        raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
     thresh = _strict_raw_threshold(epsilon)
-    vals = [a.value for a in system.alpha]
-    acc = [0] * len(vals)
-    best_q, best_raw = None, None
-    for q in range(1, q_max + 1):
-        raw = 0
-        for i, v in enumerate(vals):
-            acc[i] = (acc[i] + v) % SCALE
-            raw = max(raw, min(acc[i], SCALE - acc[i]))
-        if raw < thresh:
-            r_num, r_den = Fraction(r).as_integer_ratio()
-            return _certificate(epsilon, r, q, r_num * q // r_den, raw, None)
-        if best_raw is None or raw < best_raw:
-            best_q, best_raw = q, raw
-    return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
+    plan = _torus_plan(system, thresh, r, q_max)
+    if reuse:
+        plan = tuple(plan)
+
+    def scan(omega):
+        w = raw_state(system, omega)
+        w0, stepped = w[0], len(w) > 2
+        best_q, best_raw = None, None
+        for q, first, k_max, coef, drift in plan:
+            ok, observed = k_max is not None, first  # a candidate without a form certifies
+            if coef is not None:
+                # coordinate 1 of L^k.delta is delta_1 + k*q*inc, k = 0..k_max
+                delta1 = (coef[1] * w0 + drift[1]) % SCALE
+                ok, observed = _progression(delta1, drift[0], k_max, first, thresh)
+                if ok and stepped:
+                    ok, observed = _step_differences(w, coef, drift, k_max, observed, thresh)
+            if ok:
+                return RepetitionCertificate(epsilon, r, q, k_max, observed / SCALE, omega, observed)
+            if best_raw is None or observed < best_raw:  # q ascends: earliest wins ties
+                best_q, best_raw = q, observed
+        return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
+
+    return scan
 
 
-def _skewshift_plan(system, thresh, r, q_max):
-    """The omega-free part of the skew-shift search, in q order (a generator).
+def _torus_plan(system, thresh, r, q_max):
+    """The omega-free part of a torus search, in q order (a generator).
 
-    Yields (q, <u>, u, c, k_max) for each candidate q (<u> < thresh, raw
-    units), where u = 2q*alpha, c = (q^2 - q)*alpha (both mod 2^128) and
-    k_max = floor(r*q).  A non-candidate reports <u> as its distance whatever
-    omega is, so only a non-candidate that beats every earlier one is
-    yielded, as (q, <u>, None, None, None).
+    The gap `first` of q is the largest circle distance of q*b, b = T(0):
+    coordinate 0 of delta (every coordinate, for a shift).  Yields
+    (q, first, k_max, coef, drift) for each candidate q (first < thresh, raw
+    units), with k_max = floor(r*q) and (coef, drift) the form of T^q mod
+    2^128.  When L = I, delta is the gap at every k, so the first candidate
+    certifies for every omega: it comes without a form, and the plan ends.  A
+    non-candidate misses by its gap whatever omega is, so only one that beats
+    every earlier gap is yielded, as (q, first, None, None, None).
     """
     r_num, r_den = Fraction(r).as_integer_ratio()
-    a = system.alpha.value
-    u = 0  # 2*q*alpha
+    coef, incs = _unipotent_power(system, 1)  # L, and b = T(0)
+    free = not any(coef[1:])  # L = I
+    incs = [v for v in incs if v]  # a zero increment adds nothing to the gap
     best_miss = None
     for q in range(1, q_max + 1):
-        u = (u + 2 * a) % SCALE
-        first = u if u <= SCALE // 2 else SCALE - u
+        first = 0
+        for v in incs:
+            x = q * v % SCALE
+            if x > _HALF:
+                x = SCALE - x
+            if x > first:
+                first = x
         if first < thresh:
-            yield q, first, u, (q * q - q) * a % SCALE, r_num * q // r_den
+            k_max = r_num * q // r_den
+            if free:
+                yield q, first, k_max, None, None
+                return
+            coef, drift = _unipotent_power(system, q)
+            yield q, first, k_max, [c % SCALE for c in coef], [b % SCALE for b in drift]
         elif best_miss is None or first < best_miss:
             best_miss = first
             yield q, first, None, None, None
+
+
+def _step_differences(w, coef, drift, k_max, observed, thresh):
+    """(ok, observed) for every coordinate of D(k) = L^k.delta, k = 0..k_max.
+
+    (coef, drift) is T^q, so delta = T^q w - w has coordinate
+    i = sum_{j=1..i} coef[j]*w[i-j] + drift[i], and D(k+1) = L.D(k) is a
+    cumulative sum, with no alpha.  On failure observed is the max-metric
+    distance at the first failing k.
+    """
+    diff = [sum(coef[j] * w[i - j] for j in range(1, i + 1)) + drift[i] for i in range(len(w))]
+    for _ in range(k_max + 1):
+        diff = [x % SCALE for x in diff]
+        dist = max(min(x, SCALE - x) for x in diff)
+        if dist >= thresh:
+            return False, dist
+        observed = max(observed, dist)
+        diff = list(accumulate(diff))
+    return True, observed
 
 
 def _circle(y: int) -> int:
@@ -252,9 +251,8 @@ def _progression(s, u, k_max, first, thresh):
     return True, observed
 
 
-def _find_generic(system, omega, epsilon, r, q_max):
-    torus = not isinstance(system, Iet)
-    thresh = _dist_threshold(system, epsilon)
+def _find_iet(system, omega, epsilon, r, q_max):
+    """The IET search: every q in order, stepping one orbit with early exit."""
     r_num, r_den = Fraction(r).as_integer_ratio()
     step_raw = raw_stepper(system)
     states = [raw_state(system, omega)]
@@ -263,22 +261,17 @@ def _find_generic(system, omega, epsilon, r, q_max):
         k_max = r_num * q // r_den
         while len(states) <= k_max + q:
             states.append(step_raw(states[-1]))
-        ok = True
-        observed = 0 if torus else 0.0
+        observed = 0.0
         for k in range(k_max + 1):
             d = raw_dist(states[k], states[k + q])
             if d > observed:
                 observed = d
-            if d >= thresh:
-                ok = False
+            if d >= epsilon:
                 break
-        if ok:
-            if torus:
-                return _certificate(epsilon, r, q, k_max, observed, omega)
+        else:
             return RepetitionCertificate(epsilon, r, q, k_max, observed, omega)
-        dist = observed / SCALE if torus else observed
-        if best_dist is None or dist < best_dist:
-            best_q, best_dist = q, dist
+        if best_dist is None or observed < best_dist:
+            best_q, best_dist = q, observed
     return RepetitionNotFound(epsilon, r, q_max, best_q, best_dist)
 
 
@@ -307,7 +300,7 @@ def verify_certificate_against_definition(
     if cert.k_max != k_max:
         return False
     dists = repetition_distances(system, cert.omega, cert.q, k_max)
-    thresh = _dist_threshold(system, cert.epsilon)
+    thresh = cert.epsilon if isinstance(system, Iet) else _strict_raw_threshold(cert.epsilon)
     return all(d < thresh for d in dists)
 
 
@@ -563,10 +556,10 @@ def estimate_prp_fraction(
     """Monte Carlo frequency of certifiable starting points.
 
     Each sample's generator is derived from (seed, index) by hashing, so the
-    result is bit-identical for a fixed seed.  The omega-free part of the
-    search (see ``find_repetition_time``) is planned once, before any sample:
-    a shift is answered by that one search, so its hits are all or none, and
-    skew-shift samples scan only the planned candidates.  ``threads`` is
+    result is bit-identical for a fixed seed.  The omega-free plan of a torus
+    search (see ``find_repetition_time``) is built once, before any sample: a
+    shift's plan ends at its certificate, so its hits are all or none, and
+    every torus sample scans only the planned candidates.  ``threads`` is
     accepted and ignored: the work is pure Python, so the GIL serialises it,
     and a thread pool ran slower than this one loop.
     """

@@ -27,6 +27,7 @@ from gordonlab.dynamics import (
     TorusPoint,
     iet_step,
     orbit,
+    raw_orbit,
 )
 from gordonlab.repetition import (
     ConstructiveNotAvailable,
@@ -71,62 +72,68 @@ def brute_find(system, omega, epsilon, r, q_max):
     return None
 
 
-def stepping_skewshift_search(system, omega, epsilon, r, q_max):
-    """Reference skew-shift search: every q in order, every k by stepping.
+def stepping_torus_search(system, omega, epsilon, r, q_max):
+    """Reference torus search: every q in order, every k and coordinate by
+    stepping (``raw_orbit``).
 
-    Distances come from repetition_distances.  A q whose first-coordinate gap
-    <2q*alpha> is already >= epsilon misses by that gap; any other q misses by
-    its distance at the first failing k.  The near-miss is the smallest miss,
-    the earliest q among equals.  Returns ("found", q, k_max, max_dist_raw) or
-    ("not_found", best_q, best_dist).
+    A q misses by its coordinate-0 gap (every coordinate, for a shift) at k = 0
+    if that is >= epsilon; otherwise by its first coordinate-1 distance >=
+    epsilon; otherwise by its max-metric distance at the first failing k.  The
+    near-miss is the smallest miss, the earliest q among equals.  Returns
+    ("found", q, k_max, max_dist_raw) or ("not_found", best_q, best_dist).
     """
     thresh = Fraction(epsilon) * SCALE
+    gap_coords = system.dim if isinstance(system, Shift) else 1
     misses = []
     for q in range(1, q_max + 1):
-        gap = ((2 * q) * system.alpha).norm_raw()
+        k_max = math.floor(Fraction(r) * q)
+        states = raw_orbit(system, omega.raw, 0, k_max + q)
+        # rows[k][i]: the circle distance of coordinate i of T^{k+q}w - T^k w
+        rows = [
+            [min(d, SCALE - d) for d in ((y - x) % SCALE for x, y in zip(states[k], states[k + q]))]
+            for k in range(k_max + 1)
+        ]
+        gap = max(rows[0][:gap_coords])
+        second = [row[1] for row in rows if len(row) > 1 and row[1] >= thresh]
+        worst = [max(row) for row in rows]
+        failing = [d for d in worst if d >= thresh]
         if gap >= thresh:
             misses.append((gap, q))
-            continue
-        k_max = math.floor(Fraction(r) * q)
-        dists = repetition_distances(system, omega, q, k_max)
-        failing = [d for d in dists if d >= thresh]
-        if not failing:
-            return ("found", q, k_max, max(dists))
-        misses.append((failing[0], q))
-    gap, q = min(misses)
-    return ("not_found", q, gap / SCALE)
+        elif second:
+            misses.append((second[0], q))
+        elif failing:
+            misses.append((failing[0], q))
+        else:
+            return ("found", q, k_max, max(worst))
+    miss, q = min(misses)
+    return ("not_found", q, miss / SCALE)
 
 
-def stepping_generic_search(system, omega, epsilon, r, q_max):
-    """Reference skew-product/IET search: every q in order, the distances of
+def stepping_iet_search(system, omega, epsilon, r, q_max):
+    """Reference IET search: every q in order, the distances of
     repetition_distances up to the first one >= epsilon.
 
     A q misses by the largest distance it saw; the near-miss is the smallest
     miss, the earliest q among equals.  Returns ("found", q, k_max, max_dist)
-    or ("not_found", best_q, best_dist): raw integers for a found torus
-    distance, floats otherwise.
+    or ("not_found", best_q, best_dist).
     """
-    unit = 1 if isinstance(system, Iet) else SCALE
-    thresh = Fraction(epsilon) * unit
     misses = []
     for q in range(1, q_max + 1):
         k_max = math.floor(Fraction(r) * q)
         dists = repetition_distances(system, omega, q, k_max)
-        failing = [k for k, d in enumerate(dists) if d >= thresh]
+        failing = [k for k, d in enumerate(dists) if d >= epsilon]
         if not failing:
             return ("found", q, k_max, max(dists))
         misses.append((max(dists[: failing[0] + 1]), q))
     miss, q = min(misses)
-    return ("not_found", q, miss / unit)
+    return ("not_found", q, miss)
 
 
-def as_generic_outcome(result):
+def as_iet_outcome(result):
     if isinstance(result, RepetitionNotFound):
         return ("not_found", result.best_q, result.best_dist)
-    if result.max_dist_raw is None:
-        return ("found", result.q, result.k_max, result.max_dist)
-    assert result.max_dist == result.max_dist_raw / SCALE
-    return ("found", result.q, result.k_max, result.max_dist_raw)
+    assert result.max_dist_raw is None
+    return ("found", result.q, result.k_max, result.max_dist)
 
 
 def as_outcome(result):
@@ -256,45 +263,132 @@ class TestFindRepetitionTime:
             for omega in omegas:
                 for r, q_max in itertools.product((0.5, 1, 2.5), (3, 40)):
                     got = as_outcome(find_repetition_time(system, omega, epsilon, r, q_max))
-                    assert got == stepping_skewshift_search(system, omega, epsilon, r, q_max)
+                    assert got == stepping_torus_search(system, omega, epsilon, r, q_max)
+                    outcomes.add(got[0])
+        assert outcomes == {"found", "not_found"}
+
+    @pytest.mark.parametrize(
+        "system",
+        [SkewProduct(d, GOLDEN) for d in range(1, 7)] + [Shift((GOLDEN, SQRT2_MINUS_1))],
+        ids=[f"skewproduct{d}" for d in range(1, 7)] + ["shift2"],
+    )
+    def test_torus_search_matches_stepping_oracle(self, system):
+        # r as doubles: floor(r*q) must use the exact binary value of r (the
+        # double 1/3 lies below 1/3, so floor(r*3) is 0 though r*3 rounds to 1.0)
+        rng = random.Random(system.dim)
+        omegas = [
+            TorusPoint((ZERO,) * system.dim),
+            TorusPoint(tuple(FixedPointFrac(rng.getrandbits(128)) for _ in range(system.dim))),
+        ]
+        outcomes = set()
+        for omega in omegas:
+            for epsilon in (0.01, 0.1, 1 / 3, math.nextafter(1 / 3, 1.0), 0.5):
+                for r in (0.1, 1 / 3, 0.5, 1.0, 2.5):
+                    got = as_outcome(find_repetition_time(system, omega, epsilon, r, 30))
+                    assert got == stepping_torus_search(system, omega, epsilon, r, 30), (
+                        omega, epsilon, r,
+                    )
                     outcomes.add(got[0])
         assert outcomes == {"found", "not_found"}
 
     @pytest.mark.parametrize(
         "system",
         [
-            SkewProduct(2, GOLDEN),
-            SkewProduct(3, GOLDEN),
-            SkewProduct(4, GOLDEN),
             Iet((1 - float(GOLDEN), float(GOLDEN)), Permutation((2, 1))),
             Iet((0.31, 0.227, 0.463), Permutation((3, 1, 2))),
             # dyadic lengths make near-misses tie (q = 15 and 17 at 0.01): the earliest wins
             Iet((Fraction(15, 32), Fraction(1, 32), Fraction(1, 2)), Permutation((3, 1, 2))),
         ],
-        ids=["skewproduct2", "skewproduct3", "skewproduct4", "iet2", "iet3", "iet3-exact"],
+        ids=["iet2", "iet3", "iet3-exact"],
     )
-    def test_generic_search_matches_stepping_oracle(self, system):
-        # r as doubles: floor(r*q) must use the exact binary value of r (the
-        # double 1/3 lies below 1/3, so floor(r*3) is 0 though r*3 rounds to 1.0)
-        if isinstance(system, Iet):
-            exact = isinstance(system.lengths[0], Fraction)
-            omegas = [Fraction(1, 3), Fraction(5, 8)] if exact else [0.0, 0.61803]
-        else:
-            rng = random.Random(system.dim)
-            omegas = [
-                TorusPoint((ZERO,) * system.dim),
-                TorusPoint(tuple(FixedPointFrac(rng.getrandbits(128)) for _ in range(system.dim))),
-            ]
+    def test_iet_search_matches_stepping_oracle(self, system):
+        exact = isinstance(system.lengths[0], Fraction)
         outcomes = set()
-        for omega in omegas:
+        for omega in [Fraction(1, 3), Fraction(5, 8)] if exact else [0.0, 0.61803]:
             for epsilon in (0.01, 0.1, 1 / 3, math.nextafter(1 / 3, 1.0), 0.5):
                 for r in (0.1, 1 / 3, 0.5, 1.0, 2.5):
-                    got = as_generic_outcome(find_repetition_time(system, omega, epsilon, r, 30))
-                    assert got == stepping_generic_search(system, omega, epsilon, r, 30), (
+                    got = as_iet_outcome(find_repetition_time(system, omega, epsilon, r, 30))
+                    assert got == stepping_iet_search(system, omega, epsilon, r, 30), (
                         omega, epsilon, r,
                     )
                     outcomes.add(got[0])
         assert outcomes == {"found", "not_found"}
+
+    def test_one_dim_skewproduct_is_the_shift(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for alpha in (GOLDEN, LIOUVILLE10, FixedPointFrac.from_fraction(3, 8)):
+            for _ in range(3):
+                omega = TorusPoint((FixedPointFrac(rng.getrandbits(128)),))
+                for epsilon, r, q_max in itertools.product((0.01, 0.1, 0.3), (0.5, 2.5), (5, 60)):
+                    got = find_repetition_time(SkewProduct(1, alpha), omega, epsilon, r, q_max)
+                    assert got == find_repetition_time(Shift((alpha,)), omega, epsilon, r, q_max)
+                    outcomes.add(type(got))
+        assert outcomes == {RepetitionCertificate, RepetitionNotFound}
+
+    @pytest.mark.parametrize(
+        "system",
+        [Shift((GOLDEN,)), Shift((GOLDEN, SQRT2_MINUS_1)), SkewProduct(1, GOLDEN)],
+        ids=["shift1", "shift2", "skewproduct1"],
+    )
+    def test_plan_ends_at_a_free_candidate(self, system):
+        # L = I: the first candidate certifies for every omega, so nothing follows it
+        thresh = repetition._strict_raw_threshold(0.06)
+        plan = list(repetition._torus_plan(system, thresh, 1, 1000))
+        candidates = [entry for entry in plan if entry[2] is not None]
+        assert candidates == [plan[-1]]
+        q, first, k_max, coef, drift = plan[-1]
+        assert first < thresh and k_max == q and coef is None and drift is None
+
+    @pytest.mark.parametrize(
+        "system",
+        [Shift((GOLDEN,)), Shift((GOLDEN, SQRT2_MINUS_1)), SkewShift(GOLDEN)]
+        + [SkewProduct(d, GOLDEN) for d in (1, 2, 4)],
+        ids=["shift1", "shift2", "skewshift", "skewproduct1", "skewproduct2", "skewproduct4"],
+    )
+    def test_every_torus_search_validates_omega(self, system):
+        for dim in {system.dim - 1, system.dim + 1} - {0}:
+            with pytest.raises(ValueError, match="dimension"):
+                find_repetition_time(system, TorusPoint((ZERO,) * dim), 0.3, 1, 50)
+        with pytest.raises(TypeError, match="TorusPoint"):
+            find_repetition_time(system, "junk", 0.3, 1, 50)
+
+    def test_torus_searches_never_step_an_orbit(self, monkeypatch):
+        systems = [Shift((GOLDEN,)), Shift((GOLDEN, SQRT2_MINUS_1)), SkewShift(GOLDEN)]
+        systems += [SkewProduct(d, GOLDEN) for d in range(2, 7)]
+        cases = [
+            (system, sample_start_point(system, 4, 0), epsilon)
+            for system in systems
+            for epsilon in (0.05, 0.45)
+        ]
+
+        def answers():
+            return [
+                (
+                    find_repetition_time(system, omega, epsilon, 1, 60),
+                    estimate_prp_fraction(system, epsilon, 1, 60, 5, seed=4),
+                )
+                for system, omega, epsilon in cases
+            ]
+
+        expected = answers()
+
+        def no_stepping(*_):
+            raise AssertionError("a torus search stepped an orbit")
+
+        monkeypatch.setattr(repetition, "raw_stepper", no_stepping)
+        monkeypatch.setattr(repetition, "raw_orbit", no_stepping)
+        got = answers()
+        monkeypatch.undo()
+        assert got == expected
+        # the stepping oracle, unpatched, accepts every certificate
+        certified = [
+            (system, found)
+            for (system, _, _), (found, _) in zip(cases, got)
+            if isinstance(found, RepetitionCertificate)
+        ]
+        assert len(certified) >= len(systems)
+        assert all(verify_certificate_against_definition(found, system) for system, found in certified)
 
     def test_skewshift_near_miss_ties_go_to_the_earliest_q(self):
         # alpha = 1/8: 2q*alpha = q/4, so odd q miss by their gap 1/4 and
@@ -305,7 +399,7 @@ class TestFindRepetitionTime:
         miss = find_repetition_time(system, omega, 0.2, 1, 15)
         assert isinstance(miss, RepetitionNotFound)
         assert (miss.best_q, miss.best_dist) == (1, 0.25)
-        assert as_outcome(miss) == stepping_skewshift_search(system, omega, 0.2, 1, 15)
+        assert as_outcome(miss) == stepping_torus_search(system, omega, 0.2, 1, 15)
         assert find_repetition_time(system, omega, 0.2, 1, 16).q == 16
 
     @pytest.mark.parametrize(
@@ -321,8 +415,7 @@ class TestFindRepetitionTime:
         def no_plan(*_):
             raise AssertionError("planned before validating")
 
-        monkeypatch.setattr(repetition, "_find_shift", no_plan)
-        monkeypatch.setattr(repetition, "_skewshift_plan", no_plan)
+        monkeypatch.setattr(repetition, "_torus_plan", no_plan)
         omega = TorusPoint((ZERO,) * system.dim)
         with pytest.raises(ValueError, match=message):
             find_repetition_time(system, omega, *args)
