@@ -429,15 +429,17 @@ def orbit(system: SystemSpec, omega, n_min: int, n_max: int) -> list:
 def skewshift_pair_difference(
     alpha: FixedPointFrac, omega1: FixedPointFrac, n: int, q: int
 ) -> tuple[FixedPointFrac, FixedPointFrac]:
-    """T^{n+q}(w) - T^n(w) for the skew-shift: (2q*alpha, q*w1 + (q^2+2nq-q)*alpha).
+    """T^{n+q}(w) - T^n(w) for the skew-shift, independent of w2.
 
-    Independent of w2; matches n-fold composition of the one-step map.
+    With (coef, drift) = T^q from ``_unipotent_power``, delta = T^q w - w is
+    (drift[0], coef[1]*w1 + drift[1]), and the difference is L^n.delta, so
+    its second coordinate gains n*drift[0].
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    first = (2 * q) * alpha
-    second = q * omega1 + (q * q + 2 * n * q - q) * alpha
-    return first, second
+    coef, drift = _unipotent_power(SkewShift(alpha), q)
+    second = coef[1] * omega1.value + drift[1] + n * drift[0]
+    return FixedPointFrac(drift[0]), FixedPointFrac(second)
 
 
 # ---------------------------------------------------------------------------

@@ -97,56 +97,97 @@ def find_repetition_time(
 
     A torus map is T(w) = L.w + b with L unipotent (I for a shift), so
     T^{k+q}w - T^k w = L^k.delta with delta = T^q w - w.  An omega-free plan
-    (``_searcher``) lists the candidates q, whose coordinate-0 gap <q*inc> is
-    below epsilon; a shift certifies at the first.  The scan checks
+    (``_torus_plan``) lists the candidates q, whose coordinate-0 gap <q*inc>
+    is below epsilon; a shift certifies at the first.  The scan checks
     coordinate 1, the progression delta_1 + k*q*inc, with ``_progression``,
     and only then steps the difference, never the orbit, in coordinates >= 2.
     The plan is streamed, so an early certificate stops it.  IETs step orbits
     with early exit.  Torus distances are exact in fixed point.
     """
-    return _searcher(system, epsilon, r, q_max, reuse=False)(omega)
+    _check_search(system, epsilon, r, q_max)
+    if isinstance(system, Iet):
+        return _find_iet(system, omega, epsilon, r, q_max)
+    thresh = _strict_raw_threshold(epsilon)
+    w = raw_state(system, omega)
+    w0, stepped = w[0], len(w) > 2
+    best_q, best_raw = None, None
+    for q, first, k_max, coef, drift in _torus_plan(system, thresh, r, q_max):
+        ok, observed = k_max is not None, first  # a candidate without a form certifies
+        if coef is not None:
+            # coordinate 1 of L^k.delta is delta_1 + k*q*inc, k = 0..k_max
+            delta1 = (coef[1] * w0 + drift[1]) % SCALE
+            ok, observed = _progression(delta1, drift[0], k_max, first, thresh)
+            if ok and stepped:
+                ok, observed = _step_differences(w, coef, drift, k_max, observed, thresh)
+        if ok:
+            return RepetitionCertificate(epsilon, r, q, k_max, observed / SCALE, omega, observed)
+        if best_raw is None or observed < best_raw:  # q ascends: earliest wins ties
+            best_q, best_raw = q, observed
+    return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
 
 
-def _searcher(system: SystemSpec, epsilon: float, r: float, q_max: int, reuse: bool):
-    """Validate, plan the omega-free work, and return omega -> result.
-
-    With reuse the search will see many omegas, so the whole plan is built
-    now; without, the returned function may be called once and streams it.
-    """
+def _check_search(system: SystemSpec, epsilon: float, r: float, q_max: int) -> None:
+    """Raise on arguments no search accepts, before any work is planned."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if r <= 0:
         raise ValueError("r must be positive")
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    if isinstance(system, Iet):
-        return lambda omega: _find_iet(system, omega, epsilon, r, q_max)
-    if not isinstance(system, (Shift, SkewShift, SkewProduct)):
+    if not isinstance(system, (Iet, Shift, SkewShift, SkewProduct)):
         raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
-    thresh = _strict_raw_threshold(epsilon)
-    plan = _torus_plan(system, thresh, r, q_max)
-    if reuse:
-        plan = tuple(plan)
 
-    def scan(omega):
+
+def _certifies(system: SystemSpec, epsilon: float, r: float, q_max: int):
+    """Whether an omega has a certificate: a bool for every omega, or omega -> bool.
+
+    The verdict of ``find_repetition_time`` without its near-miss: the plan is
+    built once, and an omega is certifiable when some candidate passes.  When
+    3*thresh <= 2^128 + 2 (epsilon < 1/3) no step of the coordinate-1
+    progression jumps the failing arc, so it passes exactly when its first and
+    last terms do: the signed delta_1 lies on the integer arc
+    [max(1-t, 1-t-k_max*step), min(t-1, t-1-k_max*step)], t = thresh and step
+    the signed q*inc.  A candidate whose arc is empty never passes and is
+    dropped; with none left, no omega certifies.  An omega then costs one
+    modular subtraction and compare per kept candidate, and only d >= 3 steps
+    the difference, on a passing arc.  From 1/3 on each candidate runs
+    ``_progression``.
+    """
+    _check_search(system, epsilon, r, q_max)
+    if isinstance(system, Iet):
+        return lambda omega: isinstance(
+            _find_iet(system, omega, epsilon, r, q_max), RepetitionCertificate
+        )
+    thresh = _strict_raw_threshold(epsilon)
+    arcs = 3 * thresh <= SCALE + 2
+    kept = []  # (k_max, first, coef, drift, lo, width) per candidate that can pass
+    for q, first, k_max, coef, drift in _torus_plan(system, thresh, r, q_max):
+        if k_max is None:
+            continue
+        if coef is None:
+            return True  # L = I: the first candidate certifies every omega
+        lo, width = 0, None
+        if arcs:
+            step = drift[0] if drift[0] < _HALF else drift[0] - SCALE
+            lo = max(1 - thresh, 1 - thresh - k_max * step)
+            width = min(thresh - 1, thresh - 1 - k_max * step) - lo
+            if width < 0:
+                continue
+        kept.append((k_max, first, coef, drift, lo, width))
+    if not kept:
+        return False
+
+    def certifies(omega):
         w = raw_state(system, omega)
         w0, stepped = w[0], len(w) > 2
-        best_q, best_raw = None, None
-        for q, first, k_max, coef, drift in plan:
-            ok, observed = k_max is not None, first  # a candidate without a form certifies
-            if coef is not None:
-                # coordinate 1 of L^k.delta is delta_1 + k*q*inc, k = 0..k_max
-                delta1 = (coef[1] * w0 + drift[1]) % SCALE
-                ok, observed = _progression(delta1, drift[0], k_max, first, thresh)
-                if ok and stepped:
-                    ok, observed = _step_differences(w, coef, drift, k_max, observed, thresh)
-            if ok:
-                return RepetitionCertificate(epsilon, r, q, k_max, observed / SCALE, omega, observed)
-            if best_raw is None or observed < best_raw:  # q ascends: earliest wins ties
-                best_q, best_raw = q, observed
-        return RepetitionNotFound(epsilon, r, q_max, best_q, best_raw / SCALE)
+        for k_max, first, coef, drift, lo, width in kept:
+            s = (coef[1] * w0 + drift[1] - lo) % SCALE
+            ok = s <= width if arcs else _progression(s, drift[0], k_max, first, thresh)[0]
+            if ok and (not stepped or _step_differences(w, coef, drift, k_max, 0, thresh)[0]):
+                return True
+        return False
 
-    return scan
+    return certifies
 
 
 def _torus_plan(system, thresh, r, q_max):
@@ -159,7 +200,9 @@ def _torus_plan(system, thresh, r, q_max):
     2^128.  When L = I, delta is the gap at every k, so the first candidate
     certifies for every omega: it comes without a form, and the plan ends.  A
     non-candidate misses by its gap whatever omega is, so only one that beats
-    every earlier gap is yielded, as (q, first, None, None, None).
+    every earlier gap is yielded, as (q, first, None, None, None).  The search
+    streams the plan; ``_certifies`` reads it once, keeps each candidate's
+    arc of passing delta_1 and drops the rest.
     """
     r_num, r_den = Fraction(r).as_integer_ratio()
     coef, incs = _unipotent_power(system, 1)  # L, and b = T(0)
@@ -556,20 +599,23 @@ def estimate_prp_fraction(
     """Monte Carlo frequency of certifiable starting points.
 
     Each sample's generator is derived from (seed, index) by hashing, so the
-    result is bit-identical for a fixed seed.  The omega-free plan of a torus
-    search (see ``find_repetition_time``) is built once, before any sample: a
-    shift's plan ends at its certificate, so its hits are all or none, and
-    every torus sample scans only the planned candidates.  ``threads`` is
-    accepted and ignored: the work is pure Python, so the GIL serialises it,
-    and a thread pool ran slower than this one loop.
+    result is bit-identical for a fixed seed.  A sample is a hit when
+    ``find_repetition_time`` would certify it, but no near-miss is computed:
+    ``_certifies`` plans the torus search once, before any sample, and for
+    epsilon < 1/3 answers each sample by arc membership, one modular compare
+    per candidate.  When the answer does not depend on omega (a shift's plan
+    ends at its certificate; a torus map none of whose candidates has an arc
+    never certifies), no sample is drawn and the hits are all or none.
+    ``threads`` is accepted and ignored: the work is pure Python, so the GIL
+    serialises it, and a thread pool ran slower than this one loop.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    search = _searcher(system, epsilon, r, q_max, reuse=True)
-    hits = sum(
-        isinstance(search(sample_start_point(system, seed, i)), RepetitionCertificate)
-        for i in range(n_samples)
-    )
+    certifies = _certifies(system, epsilon, r, q_max)
+    if callable(certifies):
+        hits = sum(certifies(sample_start_point(system, seed, i)) for i in range(n_samples))
+    else:
+        hits = n_samples if certifies else 0
     return PrpEstimate(
         system=system,
         epsilon=epsilon,

@@ -159,6 +159,26 @@ def per_sample_estimate(system, epsilon, r, q_max, n_samples, seed):
 # can; 1/3 is the double just below it, nextafter the double just above
 SKEWSHIFT_EPSILONS = [0.05, 0.2, 0.3, 1 / 3, math.nextafter(1 / 3, 1.0), 0.34, 0.45]
 
+# 2*alpha = -2*LIOUVILLE10 mod 1: the skew-shift candidates step backwards
+MINUS_LIOUVILLE10 = FixedPointFrac(-LIOUVILLE10.value)
+# (system, q_max) for the Monte Carlo grid: the skew-shift with alpha below
+# and above 1/2, skew-products d = 2..6, shifts, a float and an exact IET
+PRP_GRID = {
+    "skewshift-liouville10": (SkewShift(LIOUVILLE10), 150),
+    "skewshift-sqrt2": (SkewShift(SQRT2_MINUS_1), 150),
+    "skewshift-golden": (SkewShift(GOLDEN), 150),
+    "skewshift-negative-step": (SkewShift(MINUS_LIOUVILLE10), 150),
+    **{f"skewproduct{d}": (SkewProduct(d, SQRT2_MINUS_1), 60) for d in range(2, 7)},
+    "shift1": (Shift((GOLDEN,)), 12),
+    "shift2": (Shift((GOLDEN, SQRT2_MINUS_1)), 40),
+    "iet": (Iet((1 - float(GOLDEN), float(GOLDEN)), Permutation((2, 1))), 40),
+    "iet-exact": (Iet((Fraction(15, 32), Fraction(1, 32), Fraction(1, 2)), Permutation((3, 1, 2))), 30),
+}
+# 0.33 is below the arc verdict's bound 3*thresh <= 2^128 + 2, and so is the
+# double 1/3; nextafter(1/3) is just above it, and at 0.45 steps jump arcs
+PRP_GRID_EPSILONS = [0.05, 0.33, 1 / 3, math.nextafter(1 / 3, 1.0), 0.45]
+PRP_GRID_RS = [0.37, 0.5, 1, 2.5]
+
 
 class TestFindRepetitionTime:
     def test_golden_shift_frozen_example(self):
@@ -744,23 +764,60 @@ class TestPrpEstimate:
         four = estimate_prp_fraction(SkewShift(GOLDEN), 0.05, 1.0, 300, 50, seed=42, threads=4)
         assert one == four
 
-    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("system, q_max", PRP_GRID.values(), ids=PRP_GRID.keys())
+    def test_estimate_matches_per_sample_search(self, system, q_max):
+        hits = misses = 0
+        for epsilon, r in itertools.product(PRP_GRID_EPSILONS, PRP_GRID_RS):
+            est = estimate_prp_fraction(system, epsilon, r, q_max, 12, seed=3)
+            expected = per_sample_estimate(system, epsilon, r, q_max, 12, seed=3)
+            assert (est.n_samples, est.n_hits) == (12, expected), (epsilon, r)
+            hits += est.n_hits
+            misses += est.n_samples - est.n_hits
+        assert hits and misses
+
     @pytest.mark.parametrize(
-        "system, epsilon, r, q_max",
-        [
-            (Shift((GOLDEN,)), 0.2, 2.0, 50),
-            (Shift((GOLDEN, SQRT2_MINUS_1)), 0.001, 1.0, 100),
-            (SkewShift(LIOUVILLE10), 0.05, 1.0, 150),
-            (SkewShift(LIOUVILLE10), 0.45, 2.5, 60),
-            (SkewProduct(3, GOLDEN), 0.2, 1.0, 60),
-            (Iet((1 - float(GOLDEN), float(GOLDEN)), Permutation((2, 1))), 0.06, 1.0, 60),
-        ],
-        ids=["shift-hit", "shift-miss", "skewshift", "skewshift-stepped", "skewproduct", "iet"],
+        "system",
+        [SkewShift(LIOUVILLE10), SkewShift(MINUS_LIOUVILLE10), SkewProduct(3, SQRT2_MINUS_1)],
+        ids=["skewshift", "skewshift-negative-step", "skewproduct3"],
     )
-    def test_estimate_matches_per_sample_search(self, system, epsilon, r, q_max, threads):
-        est = estimate_prp_fraction(system, epsilon, r, q_max, 40, seed=3, threads=threads)
-        assert est.n_samples == 40
-        assert est.n_hits == per_sample_estimate(system, epsilon, r, q_max, 40, seed=3)
+    @pytest.mark.parametrize("epsilon", [0.2, 0.33, 1 / 3])
+    def test_verdict_at_the_arc_endpoints(self, system, epsilon):
+        # omega with delta_1 = lo - 1, lo, hi, hi + 1 for each planned odd q
+        # (q*w_0 then takes every residue): the candidate's progression passes
+        # exactly on its arc, and the verdict up to q is the search's
+        thresh = repetition._strict_raw_threshold(epsilon)
+        rng = random.Random(5)
+        on_arc = set()
+        for q, first, k_max, coef, drift in repetition._torus_plan(system, thresh, 1, 200):
+            if k_max is None or q % 2 == 0:
+                continue
+            step = drift[0] if drift[0] < SCALE // 2 else drift[0] - SCALE
+            lo = max(1 - thresh, 1 - thresh - k_max * step)
+            hi = min(thresh - 1, thresh - 1 - k_max * step)
+            for delta1 in (lo - 1, lo, hi, hi + 1):
+                passes, _ = repetition._progression(delta1 % SCALE, drift[0], k_max, first, thresh)
+                assert passes == (lo <= delta1 <= hi), (q, delta1 - lo)
+                on_arc.add(passes)
+                w0 = (delta1 - drift[1]) * pow(coef[1], -1, SCALE) % SCALE
+                rest = [rng.getrandbits(128) for _ in range(system.dim - 1)]
+                omega = TorusPoint(tuple(map(FixedPointFrac, [w0, *rest])))
+                found = find_repetition_time(system, omega, epsilon, 1, q)
+                certifies = repetition._certifies(system, epsilon, 1, q)
+                verdict = certifies(omega) if callable(certifies) else certifies
+                assert verdict == isinstance(found, RepetitionCertificate), (q, delta1 - lo)
+        assert on_arc == {True, False}
+
+    def test_no_arc_draws_no_sample(self, monkeypatch):
+        # the golden_prp_fraction recipe: no candidate q <= 2000 has an arc
+        args = (SkewShift(GOLDEN), 0.05, 1, 2000, 500, 20240501)
+        expected = estimate_prp_fraction(*args)
+
+        def no_draw(*_):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(repetition, "sample_start_point", no_draw)
+        assert estimate_prp_fraction(*args) == expected
+        assert expected.n_hits == 0
 
     def test_seed_changes_the_samples(self):
         beta = float(GOLDEN)
