@@ -10,7 +10,10 @@ map is T(w) = L.w + b with L unipotent (I for a shift; the skew-shift is the
 by one exact binomial formula in n, with no matrix powers, to the closed form
 and to the repetition plan.  An IET state is a plain float (or a
 ``fractions.Fraction`` end-to-end for exact tests) because IET breakpoints are
-sums of arbitrary reals.  The repetition searches and the potential sampler
+sums of arbitrary reals.  The cut refinements (``iet_refine_continuity`` and
+the Veech tower search) run on the IET's integer twin instead: its lengths
+over their common denominator, exact for floats and ``Fraction``s alike
+(``_iet_on_integers``).  The repetition searches and the potential sampler
 run on raw states; ``FixedPointFrac``/``TorusPoint`` exist only at the API
 edge, where ``step``, ``orbit`` and ``iterate_closed_form`` unwrap their
 argument once and wrap their result once.
@@ -26,9 +29,6 @@ from fractions import Fraction
 from itertools import accumulate, islice
 
 from .arithmetic import SCALE, FixedPointFrac
-
-# Float IET breakpoints closer than this are treated as one cut.
-IET_TOL = 1e-12
 
 _HALF = SCALE // 2  # circle distances reflect past this raw value
 
@@ -218,7 +218,6 @@ class IetTables:
     beta_pi are the image-partition breakpoints; interval j translates by
     jumps[j-1] = beta_pi[perm(j)-1] - beta[j-1], and the image interval i
     comes from the interval that jumps by back[i-1] = jumps[perm^-1(i)-1].
-    Cuts closer than tol merge: IET_TOL * max(1, total) for floats, 0 if exact.
     """
 
     beta: tuple
@@ -226,23 +225,31 @@ class IetTables:
     total: object
     jumps: tuple
     back: tuple
-    tol: object
 
 
 def iet_tables(iet: Iet) -> IetTables:
-    m = iet.perm.size
-    inv = iet.perm.inverse()
-    beta = [0]
-    for length in iet.lengths:
-        beta.append(beta[-1] + length)
-    lengths_pi = [iet.lengths[inv(j) - 1] for j in range(1, m + 1)]
-    beta_pi = [0]
-    for length in lengths_pi:
-        beta_pi.append(beta_pi[-1] + length)
-    jumps = tuple(beta_pi[iet.perm(j) - 1] - beta[j - 1] for j in range(1, m + 1))
-    back = tuple(jumps[inv(i) - 1] for i in range(1, m + 1))
-    tol = IET_TOL * max(1.0, float(beta[-1])) if isinstance(beta[-1], float) else 0
-    return IetTables(tuple(beta), tuple(beta_pi), beta[-1], jumps, back, tol)
+    images, lengths = iet.perm.images, iet.lengths
+    inv = sorted(range(len(images)), key=images.__getitem__)  # inv[i-1] = perm^-1(i) - 1
+    beta = (0, *accumulate(lengths))
+    beta_pi = (0, *accumulate(lengths[j] for j in inv))
+    jumps = tuple(beta_pi[i - 1] - b for i, b in zip(images, beta))
+    return IetTables(beta, beta_pi, beta[-1], jumps, tuple(jumps[j] for j in inv))
+
+
+def _iet_on_integers(iet: Iet):
+    """The integer twin of iet and the way back: (tables, n -> n / D).
+
+    D is the lcm of the lengths' denominators, so every length, breakpoint
+    and jump of the twin is an exact integer (a float is a dyadic rational).
+    n / D comes back as Fraction(n, D) for exact IETs and as the correctly
+    rounded float n / D when any length is a float.
+    """
+    ratios = [x.as_integer_ratio() for x in iet.lengths]
+    scale = math.lcm(*(d for _, d in ratios))
+    tables = iet_tables(Iet(tuple(n * (scale // d) for n, d in ratios), iet.perm))
+    if any(isinstance(x, float) for x in iet.lengths):
+        return tables, lambda n: n / scale
+    return tables, lambda n: Fraction(n, scale)
 
 
 def _iet_interval_index(tables: IetTables, x) -> int:
@@ -274,15 +281,27 @@ def iet_inverse_step(iet: Iet, y, tables: IetTables | None = None):
     return x
 
 
-def iet_breakpoint_layers(iet: Iet, tables: IetTables):
-    """Yield T^-l of the internal breakpoints for l = 1, 2, ..., one list each.
+def iet_breakpoint_orbits(tables: IetTables):
+    """Yield the two-sided orbits of beta_0 = 0 and the internal breakpoints,
+    one step longer each time: after the n-th yield, fwd[i][k] = T^k(beta_i)
+    and bwd[i][k] = T^-k(beta_i) for k = 0..n (the same lists, grown).
 
-    With the breakpoints themselves, layers 1..q-1 are all the cuts of T^q.
+    Meant for integer tables (``_iet_on_integers``), where every step is
+    exact and needs no clamp.  The cuts of T^q are 0 and T^-j(beta_i) for
+    i >= 1, 0 <= j < q, and on the piece whose left end is c = T^-j(beta_i),
+    T^k (k <= q) is the translation by T^(k-j)(beta_i) - c: a lookup in these
+    orbits, not a walk.
     """
-    layer = tables.beta[1:-1]
+    beta, beta_pi, jumps, back = tables.beta, tables.beta_pi, tables.jumps, tables.back
+    fwd = [[b] for b in beta[:-1]]
+    bwd = [[b] for b in beta[:-1]]
+    pairs = list(zip(fwd, bwd))
     while True:
-        layer = [iet_inverse_step(iet, y, tables) for y in layer]
-        yield layer
+        for f, b in pairs:
+            x, y = f[-1], b[-1]
+            f.append(x + jumps[bisect_right(beta, x) - 1])
+            b.append(y - back[bisect_right(beta_pi, y) - 1])
+        yield fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -467,50 +486,27 @@ class IetContinuityPiece:
 def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     """Maximal intervals on which T^q is a translation (at most q(m-1)+1).
 
-    Splits [0, total) at the breakpoints and their pull-backs through T^-l,
-    l = 1..q-1 (``iet_breakpoint_layers``, shared with the Veech tower search),
-    steps all piece midpoints q times together (numpy floats with
-    ``iet_step``'s right-edge clamp, or an object array of ``Fraction``s: the
-    bits of ``iet_step``), and merges neighbours whose translations agree.
+    Runs on the integer twin (``_iet_on_integers``).  The cuts are 0 and the
+    pull-backs T^-j(beta_i), 1 <= i < m, 0 <= j < q; the piece whose left end
+    is c = T^-j(beta_i) translates by T^(q-j)(beta_i) - c, read from the
+    two-sided breakpoint orbits (``iet_breakpoint_orbits``, shared with the
+    Veech tower search).  That is m q steps each way and one lookup per
+    piece.  Neighbours with equal translations merge, exactly, and the pieces
+    come back in the IET's own arithmetic.
     """
-    import numpy as np
-
     if q < 1:
         raise ValueError("q must be >= 1")
-    tables = iet_tables(iet)
-    exact = not isinstance(tables.total, float)
-
-    cuts = list(tables.beta)  # includes 0 and total
-    for layer in islice(iet_breakpoint_layers(iet, tables), q - 1):
-        cuts.extend(layer)
-    cuts.sort()
-    merged_cuts = [cuts[0]]
-    for c in cuts[1:]:
-        if c - merged_cuts[-1] > tables.tol:
-            merged_cuts.append(c)
-    if merged_cuts[-1] != tables.total:
-        merged_cuts[-1] = tables.total  # the right edge is always a cut
-
-    def same_translation(a, b) -> bool:
-        # cyclic permutations make some neighbours genuinely continuous;
-        # in float mode their measured translations agree only up to rounding
-        return a == b if exact else abs(a - b) <= tables.tol
-
-    mids = [(lo + hi) / 2 for lo, hi in zip(merged_cuts, merged_cuts[1:])]
-    dtype = object if exact else float
-    beta, jumps = np.array(tables.beta, dtype=dtype), np.array(tables.jumps, dtype=dtype)
-    edge = math.nextafter(float(tables.total), 0.0)
-    images = np.array(mids, dtype=dtype)
-    for _ in range(q):
-        images = images + jumps[np.searchsorted(beta, images, side="right") - 1]
-        if not exact:
-            np.minimum(images, edge, out=images)
-
-    pieces: list[IetContinuityPiece] = []
-    for lo, hi, mid, image in zip(merged_cuts, merged_cuts[1:], mids, images.tolist()):
-        translation = image - mid
-        if pieces and pieces[-1].hi == lo and same_translation(pieces[-1].translation, translation):
-            pieces[-1] = IetContinuityPiece(pieces[-1].lo, hi, translation)
-        else:
-            pieces.append(IetContinuityPiece(lo, hi, translation))
-    return pieces
+    tables, out = _iet_on_integers(iet)
+    fwd, bwd = next(islice(iet_breakpoint_orbits(tables), q - 1, None))  # q steps each way
+    cuts = sorted([(0, 0, 0), *((bwd[i][j], i, j) for i in range(1, len(bwd)) for j in range(q))])
+    starts = []  # (left end, translation) of each maximal piece
+    prev = None
+    for c, i, j in cuts:
+        if c == prev:
+            continue  # one point pulled back along two breakpoint orbits
+        prev = c
+        translation = fwd[i][q - j] - c
+        if not starts or starts[-1][1] != translation:
+            starts.append((c, translation))
+    ends = [lo for lo, _ in starts[1:]] + [tables.total]
+    return [IetContinuityPiece(out(lo), out(hi), out(t)) for (lo, t), hi in zip(starts, ends)]

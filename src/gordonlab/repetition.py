@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -30,14 +30,15 @@ from .dynamics import (
     TorusPoint,
     UnsupportedSystemError,
     _unipotent_power,
-    iet_breakpoint_layers,
-    iet_tables,
+    _iet_on_integers,
+    iet_breakpoint_orbits,
     random_point,
     raw_dist,
     raw_orbit,
     raw_state,
     raw_stepper,
     skewshift_pair_difference,
+    system_dim,
 )
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -139,7 +140,8 @@ def _check_search(system: SystemSpec, epsilon: float, r: float, q_max: int) -> N
 
 
 def _certifies(system: SystemSpec, epsilon: float, r: float, q_max: int):
-    """Whether an omega has a certificate: a bool for every omega, or omega -> bool.
+    """Whether an omega has a certificate: a bool for every omega, or a map
+    from omega's raw state (a tuple of ints, or an IET point) to bool.
 
     The verdict of ``find_repetition_time`` without its near-miss: the plan is
     built once, and an omega is certifiable when some candidate passes.  When
@@ -155,9 +157,7 @@ def _certifies(system: SystemSpec, epsilon: float, r: float, q_max: int):
     """
     _check_search(system, epsilon, r, q_max)
     if isinstance(system, Iet):
-        return lambda omega: isinstance(
-            _find_iet(system, omega, epsilon, r, q_max), RepetitionCertificate
-        )
+        return lambda x: isinstance(_find_iet(system, x, epsilon, r, q_max), RepetitionCertificate)
     thresh = _strict_raw_threshold(epsilon)
     arcs = 3 * thresh <= SCALE + 2
     kept = []  # (k_max, first, coef, drift, lo, width) per candidate that can pass
@@ -177,8 +177,7 @@ def _certifies(system: SystemSpec, epsilon: float, r: float, q_max: int):
     if not kept:
         return False
 
-    def certifies(omega):
-        w = raw_state(system, omega)
+    def certifies(w):
         w0, stepped = w[0], len(w) > 2
         for k_max, first, coef, drift, lo, width in kept:
             s = (coef[1] * w0 + drift[1] - lo) % SCALE
@@ -587,6 +586,19 @@ def sample_start_point(system: SystemSpec, seed: int, index: int):
     return random_point(system, _sample_rng(seed, index))
 
 
+def _raw_samples(system: SystemSpec, seed: int, n_samples: int):
+    """The raw states of ``sample_start_point(system, seed, i)``, i < n_samples.
+
+    A torus sample is its generator's first dim 128-bit draws, taken as the
+    raw tuple with no ``TorusPoint`` to build and unwrap; an IET point is
+    already raw.
+    """
+    if isinstance(system, Iet):
+        return (sample_start_point(system, seed, i) for i in range(n_samples))
+    bits = [128] * system_dim(system)
+    return (tuple(map(_sample_rng(seed, i).getrandbits, bits)) for i in range(n_samples))
+
+
 def estimate_prp_fraction(
     system: SystemSpec,
     epsilon: float,
@@ -599,7 +611,8 @@ def estimate_prp_fraction(
     """Monte Carlo frequency of certifiable starting points.
 
     Each sample's generator is derived from (seed, index) by hashing, so the
-    result is bit-identical for a fixed seed.  A sample is a hit when
+    result is bit-identical for a fixed seed; samples are drawn as raw states
+    (``_raw_samples``, the bits of ``sample_start_point``).  A sample is a hit when
     ``find_repetition_time`` would certify it, but no near-miss is computed:
     ``_certifies`` plans the torus search once, before any sample, and for
     epsilon < 1/3 answers each sample by arc membership, one modular compare
@@ -613,7 +626,7 @@ def estimate_prp_fraction(
         raise ValueError("n_samples must be >= 1")
     certifies = _certifies(system, epsilon, r, q_max)
     if callable(certifies):
-        hits = sum(certifies(sample_start_point(system, seed, i)) for i in range(n_samples))
+        hits = sum(map(certifies, _raw_samples(system, seed, n_samples)))
     else:
         hits = n_samples if certifies else 0
     return PrpEstimate(
@@ -656,95 +669,104 @@ class TowerNotFound:
     best_overlap_fraction: float
 
 
-def _insert_cut(cuts: list, x, tol) -> int | None:
-    """Insert x unless a cut lies within tol; return its index, else None."""
-    pos = bisect_left(cuts, x)
-    if pos < len(cuts) and cuts[pos] - x <= tol:
-        return None
-    if pos > 0 and x - cuts[pos - 1] <= tol:
-        return None
-    cuts.insert(pos, x)
-    return pos
-
-
 def veech_tower_search(
     iet: Iet, epsilon: float, q_max: int
 ) -> VeechTower | TowerNotFound:
     """First (smallest q, leftmost J) tower, scanning continuity pieces of T^q.
 
-    Pieces come from incrementally pulled-back breakpoints
-    (``iet_breakpoint_layers``, shared with ``iet_refine_continuity``); a
-    candidate piece must be long enough for the coverage bound, have iterates
-    T^l J (1 <= l < q) disjoint from J (checked via its midpoint displacement,
-    exact because T^q is a translation on J), and return with overlap
-    Leb(J and T^q J) > (1-eps) Leb(J).
+    A candidate piece J must be long enough for the coverage bound, have
+    floors T^k J (1 <= k < q) disjoint from J, and return with overlap
+    Leb(J and T^q J) > (1-eps) Leb(J).  Everything runs exactly on the
+    integer twin (``_iet_on_integers``); intervals come back in the IET's own
+    arithmetic, scores as floats.
 
-    Each piece carries its midpoint's orbit across q: T^l(mid), l, and
-    whether T^k J missed J for all 1 <= k < l.  The orbit starts when the
-    piece first falls in the length window and steps exactly as from scratch;
-    an unsplit piece then costs one step per q, a piece that met J nothing,
-    and a split restarts both halves.  One scalar loop serves float and exact
-    (``Fraction``) IETs.
+    Each q adds one layer of pulled-back breakpoints T^-(q-1)(beta_i) to the
+    sorted cuts.  The piece whose left end is c = T^-j(beta_i) moves under
+    T^k (k <= q) by t_k = T^(k-j)(beta_i) - c, a lookup in the two-sided
+    breakpoint orbits (``iet_breakpoint_orbits``, shared with
+    ``iet_refine_continuity``); its floors miss J while min |t_k| >= |J|.  A
+    piece keeps its level l and min_{1 <= k <= l} |t_k|, and both halves of a
+    split inherit them (T^k, k < q, is one translation on the whole parent),
+    so a half whose minimum is below its own length is dead at no cost.
+    With eps = num/den exactly, a piece of length ln lies in the length
+    window ((1-eps) total/q, total/q] for q_in <= q <= q_out, where q_in =
+    (den-num) total // (ln den) + 1 and q_out = total // ln.  Pieces wait in
+    a schedule keyed by q_in, and each q visits only the live pieces of the
+    window, sorted by left end.  In the window coverage > 1 - eps holds.
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    tables = iet_tables(iet)
-    beta, jumps, total, tol = tables.beta, tables.jumps, tables.total, tables.tol
-    exact = not isinstance(total, float)
-
     best_q, best_cov, best_ovf = None, 0.0, 0.0
     best_score = -1.0
     if epsilon == 0:
         return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)
-
-    cuts = list(beta)
-    lens = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
-    # per piece: None until its orbit starts, False once T^k J met J,
-    # else [T^l(mid), l, mid]
-    orbits = [None] * len(lens)
-    layers = iet_breakpoint_layers(iet, tables)
+    tables, out = _iet_on_integers(iet)
+    total = tables.total
+    num, den = epsilon.as_integer_ratio()
+    # q_in = longer // ln + 1, since (den-num) total // (ln den) is
+    # ((den-num) total // den) // ln; no piece this short gets in by q_max
+    longer = (den - num) * total // den
+    never = longer // q_max
+    orbits = iet_breakpoint_orbits(tables)
+    cuts = list(tables.beta)
+    # one state per piece [c, c + length), aligned with c in cuts:
+    # [length, i, j, l, min |t_k| over 1 <= k <= l] with c = T^-j(beta_i)
+    states = [[end - c, i, 0, 0, total] for i, (c, end) in enumerate(zip(cuts, cuts[1:]))]
+    schedule = [[] for _ in range(q_max + 1)]  # schedule[q_in]: [(c, length, state)]
+    for c, state in zip(cuts, states):
+        if state[0] > never:
+            schedule[longer // state[0] + 1].append((c, state[0], state))
+    active = []
     for q in range(1, q_max + 1):
-        if q > 1:
-            for x in next(layers):
-                pos = _insert_cut(cuts, x, tol)
-                if pos is not None:
-                    lens[pos - 1 : pos] = [x - cuts[pos - 1], cuts[pos + 1] - x]
-                    orbits[pos - 1 : pos] = [None, None]
-        min_len = (1 - epsilon) * total / q
-        if exact:
-            min_len = Fraction(min_len)  # convert once, not in every comparison
-        max_len = total / q + tol
-        for i, ln in enumerate(lens):
-            if not min_len < ln <= max_len or (state := orbits[i]) is False:
-                continue
-            if state is None:
-                mid = (cuts[i] + cuts[i + 1]) / 2
-                state = orbits[i] = [mid, 0, mid]
-            x, l, mid = state
-            reach = ln - tol
-            while l < q:
-                if l and abs(x - mid) < reach:
-                    break
-                # no right-edge clamp: T^l J lies in one interval, mid half a piece inside
-                x = x + jumps[bisect_right(beta, x) - 1]
-                l += 1
-            if l < q:
-                orbits[i] = False
-                continue
-            state[0], state[1] = x, l
-            overlap = max(ln - abs(x - mid), 0)
-            coverage = q * ln / total
-            score = min(float(coverage), float(overlap / ln))
+        fwd, bwd = next(orbits)
+        for i in range(1, len(bwd)) if q > 1 else ():
+            x = bwd[i][q - 1]
+            pos = bisect_left(cuts, x)
+            parent = states[pos - 1]
+            if cuts[pos] == x or parent[0] <= never:
+                continue  # a cut already, or inside a piece too short to matter
+            a = cuts[pos - 1]
+            cuts.insert(pos, x)
+            half = [a + parent[0] - x, i, q - 1, parent[3], parent[4]]
+            states.insert(pos, half)
+            parent[0] = x - a  # its old schedule entry goes stale
+            for c, state in ((a, parent), (x, half)):
+                ln = state[0]
+                if state[4] >= ln > never:  # no floor met J yet, and J can still enter
+                    q_in = longer // ln + 1
+                    schedule[q_in if q_in > q else q].append((c, ln, state))
+        if schedule[q]:
+            active += schedule[q]
+            active.sort()
+        kept = []
+        for entry in active:
+            c, ln, state = entry
+            if state[0] != ln or q * ln > total:
+                continue  # split since, or too long from now on
+            _, i, j, l, low = state
+            if l < q - 1:  # the floors k = l+1..q-1, at T^(k-j)(beta_i)
+                if l < j:
+                    t = min(map(abs, map(c.__rsub__, fwd[i][: q - j] + bwd[i][1 : j - l])))
+                elif l == q - 2:
+                    t = abs(fwd[i][q - 1 - j] - c)
+                else:
+                    t = min(map(abs, map(c.__rsub__, fwd[i][l + 1 - j : q - j])))
+                if t < low:
+                    low = state[4] = t
+                state[3] = q - 1
+            if low < ln:
+                continue  # a floor met J: dead until split
+            kept.append(entry)
+            t = abs(fwd[i][q - j] - c)
+            overlap = ln - t if t < ln else 0
+            coverage, overlap_fraction = q * ln / total, overlap / ln
+            score = min(coverage, overlap_fraction)
             if score > best_score:
                 best_score = score
-                best_q, best_cov, best_ovf = q, float(coverage), float(overlap / ln)
-            if overlap > (1 - epsilon) * ln and coverage > 1 - epsilon:
-                return VeechTower(
-                    q=q,
-                    interval=(cuts[i], cuts[i + 1]),
-                    coverage=float(coverage),
-                    return_overlap=float(overlap),
-                )
+                best_q, best_cov, best_ovf = q, coverage, overlap_fraction
+            if num * ln > den * t:  # overlap > (1 - eps) ln
+                return VeechTower(q, (out(c), out(c + ln)), coverage, float(out(overlap)))
+        active = kept
     return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)

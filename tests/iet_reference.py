@@ -1,150 +1,130 @@
-"""From-scratch reference versions of the IET continuity refinement and the
-Veech tower search.
+"""From-scratch exact reference versions of the IET continuity refinement and
+the Veech tower search.
 
-Both step every candidate midpoint from scratch with the package's one-step
-maps: the refinement calls ``iet_step`` q times per piece, and the tower
-search re-steps each candidate piece's midpoint at every q (a numpy loop over
-the candidates for float IETs, ``iet_step`` for exact ones).  The package
-carries orbits across q and steps midpoints together instead; the tests
-require ``repr``-identical results.
+Both run in ``Fraction``s with no tolerance anywhere: a float IET runs on its
+exact dyadic twin (``Fraction(x)`` lengths), and only its results are rounded
+to floats, once, at the end.  The maps are built here from the definition of
+an interval exchange, and the cuts of T^q are the breakpoints pulled back one
+layer at a time.  Every piece steps its own midpoint: the refinement q times
+per piece, the tower search from the piece's birth on, one step per q (a
+split piece's halves start afresh), over the pieces whose length lies in the
+window, found by bisection in the pieces sorted by length.  The package reads
+translations from two-sided breakpoint orbits of the integer twin instead,
+and its halves inherit their parent's floors; the tests require
+``repr``-identical results.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
+from fractions import Fraction
 
-import numpy as np
-
-from gordonlab.dynamics import (
-    IET_TOL,
-    IetContinuityPiece,
-    iet_inverse_step,
-    iet_step,
-    iet_tables,
-)
+from gordonlab.dynamics import IetContinuityPiece
 from gordonlab.repetition import TowerNotFound, VeechTower
 
 
-def _merged_cuts(iet, q, tables, tol):
-    cuts = list(tables.beta)
-    layer = list(tables.beta[1:-1])
+def exact_maps(iet):
+    """(beta, T, T^-1, rounding) for the exact twin of iet.
+
+    Interval j (0-based) starts at beta[j] and lands where the intervals whose
+    images precede it end; rounding maps an exact result back to the IET's
+    arithmetic (float for float IETs, unchanged for exact ones).
+    """
+    lengths = [Fraction(x) for x in iet.lengths]
+    images = iet.perm.images
+    beta = [Fraction(0)]
+    for length in lengths:
+        beta.append(beta[-1] + length)
+    lands = [
+        sum((lengths[k] for k in range(len(lengths)) if images[k] < images[j]), Fraction(0))
+        for j in range(len(lengths))
+    ]
+    jumps = [land - start for land, start in zip(lands, beta)]
+
+    def step(x):
+        return x + jumps[bisect_right(beta, x) - 1]
+
+    def inverse(y):
+        (j,) = [j for j, land in enumerate(lands) if land <= y < land + lengths[j]]
+        return y - jumps[j]
+
+    floats = any(isinstance(x, float) for x in iet.lengths)
+    return beta, step, inverse, (float if floats else Fraction)
+
+
+def exact_edges(iet, q):
+    """The sorted exact cuts of T^q, 0 and total included."""
+    beta, _, inverse, _ = exact_maps(iet)
+    cuts = set(beta[:-1])
+    layer = beta[1:-1]
     for _ in range(q - 1):
-        layer = [iet_inverse_step(iet, x, tables) for x in layer]
-        cuts.extend(layer)
-    cuts.sort()
-    merged = [cuts[0]]
-    for c in cuts[1:]:
-        if c - merged[-1] > tol:
-            merged.append(c)
-    if merged[-1] != tables.total:
-        merged[-1] = tables.total
-    return merged
+        layer = [inverse(y) for y in layer]
+        cuts.update(layer)
+    return sorted(cuts) + [beta[-1]]
 
 
 def refine_continuity_stepping(iet, q):
-    tables = iet_tables(iet)
-    exact = not isinstance(tables.total, float)
-    tol = 0 if exact else IET_TOL * max(1.0, float(tables.total))
-    cuts = _merged_cuts(iet, q, tables, tol)
-    pieces = []
-    for lo, hi in zip(cuts, cuts[1:]):
+    _, step, _, rounding = exact_maps(iet)
+    edges = exact_edges(iet, q)
+    pieces = []  # [lo, hi, translation]
+    for lo, hi in zip(edges, edges[1:]):
         mid = (lo + hi) / 2
         image = mid
         for _ in range(q):
-            image = iet_step(iet, image, tables)
-        translation = image - mid
-        if pieces and (
-            pieces[-1].translation == translation
-            if exact
-            else abs(pieces[-1].translation - translation) <= tol
-        ):
-            pieces[-1] = IetContinuityPiece(pieces[-1].lo, hi, translation)
+            image = step(image)
+        if pieces and pieces[-1][2] == image - mid:
+            pieces[-1][1] = hi
         else:
-            pieces.append(IetContinuityPiece(lo, hi, translation))
-    return pieces
-
-
-def _insert_cut(cuts, x, tol):
-    pos = bisect_left(cuts, x)
-    if pos < len(cuts) and cuts[pos] - x <= tol:
-        return
-    if pos > 0 and x - cuts[pos - 1] <= tol:
-        return
-    cuts.insert(pos, x)
+            pieces.append([lo, hi, image - mid])
+    return [IetContinuityPiece(*map(rounding, piece)) for piece in pieces]
 
 
 def veech_tower_search_stepping(iet, epsilon, q_max):
-    tables = iet_tables(iet)
-    total = tables.total
-    exact = not isinstance(total, float)
-    tol = 0 if exact else IET_TOL * max(1.0, float(total))
     best_q, best_cov, best_ovf, best_score = None, 0.0, 0.0, -1.0
     if epsilon == 0:
         return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)
-    cuts = list(tables.beta)
-    layer = list(tables.beta[1:-1])
-    beta_arr = np.asarray([float(b) for b in tables.beta])
-    jumps_arr = np.asarray([float(j) for j in tables.jumps])
+    beta, step, inverse, rounding = exact_maps(iet)
+    total, eps = beta[-1], Fraction(epsilon)
+    edges = list(beta)
+    by_length = sorted((hi - lo, lo) for lo, hi in zip(edges, edges[1:]))
+    orbits = {}  # (length, lo) -> [T^l(mid), l], or None once some T^k J met J
+    layer = beta[1:-1]
     for q in range(1, q_max + 1):
         if q > 1:
-            layer = [iet_inverse_step(iet, x, tables) for x in layer]
+            layer = [inverse(y) for y in layer]
             for x in layer:
-                _insert_cut(cuts, x, tol)
-        lens = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
-        min_len = (1 - epsilon) * total / q
-        max_len = total / q
-        cand = [i for i, ln in enumerate(lens) if ln > min_len and ln <= max_len + tol]
-        if not cand:
-            continue
-        if not exact:
-            mids = np.asarray([(cuts[i] + cuts[i + 1]) / 2 for i in cand])
-            clen = np.asarray([lens[i] for i in cand])
-            x = mids.copy()
-            alive = np.ones(len(cand), dtype=bool)
-            for _ in range(1, q):
-                x = x + jumps_arr[np.searchsorted(beta_arr, x, side="right") - 1]
-                alive &= np.abs(x - mids) >= clen - tol
-                if not alive.any():
-                    break
-            if not alive.any():
+                pos = bisect_left(edges, x)
+                if edges[pos] == x:
+                    continue
+                lo, hi = edges[pos - 1], edges[pos]
+                edges.insert(pos, x)
+                del by_length[bisect_left(by_length, (hi - lo, lo))]
+                insort(by_length, (x - lo, lo))
+                insort(by_length, (hi - x, x))
+        # the pieces with (1 - eps) total / q < length <= total / q, leftmost first
+        window = by_length[
+            bisect_right(by_length, ((1 - eps) * total / q, total)) :
+            bisect_right(by_length, (total / q, total))
+        ]
+        for length, lo in sorted(window, key=lambda piece: piece[1]):
+            mid = lo + length / 2
+            state = orbits.setdefault((length, lo), [mid, 0])
+            while state and state[1] < q:
+                x, l = state
+                if l and abs(x - mid) < length:
+                    state = orbits[length, lo] = None  # the floor T^l J meets J
+                else:
+                    state[:] = step(x), l + 1
+            if state is None:
                 continue
-            x = x + jumps_arr[np.searchsorted(beta_arr, x, side="right") - 1]
-            overlap = np.maximum(clen - np.abs(x - mids), 0.0)
-            coverage = q * clen / float(total)
-            ok = alive & (overlap > (1 - epsilon) * clen) & (coverage > 1 - epsilon)
-            for j in np.flatnonzero(alive):
-                score = min(float(coverage[j]), float(overlap[j] / clen[j]))
-                if score > best_score:
-                    best_score = score
-                    best_q, best_cov = q, float(coverage[j])
-                    best_ovf = float(overlap[j] / clen[j])
-            if ok.any():
-                j = int(np.flatnonzero(ok)[0])
-                i = cand[j]
-                return VeechTower(
-                    q, (cuts[i], cuts[i + 1]), float(coverage[j]), float(overlap[j])
-                )
-            continue
-        for i in cand:
-            lo, hi = cuts[i], cuts[i + 1]
-            ln = hi - lo
-            mid = (lo + hi) / 2
-            x = mid
-            disjoint = True
-            for _ in range(1, q):
-                x = iet_step(iet, x, tables)
-                if abs(x - mid) < ln:
-                    disjoint = False
-                    break
-            if not disjoint:
-                continue
-            x = iet_step(iet, x, tables)
-            overlap = max(ln - abs(x - mid), 0)
-            coverage = q * ln / total
-            score = min(float(coverage), float(overlap / ln))
+            overlap = max(length - abs(state[0] - mid), Fraction(0))
+            coverage = q * length / total
+            score = min(float(coverage), float(overlap / length))
             if score > best_score:
                 best_score = score
-                best_q, best_cov, best_ovf = q, float(coverage), float(overlap / ln)
-            if overlap > (1 - epsilon) * ln and coverage > 1 - epsilon:
-                return VeechTower(q, (lo, hi), float(coverage), float(overlap))
+                best_q, best_cov, best_ovf = q, float(coverage), float(overlap / length)
+            if overlap > (1 - eps) * length and coverage > 1 - eps:
+                return VeechTower(
+                    q, (rounding(lo), rounding(lo + length)), float(coverage), float(overlap)
+                )
     return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)

@@ -15,6 +15,8 @@ from gordonlab.dynamics import (
     SkewShift,
     TorusPoint,
     UnsupportedSystemError,
+    _iet_on_integers,
+    iet_breakpoint_orbits,
     iet_inverse_step,
     iet_refine_continuity,
     iet_step,
@@ -373,12 +375,71 @@ class TestContinuityRefinement:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_float_pieces_match_per_piece_stepping(self, m):
-        # stepping all midpoints together gives the bits of iet_step per piece
+        # the integer twin's pieces are those of exact per-piece stepping on
+        # the dyadic twin, rounded to floats once
         rng = random.Random(200 + m)
         for q in (1, 2, 7, 40, 150):
             perm = Permutation(tuple(rng.sample(range(1, m + 1), m)))
             iet = Iet(tuple(rng.random() + 0.01 for _ in range(m)), perm)
             assert repr(iet_refine_continuity(iet, q)) == repr(refine_continuity_stepping(iet, q))
+
+
+    @pytest.mark.parametrize("q", [1, 2, 40])
+    def test_near_periodic_float_rotation_is_refined_exactly(self, q):
+        # lengths 0.2, 0.5, 0.3 rotate by 0.8 less a few ulps: T^40 is a
+        # rotation by about -4.4e-16 with two pieces, not the identity
+        iet = Iet((0.2, 0.5, 0.3), Permutation((3, 1, 2)))
+        pieces = iet_refine_continuity(iet, q)
+        assert repr(pieces) == repr(refine_continuity_stepping(iet, q))
+        assert len(pieces) == 2
+        assert q * (Fraction(0.5) + Fraction(0.3)) % 1 != 0
+
+
+class TestBreakpointOrbits:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_two_sided_orbit_identity(self, m):
+        # every cut is c = T^-j(beta_i), and T^k(c) = T^(k-j)(beta_i): the
+        # orbits index both sides, checked against one-point stepping
+        rng = random.Random(300 + m)
+        for _ in range(6):
+            perm = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+            iet = Iet(tuple(rng.randrange(1, 10**6) for _ in range(m)), perm)
+            tables = iet_tables(iet)
+            n = 25
+            orbits = iet_breakpoint_orbits(tables)
+            for _ in range(n):
+                fwd, bwd = next(orbits)
+            assert [f[0] for f in fwd] == [b[0] for b in bwd] == list(tables.beta[:-1])
+            for i in range(m):
+                assert len(fwd[i]) == len(bwd[i]) == n + 1
+                for k in range(n):
+                    assert iet_step(iet, fwd[i][k], tables) == fwd[i][k + 1]
+                    assert iet_inverse_step(iet, bwd[i][k], tables) == bwd[i][k + 1]
+                for j in range(n + 1):
+                    x = bwd[i][j]
+                    for k in range(n + 1):
+                        shifted = k - j
+                        assert x == (fwd[i][shifted] if shifted >= 0 else bwd[i][-shifted])
+                        if k < n:
+                            x = iet_step(iet, x, tables)
+                    assert all(type(v) is int for v in fwd[i] + bwd[i])
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [(0.2, 0.5, 0.3), (1e-300, 1.0, 2.5e7), (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))],
+        ids=["floats", "wide-floats", "fractions"],
+    )
+    def test_integer_twin_is_exact(self, lengths):
+        iet = Iet(lengths, Permutation((3, 1, 2)))
+        tables, out = _iet_on_integers(iet)
+        exact = [Fraction(x) for x in lengths]
+        scale = tables.total / sum(exact)
+        assert scale.denominator == 1
+        assert [b - a for a, b in zip(tables.beta, tables.beta[1:])] == [x * scale for x in exact]
+        for n in tables.beta:
+            value = out(n)
+            assert value == (float(Fraction(n) / scale) if isinstance(lengths[0], float) else n / scale)
+            assert type(value) is (float if isinstance(lengths[0], float) else Fraction)
 
 
 class TestAdvisoriesAndSampling:

@@ -1,9 +1,12 @@
 """Source hygiene: every name a package module imports is used in it, every
 private module-level name is used somewhere in the package, and no module
-imports numpy or scipy when it is itself imported."""
+imports numpy or scipy when it is itself imported, nor while it refines IET
+cuts."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -145,3 +148,25 @@ def test_the_scan_sees_an_import_time_heavy_import():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_heavy_package_on_import(module):
     assert import_time_heavy_imports(module.read_text()) == []
+
+
+IET_CHILD = """
+import sys
+from fractions import Fraction
+import gordonlab as g
+
+for lengths in ((0.2, 0.5, 0.3), (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10))):
+    iet = g.Iet(lengths, g.Permutation((3, 1, 2)))
+    assert g.iet_refine_continuity(iet, 40)[0].lo == 0
+    g.veech_tower_search(iet, 0.3, 40)
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+
+
+def test_iet_refinement_and_towers_load_no_heavy_package(src_env):
+    # both cut refiners run on integers: neither imports numpy or scipy
+    proc = subprocess.run(
+        [sys.executable, "-c", IET_CHILD], capture_output=True, text=True, env=src_env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -17,7 +18,7 @@ from gordonlab.arithmetic import (
     cf_expand,
 )
 from gordonlab import repetition
-from iet_reference import veech_tower_search_stepping
+from iet_reference import exact_edges, exact_maps, veech_tower_search_stepping
 from gordonlab.dynamics import (
     Iet,
     Permutation,
@@ -28,6 +29,7 @@ from gordonlab.dynamics import (
     iet_step,
     orbit,
     raw_orbit,
+    system_dim,
 )
 from gordonlab.repetition import (
     ConstructiveNotAvailable,
@@ -803,7 +805,7 @@ class TestPrpEstimate:
                 omega = TorusPoint(tuple(map(FixedPointFrac, [w0, *rest])))
                 found = find_repetition_time(system, omega, epsilon, 1, q)
                 certifies = repetition._certifies(system, epsilon, 1, q)
-                verdict = certifies(omega) if callable(certifies) else certifies
+                verdict = certifies(omega.raw) if callable(certifies) else certifies
                 assert verdict == isinstance(found, RepetitionCertificate), (q, delta1 - lo)
         assert on_arc == {True, False}
 
@@ -816,8 +818,25 @@ class TestPrpEstimate:
             raise AssertionError("drew a sample")
 
         monkeypatch.setattr(repetition, "sample_start_point", no_draw)
+        monkeypatch.setattr(repetition, "_sample_rng", no_draw)
         assert estimate_prp_fraction(*args) == expected
         assert expected.n_hits == 0
+
+    @pytest.mark.parametrize(
+        "system",
+        [SkewShift(GOLDEN), Shift((GOLDEN, SQRT2_MINUS_1)), SkewProduct(4, SQRT2_MINUS_1),
+         Iet((0.25, 0.75), Permutation((2, 1)))],
+        ids=["skewshift", "shift2", "skewproduct4", "iet"],
+    )
+    def test_raw_samples_are_the_start_points(self, system):
+        # the Monte Carlo draws raw states: the same bits as the API points
+        raw = list(repetition._raw_samples(system, 9, 25))
+        points = [sample_start_point(system, 9, i) for i in range(25)]
+        if isinstance(system, Iet):
+            assert raw == points
+        else:
+            assert raw == [p.raw for p in points]
+            assert all(type(w) is tuple and len(w) == system_dim(system) for w in raw)
 
     def test_seed_changes_the_samples(self):
         beta = float(GOLDEN)
@@ -944,9 +963,10 @@ class TestVeechTowers:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_search_matches_from_scratch_stepping(self, m):
-        # carried orbits must reproduce the search that re-steps every
-        # candidate midpoint at every q: float IETs to q_max=300, exact ones
-        # to 60 (the exact reference is slow), towers and misses both
+        # translations read from the breakpoint orbits of the integer twin
+        # must reproduce the exact search that steps each candidate's
+        # midpoint: float IETs to q_max=300 (through their dyadic twins),
+        # exact ones to 60, towers and misses both
         rng = random.Random(100 + m)
         outcomes = []
         for epsilon in (0.1, 0.3, 0.5, 0.7):
@@ -971,13 +991,46 @@ class TestVeechTowers:
     @pytest.mark.parametrize("images", [(3, 1, 2), (4, 3, 2, 1), (2, 5, 3, 1, 4)])
     def test_search_matches_from_scratch_stepping_on_many_short_searches(self, images):
         # short searches end at an early tower or scan few q: pieces that
-        # started their orbits and are split later must restart them
+        # were visited and are split later pass their floors to both halves
         rng = random.Random(sum(images))
         for _ in range(40):
             iet = Iet(tuple(rng.random() + 0.05 for _ in images), Permutation(images))
             for epsilon in (0.2, 0.3):
                 got = veech_tower_search(iet, epsilon, 42)
                 assert repr(got) == repr(veech_tower_search_stepping(iet, epsilon, 42))
+
+    def test_half_of_a_dead_piece_is_a_tower(self):
+        # at q = 5 the piece P of T^5 around J has a floor meeting P; the cut
+        # T^-5(beta_i) splits it at q = 6, and the half J, which inherits P's
+        # floors, is the tower
+        iet = Iet((Fraction(12, 23), Fraction(6, 23), Fraction(5, 23)), Permutation((3, 2, 1)))
+        tower = veech_tower_search(iet, 0.5, 40)
+        assert repr(tower) == repr(veech_tower_search_stepping(iet, 0.5, 40))
+        assert (tower.q, tower.interval) == (6, (Fraction(4, 23), Fraction(7, 23)))
+        lo, hi = tower.interval
+        edges = exact_edges(iet, tower.q - 1)
+        parent = edges[bisect.bisect_right(edges, lo) - 1], edges[bisect.bisect_left(edges, hi)]
+        assert parent[0] <= lo < hi <= parent[1] and parent != tower.interval
+        step = exact_maps(iet)[1]
+        mid = x = (parent[0] + parent[1]) / 2
+        met = []
+        for k in range(1, tower.q - 1):
+            x = step(x)
+            met.append(abs(x - mid) < parent[1] - parent[0])
+        assert any(met)
+
+    def test_tower_on_a_piece_that_entered_the_window_late(self):
+        # J = [0, 1/41) is a piece of T^17 already, but with eps = 1/2 it is
+        # long enough for the window only from q = 21 on: it waits in the
+        # schedule, and the first tower is on it at q = 21
+        lengths = (Fraction(17, 41), Fraction(18, 41), Fraction(1, 41), Fraction(5, 41))
+        iet = Iet(lengths, Permutation((2, 4, 1, 3)))
+        tower = veech_tower_search(iet, 0.5, 40)
+        assert repr(tower) == repr(veech_tower_search_stepping(iet, 0.5, 40))
+        assert (tower.q, tower.interval) == (21, (0, Fraction(1, 41)))
+        edges = exact_edges(iet, 17)
+        assert edges[:2] == [0, Fraction(1, 41)]
+        assert Fraction(1, 41) <= Fraction(1, 2) / 20  # below the window at q = 20
 
     def test_epsilon_zero_is_unreachable(self):
         iet = Iet((0.5, 0.5), Permutation((2, 1)))
