@@ -680,19 +680,16 @@ def veech_tower_search(
     integer twin (``_iet_on_integers``); intervals come back in the IET's own
     arithmetic, scores as floats.
 
-    Each q adds one layer of pulled-back breakpoints T^-(q-1)(beta_i) to the
-    sorted cuts.  The piece whose left end is c = T^-j(beta_i) moves under
-    T^k (k <= q) by t_k = T^(k-j)(beta_i) - c, a lookup in the two-sided
-    breakpoint orbits (``iet_breakpoint_orbits``, shared with
-    ``iet_refine_continuity``); its floors miss J while min |t_k| >= |J|.  A
-    piece keeps its level l and min_{1 <= k <= l} |t_k|, and both halves of a
-    split inherit them (T^k, k < q, is one translation on the whole parent),
-    so a half whose minimum is below its own length is dead at no cost.
-    With eps = num/den exactly, a piece of length ln lies in the length
-    window ((1-eps) total/q, total/q] for q_in <= q <= q_out, where q_in =
-    (den-num) total // (ln den) + 1 and q_out = total // ln.  Pieces wait in
-    a schedule keyed by q_in, and each q visits only the live pieces of the
-    window, sorted by left end.  In the window coverage > 1 - eps holds.
+    Each q adds the cuts T^-(q-1)(beta_i).  The piece whose left end is
+    c = T^-j(beta_i) moves under T^k (k <= q) by t_k = T^(k-j)(beta_i) - c,
+    a lookup in the two-sided breakpoint orbits (``iet_breakpoint_orbits``),
+    and its floors miss J while min |t_k| >= |J|.  A piece keeps its level l
+    and min_{k <= l} |t_k|; both halves of a split inherit them (T^k, k < q,
+    is one translation on the whole parent).  With eps = num/den exactly, a
+    piece of length ln is in the window ((1-eps) total/q, total/q], where
+    coverage > 1 - eps, for (den-num) total // (ln den) < q <= total // ln:
+    pieces wait in a schedule keyed by that entry q, and each q visits the
+    live pieces of the window by left end.
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
@@ -714,10 +711,10 @@ def veech_tower_search(
     # one state per piece [c, c + length), aligned with c in cuts:
     # [length, i, j, l, min |t_k| over 1 <= k <= l] with c = T^-j(beta_i)
     states = [[end - c, i, 0, 0, total] for i, (c, end) in enumerate(zip(cuts, cuts[1:]))]
-    schedule = [[] for _ in range(q_max + 1)]  # schedule[q_in]: [(c, length, state)]
+    schedule = {}  # q_in -> [(c, length, state)]
     for c, state in zip(cuts, states):
         if state[0] > never:
-            schedule[longer // state[0] + 1].append((c, state[0], state))
+            schedule.setdefault(longer // state[0] + 1, []).append((c, state[0], state))
     active = []
     for q in range(1, q_max + 1):
         fwd, bwd = next(orbits)
@@ -736,9 +733,10 @@ def veech_tower_search(
                 ln = state[0]
                 if state[4] >= ln > never:  # no floor met J yet, and J can still enter
                     q_in = longer // ln + 1
-                    schedule[q_in if q_in > q else q].append((c, ln, state))
-        if schedule[q]:
-            active += schedule[q]
+                    schedule.setdefault(q_in if q_in > q else q, []).append((c, ln, state))
+        entering = schedule.pop(q, None)
+        if entering:
+            active += entering
             active.sort()
         kept = []
         for entry in active:
