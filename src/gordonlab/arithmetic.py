@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from math import floor, isfinite, isqrt
+from math import floor, gcd, isfinite, isqrt
 
 FRAC_BITS = 128
 SCALE = 1 << FRAC_BITS
@@ -208,11 +208,11 @@ def classify_badly_approximable(
 ) -> DiophantineVerdict:
     """First q <= q_max with <q*alpha> <= c/q, or a bounded-horizon pass.
 
-    method="scan" walks q = 1..q_max accumulating q*alpha exactly.  It visits
-    every q, in doubling blocks [lo, 2*lo - 1]: a witness q in a block has
-    <q*alpha> <= c/q <= c/lo, so one comparison of q*alpha against the raw
-    bound floor(c*2^128/lo) rejects every other q of the block exactly, and
-    only a q that passes gets the full witness test.
+    method="scan" covers every q = 1..q_max in doubling blocks [lo, 2*lo - 1]:
+    a witness q in a block has <q*alpha> <= c/q <= c/lo, so it is a return of
+    q*alpha to [-bound, bound], bound = floor(c*2^128/lo).  ``_returns`` walks
+    exactly those returns (three-gap theorem), and the ones in the block get
+    the full witness test; no q is skipped that could be a witness.
     method="auto" (or its other name, "convergents") tests q = 1 and then
     the convergent denominators of the stored rational, from Euclid run to
     termination, and is exact at every horizon.  For c >= 1/2, q = 1 is a
@@ -249,23 +249,72 @@ def classify_badly_approximable(
             alpha, c, q_max, BADLY_APPROXIMABLE_UP_TO_BOUND, criterion="convergent-minima"
         )
 
-    u = 0  # q*alpha mod 2^128
-    v = alpha.value
     lo = 1
     while lo <= q_max:
         bound = c_scaled // (lo * c_den)  # a witness q >= lo has umin <= bound
-        top = SCALE - bound
-        for q in range(lo, min(2 * lo, q_max + 1)):
-            u += v
-            if u >= SCALE:
-                u -= SCALE
-            if (u <= bound or u >= top) and is_witness(q, umin := min(u, SCALE - u)):
+        for q, x in _returns(alpha.value, bound, min(2 * lo - 1, q_max)):
+            if q >= lo and is_witness(q, abs(x)):
                 return DiophantineVerdict(
                     alpha, c, q_max, NOT_BADLY_APPROXIMABLE_WITNESS,
-                    witness_q=q, witness_dist=umin / SCALE,
+                    witness_q=q, witness_dist=abs(x) / SCALE,
                     criterion="exhaustive-scan",
                 )
         lo *= 2
     return DiophantineVerdict(
         alpha, c, q_max, BADLY_APPROXIMABLE_UP_TO_BOUND, criterion="exhaustive-scan"
     )
+
+
+def _first_in(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Least k >= 0 with lo <= a*k mod m <= hi, else None (0 <= a, lo <= hi < m).
+
+    O(log m), like Euclid: reflect a to m - a when 2a > m; try k = ceil(lo/a);
+    else a*k lands in [lo, hi] + m*j first at the least j with m*j mod a in
+    [-hi mod a, -lo mod a], the same problem modulo a < m/2.
+    """
+    if lo == 0:
+        return 0
+    if 2 * a > m:
+        return _first_in(m - a, m, m - hi, m - lo)
+    if a == 0:
+        return None
+    k = -(-lo // a)
+    if a * k <= hi:
+        return k
+    j = _first_in(m % a, a, -hi % a, -lo % a)
+    return None if j is None else -(-(lo + m * j) // a)
+
+
+def _returns(v: int, b: int | None, q_max: int, q: int = 0, x: int = 0):
+    """(q', x') for each q' in (q, q_max] with <q'*v> <= b, x' the signed q'*v
+    mod 2^128, walked from a return (q, x); b None (or >= 2^127) takes every q.
+
+    Three-gap theorem for return times (Slater 1967): with k+ the least k >= 1
+    with k*v mod 2^128 in [1, 2b], d+ that value, and k-, d- the same for -v,
+    the next return is q + k+ if x + d+ <= b, else q + k- if x - d- >= -b,
+    else q + k+ + k-.  With no such k, the orbit meets the window only at x,
+    once a period.  A window costs O(128) to set up and a return O(1).
+    """
+    if b is None or 2 * b >= SCALE:
+        u = x % SCALE
+        for q in range(q + 1, q_max + 1):
+            u = (u + v) % SCALE
+            yield q, u if 2 * u <= SCALE else u - SCALE
+        return
+    k_up = b and _first_in(v, SCALE, 1, 2 * b)  # [1, 2b] is empty for b = 0
+    if not k_up:
+        k_up = k_down = SCALE // gcd(v, SCALE)
+        d_up = d_down = 0
+    else:
+        k_down = _first_in(-v % SCALE, SCALE, 1, 2 * b)
+        d_up, d_down = k_up * v % SCALE, -k_down * v % SCALE
+    while True:
+        if x + d_up <= b:
+            q, x = q + k_up, x + d_up
+        elif x - d_down >= -b:
+            q, x = q + k_down, x - d_down
+        else:
+            q, x = q + k_up + k_down, x + d_up - d_down
+        if q > q_max:
+            return
+        yield q, x

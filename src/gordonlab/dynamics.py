@@ -198,7 +198,7 @@ def random_point(system: SystemSpec, rng: random.Random):
         d = system_dim(system)
         return TorusPoint(tuple(FixedPointFrac(rng.getrandbits(128)) for _ in range(d)))
     if isinstance(system, Iet):
-        total = iet_tables(system).total
+        *_, total = accumulate(system.lengths)  # the tables' total, with no tables
         if isinstance(total, float):
             return rng.random() * total
         return Fraction(rng.random()) * total  # exact IETs stay exact
@@ -373,28 +373,27 @@ def step(system: SystemSpec, omega):
     return wrap_state(step_raw(raw_state(system, omega)))
 
 
-def _binom(x: int, k: int) -> int:
-    """C(x, k) = x(x-1)...(x-k+1)/k!, exact for every integer x: C(x, k) is
-    (-1)^k C(k-x-1, k) for x < 0, where ``math.comb`` takes no negative x."""
-    return math.comb(x, k) if x >= 0 else (-1) ** k * math.comb(k - x - 1, k)
-
-
 def _unipotent_power(system: SystemSpec, n: int) -> tuple[list[int], list[int]]:
-    """(coef, drift) of T^n = L^n.w + drift, exact for every integer n.
+    """(coef, drift) of T^n = L^n.w + drift mod 2**128, exact for every integer n.
 
     Coordinate i of T^n(w) is sum_{k=0..i} coef[k]*w[i-k] + drift[i] (mod 2**128);
     L = I for a shift, so coef = (1, 0, ..., 0) and drift = n*alpha.
     """
     if isinstance(system, Shift):
-        return [1] + [0] * (system.dim - 1), [n * a.value for a in system.alpha]
+        return [1] + [0] * (system.dim - 1), [n * a.value % SCALE for a in system.alpha]
     if isinstance(system, (SkewShift, SkewProduct)):
         # T(w) = L.w + inc*e_1 with L = (I - S)^-1 and S the nilpotent down-shift, so
         # L^n = sum_k C(n+k-1, k) S^k for every integer n; by the hockey stick,
         # coordinate i of sum_{j<n} L^j e_1 is n at i = 0, else C(n+i-1, i+1).
+        # Both come from C(x, k) = C(x-1, k-1)*x/k and C(x, k+1) = C(x, k)*(x-k)/(k+1),
+        # identities of polynomials in x, so every division is exact, n < 0 too.
         a = system.alpha.value
         inc = 2 * a if isinstance(system, SkewShift) else a
-        coef = [_binom(n + k - 1, k) for k in range(system.dim)]
-        drift = [n * inc] + [inc * _binom(n + i - 1, i + 1) for i in range(1, system.dim)]
+        binom, coef, drift = 1, [1], [n * inc % SCALE]
+        for k in range(1, system.dim):
+            binom = binom * (n + k - 1) // k  # C(n+k-1, k)
+            coef.append(binom % SCALE)
+            drift.append(binom * (n - 1) // (k + 1) * inc % SCALE)
         return coef, drift
     raise UnsupportedSystemError(f"{type(system).__name__} has no closed-form iterate")
 

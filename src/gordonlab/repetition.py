@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .arithmetic import SCALE, ContinuedFraction, FixedPointFrac, convergent_denominators
+from .arithmetic import SCALE, ContinuedFraction, FixedPointFrac, _returns, convergent_denominators
 from .dynamics import (
     _HALF,
     Iet,
@@ -107,7 +107,7 @@ def find_repetition_time(
     """
     _check_search(system, epsilon, r, q_max)
     if isinstance(system, Iet):
-        return _find_iet(system, omega, epsilon, r, q_max)
+        return _find_iet(raw_stepper(system), omega, epsilon, r, q_max)
     thresh = _strict_raw_threshold(epsilon)
     w = raw_state(system, omega)
     w0, stepped = w[0], len(w) > 2
@@ -157,7 +157,8 @@ def _certifies(system: SystemSpec, epsilon: float, r: float, q_max: int):
     """
     _check_search(system, epsilon, r, q_max)
     if isinstance(system, Iet):
-        return lambda x: isinstance(_find_iet(system, x, epsilon, r, q_max), RepetitionCertificate)
+        step_raw = raw_stepper(system)  # the IET's tables, built once for every omega
+        return lambda x: isinstance(_find_iet(step_raw, x, epsilon, r, q_max), RepetitionCertificate)
     thresh = _strict_raw_threshold(epsilon)
     arcs = 3 * thresh <= SCALE + 2
     kept = []  # (k_max, first, coef, drift, lo, width) per candidate that can pass
@@ -199,33 +200,39 @@ def _torus_plan(system, thresh, r, q_max):
     2^128.  When L = I, delta is the gap at every k, so the first candidate
     certifies for every omega: it comes without a form, and the plan ends.  A
     non-candidate misses by its gap whatever omega is, so only one that beats
-    every earlier gap is yielded, as (q, first, None, None, None).  The search
-    streams the plan; ``_certifies`` reads it once, keeps each candidate's
-    arc of passing delta_1 and drops the rest.
+    every earlier gap is yielded, as (q, first, None, None, None).  Both have
+    <q*v> <= first < B, the best miss (B >= thresh), for v the first non-zero
+    increment, so after the first miss only the returns of q*v to [-B, B] are
+    visited (``_returns``, set up again at each record).  The search streams
+    the plan; ``_certifies`` reads it once, keeps each candidate's arc of
+    passing delta_1 and drops the rest.
     """
     r_num, r_den = Fraction(r).as_integer_ratio()
     coef, incs = _unipotent_power(system, 1)  # L, and b = T(0)
     free = not any(coef[1:])  # L = I
     incs = [v for v in incs if v]  # a zero increment adds nothing to the gap
-    best_miss = None
-    for q in range(1, q_max + 1):
-        first = 0
-        for v in incs:
-            x = q * v % SCALE
-            if x > _HALF:
-                x = SCALE - x
-            if x > first:
-                first = x
-        if first < thresh:
-            k_max = r_num * q // r_den
-            if free:
-                yield q, first, k_max, None, None
-                return
-            coef, drift = _unipotent_power(system, q)
-            yield q, first, k_max, [c % SCALE for c in coef], [b % SCALE for b in drift]
-        elif best_miss is None or first < best_miss:
-            best_miss = first
-            yield q, first, None, None, None
+    best_miss, q, x = None, 0, 0
+    while True:
+        for q, x in _returns(incs[0] if incs else 0, best_miss, q_max, q, x):
+            first = 0
+            for v in incs:
+                y = q * v % SCALE
+                if y > _HALF:
+                    y = SCALE - y
+                if y > first:
+                    first = y
+            if first < thresh:
+                k_max = r_num * q // r_den
+                if free:
+                    yield q, first, k_max, None, None
+                    return
+                yield q, first, k_max, *_unipotent_power(system, q)
+            elif best_miss is None or first < best_miss:
+                best_miss = first
+                yield q, first, None, None, None
+                break  # walk on the smaller window from here
+        else:
+            return
 
 
 def _step_differences(w, coef, drift, k_max, observed, thresh):
@@ -293,11 +300,10 @@ def _progression(s, u, k_max, first, thresh):
     return True, observed
 
 
-def _find_iet(system, omega, epsilon, r, q_max):
-    """The IET search: every q in order, stepping one orbit with early exit."""
+def _find_iet(step_raw, omega, epsilon, r, q_max):
+    """The IET search: every q in order, stepping omega by step_raw, early exit."""
     r_num, r_den = Fraction(r).as_integer_ratio()
-    step_raw = raw_stepper(system)
-    states = [raw_state(system, omega)]
+    states = [omega]
     best_q, best_dist = None, None
     for q in range(1, q_max + 1):
         k_max = r_num * q // r_den

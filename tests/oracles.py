@@ -7,6 +7,7 @@ loops elsewhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -103,3 +104,36 @@ def wilson_interval(hits: int, n: int, z: float) -> tuple[float, float]:
     center = (phat + z * z / (2 * n)) / denom
     half = z * ((phat * (1 - phat) / n + z * z / (4 * n * n)) ** 0.5) / denom
     return (max(0.0, center - half), min(1.0, center + half))
+
+
+def per_q_torus_plan(system, thresh: int, r: float, q_max: int):
+    """The repetition plan of a torus map the slow way: every q = 1..q_max.
+
+    The gap of q is the largest circle distance of q*b over the increments b
+    of T(0), in raw units of 2^-128.  A candidate (gap < thresh) comes with
+    floor(r*q) and T^q mod 2^128 from binomials: L^q = sum_k C(q+k-1, k) S^k
+    and drift_i = inc*C(q+i-1, i+1) for i >= 1; for L = I it comes without a
+    form and ends the plan.  Any other q is listed only when its gap beats
+    every earlier one.  Reads only the systems' ``alpha`` and ``dim``.
+    """
+    scale = 2**128
+    if isinstance(system.alpha, tuple):  # a shift: L = I
+        incs, dim = [a.value for a in system.alpha], 1
+    else:
+        inc = system.alpha.value * (2 if type(system).__name__ == "SkewShift" else 1) % scale
+        incs, dim = [inc], system.dim
+    best_miss = None
+    for q in range(1, q_max + 1):
+        first = max(min(q * v % scale, -q * v % scale) for v in incs)
+        if first < thresh:
+            k_max = math.floor(Fraction(r) * q)
+            if dim == 1:
+                yield q, first, k_max, None, None
+                return
+            coef = [math.comb(q + k - 1, k) % scale for k in range(dim)]
+            drift = [q * inc % scale]
+            drift += [inc * math.comb(q + i - 1, i + 1) % scale for i in range(1, dim)]
+            yield q, first, k_max, coef, drift
+        elif best_miss is None or first < best_miss:
+            best_miss = first
+            yield q, first, None, None, None

@@ -16,6 +16,8 @@ from gordonlab.arithmetic import (
     SQRT2_MINUS_1,
     ZERO,
     FixedPointFrac,
+    _first_in,
+    _returns,
     cf_expand,
     classify_badly_approximable,
     convergent_denominators,
@@ -40,6 +42,12 @@ def naive_scan(alpha, c, q_max):
         if dist <= Fraction(c) / q:
             return (NOT_BADLY_APPROXIMABLE_WITNESS, q, float(dist), "exhaustive-scan")
     return (BADLY_APPROXIMABLE_UP_TO_BOUND, None, None, "exhaustive-scan")
+
+
+def brute_returns(v, b, q_max):
+    """Every q <= q_max with <q*v> <= b (b None: every q), and <q*v>, one q at a time."""
+    norms = ((q, min(q * v % SCALE, -q * v % SCALE)) for q in range(1, q_max + 1))
+    return [(q, n) for q, n in norms if b is None or n <= b]
 
 
 def scan_outcome(verdict):
@@ -399,3 +407,78 @@ class TestClassify:
             classify_badly_approximable(GOLDEN, 0.0, 10)
         with pytest.raises(ValueError):
             classify_badly_approximable(GOLDEN, 0.2, 10, method="magic")
+
+
+WALK_VS = [
+    0,
+    1,
+    SCALE - 1,
+    SCALE // 2,  # period 2
+    3 * SCALE // 8,  # dyadic, period 8
+    SCALE // 2**20,  # dyadic, period 2^20
+    GOLDEN.value,
+    LIOUVILLE10.value,
+    FixedPointFrac.from_fraction(3, 7).value,
+]
+WALK_BS = [0, 1, 2**100, SCALE // 16, SCALE // 2 - 1, SCALE // 2, SCALE, None]
+
+
+class TestReturnWalk:
+    @pytest.mark.parametrize("v", WALK_VS)
+    @pytest.mark.parametrize("b", WALK_BS)
+    def test_walk_is_every_small_return(self, v, b):
+        for q_max in (1, 2, 300):
+            got = list(_returns(v, b, q_max))
+            assert [(q, abs(x)) for q, x in got] == brute_returns(v, b, q_max), q_max
+            assert all((x - q * v) % SCALE == 0 for q, x in got)
+
+    def test_walk_matches_brute_force_on_random_windows(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            v = rng.choice([rng.getrandbits(128), rng.getrandbits(16) << rng.randrange(112)])
+            b = rng.choice([rng.getrandbits(128) >> rng.randrange(1, 128), rng.randrange(3)])
+            q_max = rng.randrange(1, 600)
+            expected = brute_returns(v, b, q_max)
+            assert [(q, abs(x)) for q, x in _returns(v, b, q_max)] == expected, (v, b, q_max)
+            if expected:  # resumed at any return, the walk goes on as before
+                i = rng.randrange(len(expected))
+                q0 = expected[i][0]
+                x0 = next(x for q, x in _returns(v, b, q0) if q == q0)
+                resumed = [(q, abs(x)) for q, x in _returns(v, b, q_max, q0, x0)]
+                assert resumed == expected[i + 1 :], (v, b, q_max, q0)
+
+    def test_first_in_matches_brute_force(self):
+        rng = random.Random(32)
+        for _ in range(3000):
+            m = rng.randrange(1, 400)
+            a, lo = rng.randrange(m), rng.randrange(m)
+            hi = rng.randrange(lo, m)
+            expected = next((k for k in range(m) if lo <= a * k % m <= hi), None)
+            assert _first_in(a, m, lo, hi) == expected, (a, m, lo, hi)
+
+    @pytest.mark.parametrize("bits", [4, 9, 16])
+    def test_first_in_at_full_width(self, bits):
+        # the first k with k*golden mod 1 in (0, 2^-bits] is a Fibonacci number
+        v, hi = GOLDEN.value, SCALE >> bits
+        k = _first_in(v, SCALE, 1, hi)
+        assert 1 <= k * v % SCALE <= hi
+        assert not any(1 <= j * v % SCALE <= hi for j in range(k))
+        fib = [1, 2]
+        while fib[-1] < k:
+            fib.append(fib[-1] + fib[-2])
+        assert k in fib
+
+    def test_first_in_finds_no_k_off_the_subgroup(self):
+        assert _first_in(SCALE // 2, SCALE, 1, SCALE // 4) is None
+        assert _first_in(0, SCALE, 1, SCALE - 1) is None
+        assert _first_in(SCALE // 2, SCALE, 0, 0) == 0
+
+    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2_MINUS_1, LIOUVILLE10, *random_alphas()[:4]])
+    def test_scan_is_exhaustive_at_far_horizons(self, alpha):
+        # the walk makes the scan cheap enough for q_max = 10^9; by the
+        # three-gap theorem it is the per-q scan, which the convergents match
+        for c in (0.05, 0.3):
+            scan = classify_badly_approximable(alpha, c, 10**9, method="scan")
+            auto = classify_badly_approximable(alpha, c, 10**9)
+            assert witness_outcome(scan) == witness_outcome(auto)
+            assert scan.criterion == "exhaustive-scan"

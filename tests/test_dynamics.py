@@ -459,6 +459,18 @@ class TestAdvisoriesAndSampling:
                 assert [c.value for c in a.coords] == [c.value for c in b.coords]
                 assert a.dim == system_dim(system)
 
+    def test_iet_point_is_the_first_draw_times_the_total(self):
+        for iet in (
+            Iet((0.1, 0.2, 0.7), Permutation((3, 1, 2))),
+            Iet((Fraction(1, 3), Fraction(5, 7)), Permutation((2, 1))),
+        ):
+            total = iet_tables(iet).total
+            for seed in range(5):
+                draw = random.Random(seed).random()
+                got = random_point(iet, random.Random(seed))
+                assert got == (draw if isinstance(total, float) else Fraction(draw)) * total
+                assert type(got) is type(total)
+
     def test_system_dim(self):
         assert system_dim(Shift((GOLDEN, GOLDEN))) == 2
         assert system_dim(SkewShift(GOLDEN)) == 2

@@ -17,7 +17,7 @@ from gordonlab.arithmetic import (
     FixedPointFrac,
     cf_expand,
 )
-from gordonlab import repetition
+from gordonlab import dynamics, repetition
 from iet_reference import exact_edges, exact_maps, veech_tower_search_stepping
 from gordonlab.dynamics import (
     Iet,
@@ -49,7 +49,7 @@ from gordonlab.repetition import (
     verify_certificate_against_definition,
 )
 
-from oracles import wilson_interval
+from oracles import per_q_torus_plan, wilson_interval
 
 
 def brute_find(system, omega, epsilon, r, q_max):
@@ -361,6 +361,50 @@ class TestFindRepetitionTime:
         assert candidates == [plan[-1]]
         q, first, k_max, coef, drift = plan[-1]
         assert first < thresh and k_max == q and coef is None and drift is None
+
+    @pytest.mark.parametrize("kind", ["skewshift", "skewproduct", "shift"])
+    def test_plan_is_the_per_q_plan(self, kind):
+        # the walk visits only the returns below the best miss; the oracle
+        # visits every q, with forms from math.comb binomials
+        rng = random.Random(14)
+        specials = [0, 1, SCALE - 1, SCALE // 2, SCALE // 4, 3 * SCALE // 8, GOLDEN.value]
+
+        def alpha():
+            pick = rng.randrange(4)
+            if pick == 0:
+                return FixedPointFrac(rng.choice(specials))
+            if pick == 1:
+                return FixedPointFrac.from_fraction(rng.randrange(1, 200), rng.randrange(200, 400))
+            return FixedPointFrac(rng.getrandbits(128))
+
+        seen = set()
+        for _ in range(500):
+            if kind == "skewshift":
+                system = SkewShift(alpha())
+            elif kind == "skewproduct":
+                system = SkewProduct(rng.randrange(1, 5), alpha())
+            else:
+                system = Shift(tuple(alpha() for _ in range(rng.randrange(1, 4))))
+            thresh = repetition._strict_raw_threshold(rng.choice([0.001, 0.02, 0.1, 0.3, 0.5]))
+            r, q_max = rng.choice([0.5, 1, 2.5]), rng.choice([1, 2, rng.randrange(1, 600)])
+            plan = list(repetition._torus_plan(system, thresh, r, q_max))
+            assert plan == list(per_q_torus_plan(system, thresh, r, q_max)), (system, thresh, q_max)
+            seen.update("miss" if k_max is None else "form" if coef else "free"
+                        for _, _, k_max, coef, _ in plan)
+        expected = {"shift": {"free"}, "skewshift": {"form"}, "skewproduct": {"free", "form"}}
+        assert seen == {"miss"} | expected[kind]
+
+    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2_MINUS_1, LIOUVILLE10])
+    def test_shift_search_walks_to_far_horizons(self, alpha):
+        # past the first miss the plan visits only the record gaps, so q near
+        # 10^12 takes a few dozen returns; the first q with <q*alpha> < eps is
+        # a convergent denominator (Lagrange)
+        thresh = repetition._strict_raw_threshold(1e-12)
+        found = find_repetition_time(Shift((alpha,)), TorusPoint((ZERO,)), 1e-12, 1, 10**15)
+        assert found.q == next(
+            q for _, q in cf_expand(alpha, 100).convergents if (q * alpha).norm_raw() < thresh
+        )
+        assert len(list(repetition._torus_plan(Shift((alpha,)), thresh, 1, 10**15))) < 100
 
     @pytest.mark.parametrize(
         "system",
@@ -837,6 +881,20 @@ class TestPrpEstimate:
         else:
             assert raw == [p.raw for p in points]
             assert all(type(w) is tuple and len(w) == system_dim(system) for w in raw)
+
+    def test_iet_monte_carlo_builds_the_tables_once(self, monkeypatch):
+        iet = Iet((0.3, 0.5, 0.2), Permutation((3, 1, 2)))
+        expected = estimate_prp_fraction(iet, 0.1, 1, 30, 20, seed=3)
+        built = []
+        real = dynamics.iet_tables
+
+        def counted(system):
+            built.append(system)
+            return real(system)
+
+        monkeypatch.setattr(dynamics, "iet_tables", counted)
+        assert estimate_prp_fraction(iet, 0.1, 1, 30, 20, seed=3) == expected
+        assert built == [iet]
 
     def test_seed_changes_the_samples(self):
         beta = float(GOLDEN)
