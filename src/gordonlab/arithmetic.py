@@ -285,9 +285,9 @@ def _first_in(a: int, m: int, lo: int, hi: int) -> int | None:
     return None if j is None else -(-(lo + m * j) // a)
 
 
-def _returns(v: int, b: int | None, q_max: int, q: int = 0, x: int = 0):
+def _returns(v: int, b: int, q_max: int, q: int = 0, x: int = 0):
     """(q', x') for each q' in (q, q_max] with <q'*v> <= b, x' the signed q'*v
-    mod 2^128, walked from a return (q, x); b None (or >= 2^127) takes every q.
+    mod 2^128, walked from a return (q, x); b >= 2^127 takes every q.
 
     Three-gap theorem for return times (Slater 1967): with k+ the least k >= 1
     with k*v mod 2^128 in [1, 2b], d+ that value, and k-, d- the same for -v,
@@ -295,7 +295,7 @@ def _returns(v: int, b: int | None, q_max: int, q: int = 0, x: int = 0):
     else q + k+ + k-.  With no such k, the orbit meets the window only at x,
     once a period.  A window costs O(128) to set up and a return O(1).
     """
-    if b is None or 2 * b >= SCALE:
+    if 2 * b >= SCALE:
         u = x % SCALE
         for q in range(q + 1, q_max + 1):
             u = (u + v) % SCALE

@@ -201,17 +201,17 @@ def _torus_plan(system, thresh, r, q_max):
     certifies for every omega: it comes without a form, and the plan ends.  A
     non-candidate misses by its gap whatever omega is, so only one that beats
     every earlier gap is yielded, as (q, first, None, None, None).  Both have
-    <q*v> <= first < B, the best miss (B >= thresh), for v the first non-zero
-    increment, so after the first miss only the returns of q*v to [-B, B] are
-    visited (``_returns``, set up again at each record).  The search streams
-    the plan; ``_certifies`` reads it once, keeps each candidate's arc of
-    passing delta_1 and drops the rest.
+    <q*v> <= first < B, the best miss (B >= thresh; 2^128 before the first),
+    for v the first non-zero increment, so only the returns of q*v to
+    [-B, B] are visited (``_returns``, set up again at each record).  The
+    search streams the plan; ``_certifies`` reads it once, keeps each
+    candidate's arc of passing delta_1 and drops the rest.
     """
     r_num, r_den = Fraction(r).as_integer_ratio()
     coef, incs = _unipotent_power(system, 1)  # L, and b = T(0)
     free = not any(coef[1:])  # L = I
     incs = [v for v in incs if v]  # a zero increment adds nothing to the gap
-    best_miss, q, x = None, 0, 0
+    best_miss, q, x = SCALE, 0, 0
     while True:
         for q, x in _returns(incs[0] if incs else 0, best_miss, q_max, q, x):
             first = 0
@@ -227,7 +227,7 @@ def _torus_plan(system, thresh, r, q_max):
                     yield q, first, k_max, None, None
                     return
                 yield q, first, k_max, *_unipotent_power(system, q)
-            elif best_miss is None or first < best_miss:
+            elif first < best_miss:
                 best_miss = first
                 yield q, first, None, None, None
                 break  # walk on the smaller window from here

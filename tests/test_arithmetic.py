@@ -45,9 +45,9 @@ def naive_scan(alpha, c, q_max):
 
 
 def brute_returns(v, b, q_max):
-    """Every q <= q_max with <q*v> <= b (b None: every q), and <q*v>, one q at a time."""
+    """Every q <= q_max with <q*v> <= b, and <q*v>, one q at a time."""
     norms = ((q, min(q * v % SCALE, -q * v % SCALE)) for q in range(1, q_max + 1))
-    return [(q, n) for q, n in norms if b is None or n <= b]
+    return [(q, n) for q, n in norms if n <= b]
 
 
 def scan_outcome(verdict):
@@ -420,7 +420,7 @@ WALK_VS = [
     LIOUVILLE10.value,
     FixedPointFrac.from_fraction(3, 7).value,
 ]
-WALK_BS = [0, 1, 2**100, SCALE // 16, SCALE // 2 - 1, SCALE // 2, SCALE, None]
+WALK_BS = [0, 1, 2**100, SCALE // 16, SCALE // 2 - 1, SCALE // 2, SCALE]
 
 
 class TestReturnWalk:
