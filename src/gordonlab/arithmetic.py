@@ -18,6 +18,7 @@ from math import floor, gcd, isfinite, isqrt
 
 FRAC_BITS = 128
 SCALE = 1 << FRAC_BITS
+_HALF = SCALE // 2  # the half turn: circle distances reflect past it
 
 # Remainders below this raw value (2**-100 in absolute terms) are noise:
 # they are dominated by the initial rounding of alpha into fixed point.
@@ -28,6 +29,17 @@ def _round_div(num: int, den: int) -> int:
     """Round num/den to the nearest integer, halves away from zero (num >= 0)."""
     q, r = divmod(num, den)
     return q + (1 if 2 * r >= den else 0)
+
+
+def _circle(y: int) -> int:
+    """The circle distance of any raw integer to 0 (y taken mod 2**128), in raw units."""
+    y %= SCALE
+    return y if y <= _HALF else SCALE - y
+
+
+def _signed(y: int) -> int:
+    """The lift of a raw value y in [0, 2**128) to (-2**127, 2**127]."""
+    return y if y <= _HALF else y - SCALE
 
 
 @dataclass(frozen=True)
@@ -90,15 +102,14 @@ class FixedPointFrac:
 
     def dist_raw(self, other: "FixedPointFrac") -> int:
         """Circle distance to other, in raw fixed-point units (exact)."""
-        d = (self.value - other.value) % SCALE
-        return min(d, SCALE - d)
+        return _circle(self.value - other.value)
 
     def dist(self, other: "FixedPointFrac") -> float:
         return self.dist_raw(other) / SCALE
 
     def norm_raw(self) -> int:
         """Distance to 0, i.e. <x> in raw units."""
-        return min(self.value, SCALE - self.value)
+        return _circle(self.value)
 
     def norm(self) -> float:
         return self.norm_raw() / SCALE
@@ -299,7 +310,7 @@ def _returns(v: int, b: int, q_max: int, q: int = 0, x: int = 0):
         u = x % SCALE
         for q in range(q + 1, q_max + 1):
             u = (u + v) % SCALE
-            yield q, u if 2 * u <= SCALE else u - SCALE
+            yield q, _signed(u)
         return
     k_up = b and _first_in(v, SCALE, 1, 2 * b)  # [1, 2b] is empty for b = 0
     if not k_up:

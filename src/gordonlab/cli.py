@@ -31,7 +31,6 @@ from .arithmetic import (
 )
 from .dynamics import (
     Iet,
-    OutOfDomainError,
     Permutation,
     Shift,
     SkewProduct,
@@ -47,13 +46,11 @@ from .potentials import (
     Cosine,
     DimensionMismatchError,
     PiecewiseConstant,
-    WindowTooSmallError,
     gordon_profile,
     sample_potential,
 )
 from .repetition import (
     ConstructiveNotAvailable,
-    InconsistentCertificateError,
     RepetitionNotFound,
     TowerNotFound,
     estimate_prp_fraction,
@@ -64,7 +61,6 @@ from .repetition import (
 )
 from .spectral import (
     ConvergenceFailureError,
-    MissingVectorsError,
     gordon_three_block_check,
     localization_diagnostics,
     truncated_spectrum,
@@ -155,18 +151,14 @@ def _number(text: str) -> float:
 
 def build_system(args: argparse.Namespace):
     name = args.system
-    if name == "shift":
+    if name in ("shift", "skewshift", "skewproduct"):
         alphas = _parse_list(args.alpha, "alpha", parse_alpha)
-        return Shift(alphas)
-    if name == "skewshift":
-        alphas = _parse_list(args.alpha, "alpha", parse_alpha)
+        if name == "shift":
+            return Shift(alphas)
         if len(alphas) != 1:
-            raise ConfigError("alpha: skewshift takes a single frequency")
-        return SkewShift(alphas[0])
-    if name == "skewproduct":
-        alphas = _parse_list(args.alpha, "alpha", parse_alpha)
-        if len(alphas) != 1:
-            raise ConfigError("alpha: skewproduct takes a single frequency")
+            raise ConfigError(f"alpha: {name} takes a single frequency")
+        if name == "skewshift":
+            return SkewShift(alphas[0])
         if args.dim is None:
             raise ConfigError("dim: required for skewproduct")
         return SkewProduct(args.dim, alphas[0])
@@ -665,17 +657,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ValueError,
-        OutOfDomainError,
-        UnsupportedSystemError,
-        DimensionMismatchError,
-        WindowTooSmallError,
-        InconsistentCertificateError,
-        ConvergenceFailureError,
-        MissingVectorsError,
-        OSError,
-    ) as exc:
+    except (ValueError, UnsupportedSystemError, ConvergenceFailureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,15 +22,14 @@ argument once and wrap their result once.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 
-from .arithmetic import SCALE, FixedPointFrac
-
-_HALF = SCALE // 2  # circle distances reflect past this raw value
+from .arithmetic import SCALE, FixedPointFrac, _circle
 
 
 class OutOfDomainError(ValueError):
@@ -194,9 +193,14 @@ def system_dim(system: SystemSpec) -> int:
 
 def random_point(system: SystemSpec, rng: random.Random):
     """Lebesgue-uniform sample of the system's phase space."""
+    return wrap_state(_random_raw(system, rng))
+
+
+def _random_raw(system: SystemSpec, rng: random.Random):
+    """The raw state of ``random_point``: one 128-bit draw per torus
+    coordinate, or a point of the IET's interval."""
     if isinstance(system, (Shift, SkewShift, SkewProduct)):
-        d = system_dim(system)
-        return TorusPoint(tuple(FixedPointFrac(rng.getrandbits(128)) for _ in range(d)))
+        return tuple(map(rng.getrandbits, [128] * system_dim(system)))
     if isinstance(system, Iet):
         *_, total = accumulate(system.lengths)  # the tables' total, with no tables
         if isinstance(total, float):
@@ -231,7 +235,8 @@ def iet_tables(iet: Iet) -> IetTables:
     images, lengths = iet.perm.images, iet.lengths
     inv = sorted(range(len(images)), key=images.__getitem__)  # inv[i-1] = perm^-1(i) - 1
     beta = (0, *accumulate(lengths))
-    beta_pi = (0, *accumulate(lengths[j] for j in inv))
+    # closed at total: a float sum in permuted order may round below it
+    beta_pi = (0, *islice(accumulate(lengths[j] for j in inv), len(inv) - 1), beta[-1])
     jumps = tuple(beta_pi[i - 1] - b for i, b in zip(images, beta))
     return IetTables(beta, beta_pi, beta[-1], jumps, tuple(jumps[j] for j in inv))
 
@@ -333,14 +338,7 @@ def raw_dist(x, y):
     """Distance of two raw states: the exact max-metric circle distance in raw
     units for torus tuples, |x - y| for IET points."""
     if isinstance(x, tuple):
-        worst = 0
-        for a, b in zip(x, y):
-            d = (a - b) % SCALE
-            if d > _HALF:
-                d = SCALE - d
-            if d > worst:
-                worst = d
-        return worst
+        return max(map(_circle, map(operator.sub, x, y)))
     return abs(x - y)
 
 

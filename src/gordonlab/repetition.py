@@ -19,9 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .arithmetic import SCALE, ContinuedFraction, FixedPointFrac, _returns, convergent_denominators
-from .dynamics import (
+from .arithmetic import (
+    SCALE,
+    ContinuedFraction,
+    FixedPointFrac,
     _HALF,
+    _circle,
+    _returns,
+    _signed,
+    convergent_denominators,
+)
+from .dynamics import (
     Iet,
     Shift,
     SkewProduct,
@@ -31,6 +39,7 @@ from .dynamics import (
     UnsupportedSystemError,
     _unipotent_power,
     _iet_on_integers,
+    _random_raw,
     iet_breakpoint_orbits,
     random_point,
     raw_dist,
@@ -38,7 +47,6 @@ from .dynamics import (
     raw_state,
     raw_stepper,
     skewshift_pair_difference,
-    system_dim,
 )
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -169,7 +177,7 @@ def _certifies(system: SystemSpec, epsilon: float, r: float, q_max: int):
             return True  # L = I: the first candidate certifies every omega
         lo, width = 0, None
         if arcs:
-            step = drift[0] if drift[0] < _HALF else drift[0] - SCALE
+            step = _signed(drift[0])
             lo = max(1 - thresh, 1 - thresh - k_max * step)
             width = min(thresh - 1, thresh - 1 - k_max * step) - lo
             if width < 0:
@@ -214,13 +222,7 @@ def _torus_plan(system, thresh, r, q_max):
     best_miss, q, x = SCALE, 0, 0
     while True:
         for q, x in _returns(incs[0] if incs else 0, best_miss, q_max, q, x):
-            first = 0
-            for v in incs:
-                y = q * v % SCALE
-                if y > _HALF:
-                    y = SCALE - y
-                if y > first:
-                    first = y
+            first = max((_circle(q * v) for v in incs), default=0)
             if first < thresh:
                 k_max = r_num * q // r_den
                 if free:
@@ -245,19 +247,12 @@ def _step_differences(w, coef, drift, k_max, observed, thresh):
     """
     diff = [sum(coef[j] * w[i - j] for j in range(1, i + 1)) + drift[i] for i in range(len(w))]
     for _ in range(k_max + 1):
-        diff = [x % SCALE for x in diff]
-        dist = max(min(x, SCALE - x) for x in diff)
+        dist = max(map(_circle, diff))
         if dist >= thresh:
             return False, dist
         observed = max(observed, dist)
-        diff = list(accumulate(diff))
+        diff = [x % SCALE for x in accumulate(diff)]
     return True, observed
-
-
-def _circle(y: int) -> int:
-    """The circle distance of an unwrapped raw integer, in raw units."""
-    y %= SCALE
-    return min(y, SCALE - y)
 
 
 def _progression(s, u, k_max, first, thresh):
@@ -275,11 +270,10 @@ def _progression(s, u, k_max, first, thresh):
     side of a half turn.  The cost is O(1 + k_max*<u>/2^128); when
     3*thresh <= 2^128 + 2 no step jumps an arc and no half turn is crossed.
     """
-    d = min(s, SCALE - s)
+    d = _circle(s)
     if d >= thresh:
         return False, d
-    y0 = s if s < _HALF else s - SCALE
-    step = u if u < _HALF else u - SCALE
+    y0, step = _signed(s), _signed(u)
     if step < 0:
         y0, step = -y0, -step
     y_end = y0 + k_max * step
@@ -464,7 +458,7 @@ def skewshift_constructive_q(
     # every distance is at most total_raw < thresh, so the check passes and
     # observes the maximum over k = 0..k_max
     thresh = _strict_raw_threshold(eps_rep)
-    _, max_raw = _progression(s, u, k_max, min(u, SCALE - u), thresh)
+    _, max_raw = _progression(s, u, k_max, _circle(u), thresh)
     cert = RepetitionCertificate(
         epsilon=eps_rep,
         r=r,
@@ -524,17 +518,15 @@ def badly_approximable_obstruction(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     q = cert.q
-    u = ((2 * q) * alpha).value
-    umin = min(u, SCALE - u)
-    if q * umin > SCALE // 2:
+    umin = ((2 * q) * alpha).norm_raw()
+    if 2 * q * umin > SCALE:
         raise InconsistentCertificateError(
             f"q*<2q*alpha> = {q * umin / SCALE:.6g} > 1/2: the progression can wrap"
         )
     q_times_step = Fraction(q * umin, SCALE)
     within = q_times_step < 2 * Fraction(epsilon)
 
-    aq = (q * alpha).value
-    aqmin = min(aq, SCALE - aq)
+    aqmin = (q * alpha).norm_raw()
     if aqmin <= SCALE // 4:
         witness_q = q  # <2q*alpha> = 2<q*alpha>, so q<q*alpha> = q<2q*alpha>/2
         witness_product = Fraction(q * aqmin, SCALE)
@@ -592,19 +584,6 @@ def sample_start_point(system: SystemSpec, seed: int, index: int):
     return random_point(system, _sample_rng(seed, index))
 
 
-def _raw_samples(system: SystemSpec, seed: int, n_samples: int):
-    """The raw states of ``sample_start_point(system, seed, i)``, i < n_samples.
-
-    A torus sample is its generator's first dim 128-bit draws, taken as the
-    raw tuple with no ``TorusPoint`` to build and unwrap; an IET point is
-    already raw.
-    """
-    if isinstance(system, Iet):
-        return (sample_start_point(system, seed, i) for i in range(n_samples))
-    bits = [128] * system_dim(system)
-    return (tuple(map(_sample_rng(seed, i).getrandbits, bits)) for i in range(n_samples))
-
-
 def estimate_prp_fraction(
     system: SystemSpec,
     epsilon: float,
@@ -618,7 +597,7 @@ def estimate_prp_fraction(
 
     Each sample's generator is derived from (seed, index) by hashing, so the
     result is bit-identical for a fixed seed; samples are drawn as raw states
-    (``_raw_samples``, the bits of ``sample_start_point``).  A sample is a hit when
+    (``_random_raw``, the draw behind ``sample_start_point``).  A sample is a hit when
     ``find_repetition_time`` would certify it, but no near-miss is computed:
     ``_certifies`` plans the torus search once, before any sample, and for
     epsilon < 1/3 answers each sample by arc membership, one modular compare
@@ -632,7 +611,7 @@ def estimate_prp_fraction(
         raise ValueError("n_samples must be >= 1")
     certifies = _certifies(system, epsilon, r, q_max)
     if callable(certifies):
-        hits = sum(map(certifies, _raw_samples(system, seed, n_samples)))
+        hits = sum(certifies(_random_raw(system, _sample_rng(seed, i))) for i in range(n_samples))
     else:
         hits = n_samples if certifies else 0
     return PrpEstimate(

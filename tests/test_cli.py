@@ -12,6 +12,9 @@ from gordonlab.arithmetic import GOLDEN, SQRT2_MINUS_1
 from gordonlab.cli import main, parse_alpha
 from gordonlab.dynamics import Iet, Permutation, Shift, SkewProduct, SkewShift, TorusPoint, orbit
 
+ORBIT = ["orbit", "--nmin", "0", "--nmax", "1"]
+GORDON = ["gordon", "--alpha", "golden", "--q-list", "3"]
+HALVES = ["--system", "iet", "--lengths", "0.5,0.5", "--perm", "2,1"]
 RECIPES = sorted((pathlib.Path(__file__).parent.parent / "recipes").glob("*.json"))
 
 
@@ -205,6 +208,33 @@ class TestRows:
         )
         _, _, rows = parse_csv(out)
         assert rows == [["found", "2", "0.0", "0.5", "1.0", "0.5"]]
+
+    def test_veech_not_found_row(self, capsys):
+        code, out, err = run_cli(
+            [
+                "veech", "--system", "iet", "--lengths", "0.381966011250105,0.618033988749895",
+                "--perm", "2,1", "--eps", "0.3", "--qmax", "50",
+            ],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        _, _, rows = parse_csv(out)
+        assert rows == [["not_found", "", "", "", "0.7232789287213387", "0.38196601125024454"]]
+
+    def test_iet_orbit_steps_back_from_just_below_the_total(self, capsys):
+        # iet_step's edge clamp lands here; the image partition summed in
+        # permuted order rounds one ulp below the total, past this point
+        code, out, err = run_cli(
+            [
+                "orbit", "--system", "iet",
+                "--lengths", "0.5926409106271656,0.13042279608514273,0.9159448117309811",
+                "--perm", "3,1,2", "--omega", "1.6390085184432892", "--nmin", "-1", "--nmax", "0",
+            ],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        _, _, rows = parse_csv(out)
+        assert rows == [["-1", "0.5926409106271655"], ["0", "1.6390085184432892"]]
 
     def test_gordon_verdict_lands_in_config_echo(self, capsys):
         _, out, _ = run_cli(
@@ -509,6 +539,64 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: " in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (ORBIT + ["--alpha", ","], "alpha: empty list"),
+            (ORBIT + ["--system", "iet", "--lengths", "0.5,x", "--perm", "2,1"],
+             "lengths: '0.5,x' is not a comma-separated number list"),
+            (ORBIT + ["--system", "skewshift", "--alpha", "golden,sqrt2"],
+             "alpha: skewshift takes a single frequency"),
+            (ORBIT + ["--system", "skewproduct", "--alpha", "golden,sqrt2", "--dim", "3"],
+             "alpha: skewproduct takes a single frequency"),
+            (ORBIT + ["--system", "skewproduct", "--alpha", "golden"],
+             "dim: required for skewproduct"),
+            (ORBIT + ["--system", "iet", "--perm", "2,1"], "lengths/perm: required for iet"),
+            (ORBIT + ["--system", "iet", "--lengths", "0.5,0.5"], "lengths/perm: required for iet"),
+            (ORBIT + ["--system", "iet", "--lengths", "0.5,0.5", "--perm", "1,1"],
+             "iet: not a permutation of 1..2: (1, 1)"),
+            (ORBIT + HALVES + ["--omega", "1"], "omega: outside the interval"),
+            (ORBIT + HALVES + ["--omega", "-0.1"], "omega: outside the interval"),
+            (ORBIT + ["--system", "skewshift", "--alpha", "golden", "--omega", "0.1"],
+             "omega: expected 2 coordinates, got 1"),
+            (GORDON + ["--function", "coding"], "breakpoints/levels: required for coding"),
+            (GORDON + ["--function", "coding", "--breakpoints", "0,0.5"],
+             "breakpoints/levels: required for coding"),
+            (GORDON + ["--function", "coding", "--breakpoints", "0.5,0.2", "--levels", "1,2"],
+             "coding: breakpoints must be ascending"),
+            (["classify", "--alpha", "golden", "--c", "abc", "--qmax", "10"],
+             "c: 'abc' is not a number"),
+            (["orbit", "--alpha", "golden", "--nmin", "3", "--nmax", "2"], "nmin: must be <= nmax"),
+            (["gordon", "--alpha", "golden", "--q-list", "5,3"],
+             "q-list/c-list: q_list must be strictly increasing"),
+            (["transfer", "--alpha", "golden", "--q", "3", "--energy", "0.3", "--u0", "1,0,0"],
+             "u0: expected two components"),
+        ],
+    )
+    def test_config_error_names_its_field(self, argv, message, capsys):
+        assert run_cli(argv, capsys) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"subcommand": "cf",\n "alpha": "golden",,\n}',
+             "config: line 2: Expecting property name enclosed in double quotes"),
+            ('{"alpha": "golden"}', "config: top-level object with a 'subcommand' field required"),
+        ],
+    )
+    def test_bad_config_file_is_a_config_error(self, text, message, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert run_cli(["run", str(path)], capsys) == (2, "", f"config error: {message}\n")
+
+    def test_non_numeric_float_flag_is_a_config_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["repeat", "--alpha", "golden", "--eps", "abc", "--qmax", "10"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --eps: 'abc' is not a number\n")
 
     def test_missing_required_flag_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -279,6 +280,31 @@ class TestIet:
     def test_step_inverse_roundtrip(self, x):
         iet = self.golden_rotation()
         assert iet_inverse_step(iet, iet_step(iet, x)) == pytest.approx(x, abs=1e-12)
+
+    def test_inverse_step_at_the_right_edge_and_at_every_breakpoint(self):
+        # summed in permuted order, the image partition can round one ulp
+        # below the total; it is closed at the total, so the last image
+        # interval still covers [beta_pi[m-1], total)
+        rng = random.Random(20)
+        rounded_below = 0
+        for _ in range(300):
+            m = rng.randint(2, 5)
+            images = list(range(1, m + 1))
+            rng.shuffle(images)
+            iet = Iet(tuple(rng.random() * 2 for _ in range(m)), Permutation(tuple(images)))
+            tables = iet_tables(iet)
+            inverse = iet.perm.inverse()
+            *_, permuted = itertools.accumulate(iet.lengths[j - 1] for j in inverse.images)
+            rounded_below += permuted < tables.total
+            assert tables.beta_pi[-1] == tables.total
+            edge = math.nextafter(tables.total, 0.0)
+            for y in (edge, *tables.beta[:-1], *tables.beta_pi[:-1]):
+                assert 0 <= iet_inverse_step(iet, y, tables) < tables.total
+            # the last image interval comes from interval perm^-1(m), so just
+            # below the total the inverse is just below that interval's right end
+            x = iet_inverse_step(iet, edge, tables)
+            assert x == pytest.approx(tables.beta[inverse(m)], abs=1e-12)
+        assert rounded_below > 0
 
     def test_domain_enforced(self):
         iet = self.golden_rotation()

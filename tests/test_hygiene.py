@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
-private module-level name is used somewhere in the package, and no module
-imports numpy or scipy when it is itself imported, nor while it refines IET
-cuts."""
+private module-level name is used somewhere in the package, only
+``arithmetic`` holds the raw circle metric, and no module imports numpy or
+scipy when it is itself imported, nor while it refines IET cuts."""
 
 import ast
 import pathlib
@@ -90,6 +90,63 @@ def test_the_scan_sees_a_dead_private_name():
 def test_every_private_module_level_name_is_used():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+CIRCLE_PRIMITIVES = {"_HALF", "_circle", "_signed"}
+
+
+def circle_metric_copies(source: str) -> list[str]:
+    """What only ``arithmetic`` may hold: a binding of the half turn, the
+    circle distance or the signed lift (importing them is fine), and an inline
+    reflection min(x, SCALE - x)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound = node.id
+        else:
+            bound = None
+        if bound in CIRCLE_PRIMITIVES:
+            found.append((node.lineno, bound))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "min" and len(node.args) == 2:
+            for x, y in (node.args, node.args[::-1]):
+                if (
+                    isinstance(y, ast.BinOp)
+                    and isinstance(y.op, ast.Sub)
+                    and ast.unparse(y.left) == "SCALE"
+                    and ast.dump(y.right) == ast.dump(x)
+                ):
+                    found.append((node.lineno, ast.unparse(node)))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_a_private_circle_metric():
+    source = (
+        "from .arithmetic import SCALE, _signed\n"
+        "_HALF = SCALE // 2\n"
+        "def _circle(y):\n"
+        "    return min(y % SCALE, SCALE - y % SCALE)\n"
+        "d = min(SCALE - d, d)\n"
+        "e = min(a - b, SCALE - (a - b))\n"
+        "f = min(a, SCALE - b)\n"
+    )
+    assert circle_metric_copies(source) == [
+        "_HALF (line 2)",
+        "_circle (line 3)",
+        "min(y % SCALE, SCALE - y % SCALE) (line 4)",
+        "min(SCALE - d, d) (line 5)",
+        "min(a - b, SCALE - (a - b)) (line 6)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "arithmetic.py"],
+    ids=lambda p: p.name,
+)
+def test_only_arithmetic_owns_the_circle_metric(module):
+    assert circle_metric_copies(module.read_text()) == []
 
 
 def import_time_heavy_imports(source: str) -> list[str]:

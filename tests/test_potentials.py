@@ -291,6 +291,16 @@ class TestGordonProfile:
         assert profile.verdict == NO_DECAY_AT_HORIZON
         assert all(g == 1.0 for _, g in profile.entries)
 
+    def test_rise_from_an_exact_zero_never_decays(self):
+        # alpha = 1/2 repeats exactly at q = 2; at q = 3 the defect is back
+        profile = gordon_profile(
+            Shift((FixedPointFrac.from_fraction(1, 2),)), Cosine((1,)), 1.0,
+            torus1(FixedPointFrac.from_float(0.1)), [2, 3], [1.01, 2.0, 100.0],
+        )
+        assert profile.entries == ((2, 0.0), (3, 1.618033988749895))
+        assert profile.verdict == NO_DECAY_AT_HORIZON
+        assert profile.c_max is None
+
     def test_zero_coupling_is_consistent_with_any_c(self):
         profile = gordon_profile(
             Shift((GOLDEN,)), Cosine((1,)), 0.0, torus1(ZERO), [1, 2, 3], [2.0]

@@ -773,6 +773,14 @@ class TestObstruction:
         assert q * dist == pytest.approx(report.witness_product, rel=1e-12)
         assert report.witness_product < 2 * rep.reported_epsilon
 
+    def test_doubled_time_witness_when_q_alpha_is_near_a_half(self):
+        # <alpha> = 0.4995 > 1/4, so q = 1 is no witness; <2*alpha> = 0.001 is
+        alpha = FixedPointFrac.from_fraction(1001, 2000)
+        cert = find_repetition_time(SkewShift(alpha), TorusPoint((ZERO, ZERO)), 0.01, 1.0, 1)
+        assert (cert.q, cert.r) == (1, 1.0)
+        report = badly_approximable_obstruction(alpha, 0.01, cert)
+        assert (report.witness_q, report.witness_product) == (2, 0.002)
+
     def test_wrapping_certificate_rejected(self):
         # golden alpha: q<2q*alpha> exceeds 1/2 for a large claimed q, so the
         # arithmetic-progression argument cannot run
@@ -872,9 +880,9 @@ class TestPrpEstimate:
          Iet((0.25, 0.75), Permutation((2, 1)))],
         ids=["skewshift", "shift2", "skewproduct4", "iet"],
     )
-    def test_raw_samples_are_the_start_points(self, system):
+    def test_the_raw_draw_is_the_start_point(self, system):
         # the Monte Carlo draws raw states: the same bits as the API points
-        raw = list(repetition._raw_samples(system, 9, 25))
+        raw = [dynamics._random_raw(system, repetition._sample_rng(9, i)) for i in range(25)]
         points = [sample_start_point(system, 9, i) for i in range(25)]
         if isinstance(system, Iet):
             assert raw == points
