@@ -152,6 +152,8 @@ def _number(text: str) -> float:
 def build_system(args: argparse.Namespace):
     name = args.system
     if name in ("shift", "skewshift", "skewproduct"):
+        if args.alpha is None:
+            raise ConfigError(f"alpha: required for {name}")
         alphas = _parse_list(args.alpha, "alpha", parse_alpha)
         if name == "shift":
             return Shift(alphas)
@@ -183,7 +185,7 @@ def build_omega(args: argparse.Namespace, system):
             x = float(Fraction(args.omega))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"omega: {args.omega!r} is not a number") from exc
-        if not 0.0 <= x < sum(system.lengths):
+        if not 0.0 <= x < sum(map(Fraction, system.lengths)):
             raise ConfigError("omega: outside the interval")
         return x
     if args.omega is None:

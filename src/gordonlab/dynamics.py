@@ -2,21 +2,17 @@
 skew-shift, d-dimensional triangular skew-products, and interval exchange
 transformations (IETs).
 
-Every system has one raw kernel: a one-step map on raw states
-(``raw_stepper``) and the two-sided orbit built from it (``raw_orbit``).  A
-torus state is a tuple of ints mod 2**128, one per coordinate.  Every torus
-map is T(w) = L.w + b with L unipotent (I for a shift; the skew-shift is the
-2-D skew-product with increment 2*alpha), and ``_unipotent_power`` gives T^n
-by one exact binomial formula in n, with no matrix powers, to the closed form
-and to the repetition plan.  An IET state is a plain float (or a
-``fractions.Fraction`` end-to-end for exact tests) because IET breakpoints are
-sums of arbitrary reals.  The cut refinements (``iet_refine_continuity`` and
-the Veech tower search) run on the IET's integer twin instead: its lengths
-over their common denominator, exact for floats and ``Fraction``s alike
-(``_iet_on_integers``).  The repetition searches and the potential sampler
-run on raw states; ``FixedPointFrac``/``TorusPoint`` exist only at the API
-edge, where ``step``, ``orbit`` and ``iterate_closed_form`` unwrap their
-argument once and wrap their result once.
+Every system steps exact integers.  A torus state is a tuple of ints mod
+2**128, one per coordinate.  Every torus map is T(w) = L.w + b with L
+unipotent (I for a shift; the skew-shift is the 2-D skew-product with
+increment 2*alpha), and ``_unipotent_power`` gives T^n by one exact binomial
+formula in n, with no matrix powers, to the closed form and to the repetition
+plan.  An IET steps on its integer twin (``_iet_on_integers``): the lengths and
+the point over their common denominator (a float is a dyadic rational), by one
+bisect and one add each way (``_iet_steps``), in orbits, searches, the Monte
+Carlo, cut refinements and towers alike.  Floats, ``Fraction``s,
+``FixedPointFrac`` and ``TorusPoint`` exist only at the API edge: a point is
+unwrapped (or enters the twin) once and its results leave once.
 """
 
 from __future__ import annotations
@@ -163,8 +159,9 @@ class SkewProduct:
 class Iet:
     """Exchange of m > 1 subintervals of [0, sum(lengths)) by perm.
 
-    Lengths may be floats or ``fractions.Fraction`` (exact mode); all derived
-    quantities stay in the same arithmetic.
+    Lengths may be floats or ``fractions.Fraction`` (exact mode).  Steps are
+    exact, on the exact [0, sum(lengths)); results come back as floats when
+    any length is a float, else as ``Fraction``s.
     """
 
     lengths: tuple
@@ -241,49 +238,52 @@ def iet_tables(iet: Iet) -> IetTables:
     return IetTables(beta, beta_pi, beta[-1], jumps, tuple(jumps[j] for j in inv))
 
 
-def _iet_on_integers(iet: Iet):
-    """The integer twin of iet and the way back: (tables, n -> n / D).
+def _iet_on_integers(iet: Iet, *points):
+    """The integer twin of iet: (tables, D, enter, out).
 
-    D is the lcm of the lengths' denominators, so every length, breakpoint
-    and jump of the twin is an exact integer (a float is a dyadic rational).
-    n / D comes back as Fraction(n, D) for exact IETs and as the correctly
-    rounded float n / D when any length is a float.
+    D is the lcm of the lengths' and the points' denominators, so the twin's
+    lengths and every multiple of a point are integers: enter(x) = x * D,
+    raising outside [0, total).  out(n) = n / D is a Fraction for exact IETs,
+    else the rounded float, but a point never rounds onto the total: it
+    leaves as the float below, so every float the API returns steps again.
     """
     ratios = [x.as_integer_ratio() for x in iet.lengths]
-    scale = math.lcm(*(d for _, d in ratios))
+    dens = [x.as_integer_ratio()[1] for x in points if 0 <= x < math.inf]  # enter rejects the rest
+    scale = math.lcm(*(d for _, d in ratios), *dens)
     tables = iet_tables(Iet(tuple(n * (scale // d) for n, d in ratios), iet.perm))
+    total = tables.total
+
+    def enter(x):
+        n, d = x.as_integer_ratio() if 0 <= x < math.inf else (-1, 1)
+        n *= scale // d
+        if not 0 <= n < total:
+            raise OutOfDomainError(f"IET point {x!r} outside [0, {out(total)!r})")
+        return n
+
     if any(isinstance(x, float) for x in iet.lengths):
-        return tables, lambda n: n / scale
-    return tables, lambda n: Fraction(n, scale)
+        last = total / scale  # the total rounded, made the largest float below it
+        last = math.nextafter(last, 0.0) if last >= Fraction(total, scale) else last
+        out = lambda n: x if (x := n / scale) <= last or n >= total else last
+    else:
+        out = lambda n: Fraction(n, scale)
+    return tables, scale, enter, out
 
 
-def _iet_interval_index(tables: IetTables, x) -> int:
-    """1-based j with beta[j-1] <= x < beta[j]; raises outside [0, total)."""
-    if not (0 <= x < tables.total):
-        raise OutOfDomainError(f"IET point {x!r} outside [0, {tables.total!r})")
-    return bisect_right(tables.beta, x)
+def _iet_steps(tables: IetTables):
+    """(T, T^-1) on integer tables: one bisect and one add each."""
+    beta, beta_pi, jumps, back = tables.beta, tables.beta_pi, tables.jumps, tables.back
+    return (
+        lambda n: n + jumps[bisect_right(beta, n) - 1],
+        lambda n: n - back[bisect_right(beta_pi, n) - 1],
+    )
 
 
-def iet_step(iet: Iet, x, tables: IetTables | None = None):
-    tables = tables or iet_tables(iet)
-    j = _iet_interval_index(tables, x)
-    y = x + tables.jumps[j - 1]
-    if isinstance(y, float) and y >= tables.total:
-        y = math.nextafter(float(tables.total), 0.0)  # guard rounding onto the right edge
-    return y
+def iet_step(iet: Iet, x):
+    return orbit(iet, x, 1, 1)[0]
 
 
-def iet_inverse_step(iet: Iet, y, tables: IetTables | None = None):
-    tables = tables or iet_tables(iet)
-    if not (0 <= y < tables.total):
-        raise OutOfDomainError(f"IET point {y!r} outside [0, {tables.total!r})")
-    x = y - tables.back[bisect_right(tables.beta_pi, y) - 1]
-    if isinstance(x, float):
-        if x < 0.0:
-            x = 0.0
-        elif x >= tables.total:
-            x = math.nextafter(float(tables.total), 0.0)
-    return x
+def iet_inverse_step(iet: Iet, y):
+    return orbit(iet, y, -1, -1)[0]
 
 
 def iet_breakpoint_orbits(tables: IetTables):
@@ -291,21 +291,20 @@ def iet_breakpoint_orbits(tables: IetTables):
     one step longer each time: after the n-th yield, fwd[i][k] = T^k(beta_i)
     and bwd[i][k] = T^-k(beta_i) for k = 0..n (the same lists, grown).
 
-    Meant for integer tables (``_iet_on_integers``), where every step is
-    exact and needs no clamp.  The cuts of T^q are 0 and T^-j(beta_i) for
-    i >= 1, 0 <= j < q, and on the piece whose left end is c = T^-j(beta_i),
-    T^k (k <= q) is the translation by T^(k-j)(beta_i) - c: a lookup in these
+    Meant for integer tables (``_iet_on_integers``), stepped exactly by
+    ``_iet_steps``.  The cuts of T^q are 0 and T^-j(beta_i) for i >= 1,
+    0 <= j < q, and on the piece whose left end is c = T^-j(beta_i), T^k
+    (k <= q) is the translation by T^(k-j)(beta_i) - c: a lookup in these
     orbits, not a walk.
     """
-    beta, beta_pi, jumps, back = tables.beta, tables.beta_pi, tables.jumps, tables.back
-    fwd = [[b] for b in beta[:-1]]
-    bwd = [[b] for b in beta[:-1]]
+    forward, backward = _iet_steps(tables)
+    fwd = [[b] for b in tables.beta[:-1]]
+    bwd = [[b] for b in tables.beta[:-1]]
     pairs = list(zip(fwd, bwd))
     while True:
         for f, b in pairs:
-            x, y = f[-1], b[-1]
-            f.append(x + jumps[bisect_right(beta, x) - 1])
-            b.append(y - back[bisect_right(beta_pi, y) - 1])
+            f.append(forward(f[-1]))
+            b.append(backward(b[-1]))
         yield fwd, bwd
 
 
@@ -336,14 +335,14 @@ def wrap_state(state):
 
 def raw_dist(x, y):
     """Distance of two raw states: the exact max-metric circle distance in raw
-    units for torus tuples, |x - y| for IET points."""
+    units for torus tuples, |x - y| for integers of an IET's twin."""
     if isinstance(x, tuple):
         return max(map(_circle, map(operator.sub, x, y)))
     return abs(x - y)
 
 
 def raw_stepper(system: SystemSpec):
-    """The one-step map T of the system, as a function of one raw state."""
+    """The one-step map T of a torus system, as a function of one raw state."""
     if isinstance(system, Shift):
         alpha = tuple(a.value for a in system.alpha)
         return lambda w: tuple([(x + a) % SCALE for x, a in zip(w, alpha)])
@@ -359,16 +358,12 @@ def raw_stepper(system: SystemSpec):
             return tuple(out)
 
         return skewproduct_step
-    if isinstance(system, Iet):
-        tables = iet_tables(system)
-        return lambda x: iet_step(system, x, tables)
     raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
 
 
 def step(system: SystemSpec, omega):
     """One application of T."""
-    step_raw = raw_stepper(system)
-    return wrap_state(step_raw(raw_state(system, omega)))
+    return orbit(system, omega, 1, 1)[0]
 
 
 def _unipotent_power(system: SystemSpec, n: int) -> tuple[list[int], list[int]]:
@@ -411,30 +406,32 @@ def iterate_closed_form(system: SystemSpec, omega, n: int):
 
 
 def raw_orbit(system: SystemSpec, state, n_min: int, n_max: int) -> list:
-    """[T^n state for n in n_min..n_max] on raw states, two-sided.
+    """[T^n state for n in n_min..n_max] on raw states, two-sided; an IET
+    orbit steps on the twin of its point and comes back through ``out``."""
+    states, _, out = _exact_orbit(system, state, n_min, n_max)
+    return states if out is None else list(map(out, states))
 
-    Torus orbits reach n_min by the closed form, IET orbits by stepping
-    (inverse steps when n_min < 0); from there both step forward.
-    """
+
+def _exact_orbit(system: SystemSpec, state, n_min: int, n_max: int):
+    """(states, D, out): the orbit in integers, in units of 1/D.  Torus
+    states are raw (D = 2**128, no out) and reach n_min by the closed form; an
+    IET point enters its integer twin and steps there, back when n_min < 0."""
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
-    step_raw = raw_stepper(system)
     if isinstance(system, Iet):
-        cur = state
-        if n_min >= 0:
-            for _ in range(n_min):
-                cur = step_raw(cur)
-        else:
-            tables = iet_tables(system)
-            for _ in range(-n_min):
-                cur = iet_inverse_step(system, cur, tables)
+        tables, scale, enter, out = _iet_on_integers(system, state)
+        step_raw, back = _iet_steps(tables)
+        cur = enter(state)
+        for _ in range(abs(n_min)):
+            cur = step_raw(cur) if n_min > 0 else back(cur)
     else:
+        step_raw, scale, out = raw_stepper(system), SCALE, None
         cur = _closed_form_raw(system, state, n_min)
     states = [cur]
     for _ in range(n_max - n_min):
         cur = step_raw(cur)
         states.append(cur)
-    return states
+    return states, scale, out
 
 
 def orbit(system: SystemSpec, omega, n_min: int, n_max: int) -> list:
@@ -493,7 +490,7 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    tables, out = _iet_on_integers(iet)
+    tables, _, _, out = _iet_on_integers(iet)
     fwd, bwd = next(islice(iet_breakpoint_orbits(tables), q - 1, None))  # q steps each way
     cuts = sorted([(0, 0, 0), *((bwd[i][j], i, j) for i in range(1, len(bwd)) for j in range(q))])
     starts = []  # (left end, translation) of each maximal piece

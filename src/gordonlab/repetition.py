@@ -38,14 +38,14 @@ from .dynamics import (
     TorusPoint,
     UnsupportedSystemError,
     _unipotent_power,
+    _exact_orbit,
     _iet_on_integers,
+    _iet_steps,
     _random_raw,
     iet_breakpoint_orbits,
     random_point,
     raw_dist,
-    raw_orbit,
     raw_state,
-    raw_stepper,
     skewshift_pair_difference,
 )
 
@@ -56,11 +56,9 @@ class InconsistentCertificateError(ValueError):
     """The certificate violates a precondition of the circle argument."""
 
 
-def _strict_raw_threshold(epsilon: float) -> int:
-    """t such that raw < t  <=>  raw/SCALE < epsilon (exact, strict)."""
-    f = Fraction(epsilon) * SCALE
-    t = f.numerator // f.denominator
-    return t if f.denominator == 1 else t + 1
+def _strict_raw_threshold(epsilon: float, scale: int = SCALE) -> int:
+    """t such that raw < t  <=>  raw/scale < epsilon (exact, strict)."""
+    return math.ceil(Fraction(epsilon) * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +109,11 @@ def find_repetition_time(
     coordinate 1, the progression delta_1 + k*q*inc, with ``_progression``,
     and only then steps the difference, never the orbit, in coordinates >= 2.
     The plan is streamed, so an early certificate stops it.  IETs step orbits
-    with early exit.  Torus distances are exact in fixed point.
+    on the integer twin of omega with early exit.  Every distance is exact.
     """
     _check_search(system, epsilon, r, q_max)
     if isinstance(system, Iet):
-        return _find_iet(raw_stepper(system), omega, epsilon, r, q_max)
+        return _find_iet(_iet_on_integers(system, omega), omega, epsilon, r, q_max)
     thresh = _strict_raw_threshold(epsilon)
     w = raw_state(system, omega)
     w0, stepped = w[0], len(w) > 2
@@ -165,8 +163,12 @@ def _certifies(system: SystemSpec, epsilon: float, r: float, q_max: int):
     """
     _check_search(system, epsilon, r, q_max)
     if isinstance(system, Iet):
-        step_raw = raw_stepper(system)  # the IET's tables, built once for every omega
-        return lambda x: isinstance(_find_iet(step_raw, x, epsilon, r, q_max), RepetitionCertificate)
+        # an IET draw is a multiple of the total (of its ulp, for floats) over
+        # 2^53, so one integer twin holds every draw of ``_random_raw``
+        *_, total = accumulate(system.lengths)
+        grain = Fraction(math.ulp(total)) if isinstance(total, float) else total
+        twin = _iet_on_integers(system, grain / 2**53)
+        return lambda x: isinstance(_find_iet(twin, x, epsilon, r, q_max), RepetitionCertificate)
     thresh = _strict_raw_threshold(epsilon)
     arcs = 3 * thresh <= SCALE + 2
     kept = []  # (k_max, first, coef, drift, lo, width) per candidate that can pass
@@ -294,41 +296,47 @@ def _progression(s, u, k_max, first, thresh):
     return True, observed
 
 
-def _find_iet(step_raw, omega, epsilon, r, q_max):
-    """The IET search: every q in order, stepping omega by step_raw, early exit."""
+def _find_iet(twin, omega, epsilon, r, q_max):
+    """The IET search on an integer twin that holds omega: every q in order,
+    stepping, early exit; a distance fails when d/D >= epsilon, in integers."""
+    tables, scale, enter, out = twin
+    forward, _ = _iet_steps(tables)
+    thresh = _strict_raw_threshold(epsilon, scale)
     r_num, r_den = Fraction(r).as_integer_ratio()
-    states = [omega]
+    states = [enter(omega)]
     best_q, best_dist = None, None
     for q in range(1, q_max + 1):
         k_max = r_num * q // r_den
         while len(states) <= k_max + q:
-            states.append(step_raw(states[-1]))
-        observed = 0.0
+            states.append(forward(states[-1]))
+        observed = 0
         for k in range(k_max + 1):
-            d = raw_dist(states[k], states[k + q])
+            d = abs(states[k] - states[k + q])
             if d > observed:
                 observed = d
-            if d >= epsilon:
+            if d >= thresh:
                 break
         else:
-            return RepetitionCertificate(epsilon, r, q, k_max, observed, omega)
+            return RepetitionCertificate(epsilon, r, q, k_max, out(observed), omega)
         if best_dist is None or observed < best_dist:
             best_q, best_dist = q, observed
-    return RepetitionNotFound(epsilon, r, q_max, best_q, best_dist)
+    return RepetitionNotFound(epsilon, r, q_max, best_q, out(best_dist))
 
 
 def repetition_distances(system: SystemSpec, omega, q: int, k_max: int) -> list:
     """dist(T^k w, T^{k+q} w) for k = 0..k_max, by stepping only.
 
-    Returns exact raw integers for torus systems and floats for IETs; the
-    independent cross-check oracle behind certificate verification.
+    Returns exact raw integers for torus systems and, for IETs, the exact
+    distances through the twin's ``out``; certificate verification steps the
+    same exact orbit (``_exact_orbit``).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    states = raw_orbit(system, raw_state(system, omega), 0, k_max + q)
-    return [raw_dist(states[k], states[k + q]) for k in range(k_max + 1)]
+    states, _, out = _exact_orbit(system, raw_state(system, omega), 0, k_max + q)
+    dists = [raw_dist(states[k], states[k + q]) for k in range(k_max + 1)]
+    return dists if out is None else list(map(out, dists))
 
 
 def verify_certificate_against_definition(
@@ -341,9 +349,9 @@ def verify_certificate_against_definition(
     k_max = r_num * cert.q // r_den
     if cert.k_max != k_max:
         return False
-    dists = repetition_distances(system, cert.omega, cert.q, k_max)
-    thresh = cert.epsilon if isinstance(system, Iet) else _strict_raw_threshold(cert.epsilon)
-    return all(d < thresh for d in dists)
+    states, scale, _ = _exact_orbit(system, raw_state(system, cert.omega), 0, k_max + cert.q)
+    thresh = _strict_raw_threshold(cert.epsilon, scale)
+    return all(raw_dist(states[k], states[k + cert.q]) < thresh for k in range(k_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +467,7 @@ def skewshift_constructive_q(
     # observes the maximum over k = 0..k_max
     thresh = _strict_raw_threshold(eps_rep)
     _, max_raw = _progression(s, u, k_max, _circle(u), thresh)
-    cert = RepetitionCertificate(
-        epsilon=eps_rep,
-        r=r,
-        q=q,
-        k_max=k_max,
-        max_dist=max_raw / SCALE,
-        omega=omega,
-        max_dist_raw=max_raw,
-    )
+    cert = RepetitionCertificate(eps_rep, r, q, k_max, max_raw / SCALE, omega, max_raw)
     return ConstructiveRepetition(
         q=q,
         m=m,
@@ -684,7 +684,7 @@ def veech_tower_search(
     best_score = -1.0
     if epsilon == 0:
         return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)
-    tables, out = _iet_on_integers(iet)
+    tables, _, _, out = _iet_on_integers(iet)
     total = tables.total
     num, den = epsilon.as_integer_ratio()
     # q_in = longer // ln + 1, since (den-num) total // (ln den) is

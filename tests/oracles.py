@@ -36,6 +36,27 @@ def rotation_orbit_fraction(alpha: Fraction, omega: Fraction, n: int) -> Fractio
     return x
 
 
+def iet_orbit_fraction(lengths, images, omega, n: int) -> list[Fraction]:
+    """[T^k omega for k = 0..n] of an interval exchange by literal stepping.
+
+    Works on the exact lengths (``Fraction(x)`` of each, so a float is its
+    dyadic value): interval j (0-based) starts where the intervals before it
+    end, and lands where the intervals whose image precedes images[j] end.
+    """
+    lengths = [Fraction(x) for x in lengths]
+    m = len(lengths)
+    points = [Fraction(omega)]
+    for _ in range(n):
+        x, start = points[-1], Fraction(0)
+        j = 0
+        while x >= start + lengths[j]:
+            start += lengths[j]
+            j += 1  # an IndexError past the last interval: outside the domain
+        landing = sum((lengths[k] for k in range(m) if images[k] < images[j]), Fraction(0))
+        points.append(x - start + landing)
+    return points
+
+
 def skewshift_orbit_fraction(
     alpha: Fraction, w1: Fraction, w2: Fraction, n: int
 ) -> tuple[Fraction, Fraction]:

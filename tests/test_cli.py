@@ -222,8 +222,9 @@ class TestRows:
         assert rows == [["not_found", "", "", "", "0.7232789287213387", "0.38196601125024454"]]
 
     def test_iet_orbit_steps_back_from_just_below_the_total(self, capsys):
-        # iet_step's edge clamp lands here; the image partition summed in
-        # permuted order rounds one ulp below the total, past this point
+        # one ulp below the exact total; the image partition summed in
+        # permuted order rounds one ulp below the total, past this point.
+        # The step back is exact: 0.5926409106271656 - 2^-52
         code, out, err = run_cli(
             [
                 "orbit", "--system", "iet",
@@ -234,7 +235,7 @@ class TestRows:
         )
         assert (code, err) == (0, "")
         _, _, rows = parse_csv(out)
-        assert rows == [["-1", "0.5926409106271655"], ["0", "1.6390085184432892"]]
+        assert rows == [["-1", "0.5926409106271654"], ["0", "1.6390085184432892"]]
 
     def test_gordon_verdict_lands_in_config_echo(self, capsys):
         _, out, _ = run_cli(
@@ -572,6 +573,9 @@ class TestExitCodes:
              "q-list/c-list: q_list must be strictly increasing"),
             (["transfer", "--alpha", "golden", "--q", "3", "--energy", "0.3", "--u0", "1,0,0"],
              "u0: expected two components"),
+            (ORBIT, "alpha: required for shift"),
+            (ORBIT + ["--system", "skewshift"], "alpha: required for skewshift"),
+            (ORBIT + ["--system", "skewproduct", "--dim", "3"], "alpha: required for skewproduct"),
         ],
     )
     def test_config_error_names_its_field(self, argv, message, capsys):

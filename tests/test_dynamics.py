@@ -239,6 +239,39 @@ class TestOrbit:
     def test_rejects_reversed_window(self):
         with pytest.raises(ValueError):
             orbit(Shift((GOLDEN,)), TorusPoint((ZERO,)), 3, 2)
+        with pytest.raises(ValueError):
+            orbit(Iet((0.5, 0.5), Permutation((2, 1))), 0.25, 3, 2)
+
+    def test_float_iet_orbit_passes_through_its_start(self):
+        # every step is exact on the integer twin, so T^n omega at n = 0 is
+        # omega itself, and every point returned lies in [0, exact total)
+        rng = random.Random(16)
+        for _ in range(300):
+            m = rng.randint(2, 5)
+            images = tuple(rng.sample(range(1, m + 1), m))
+            iet = Iet(tuple(rng.random() * 2 for _ in range(m)), Permutation(images))
+            exact_total = sum(map(Fraction, iet.lengths))
+            for _ in range(4):
+                omega = rng.random() * float(exact_total)
+                omega = omega if omega < exact_total else 0.0
+                n_min, n_max = rng.randint(-30, 0), rng.randint(0, 5)
+                points = orbit(iet, omega, n_min, n_max)
+                assert points[-n_min] == omega
+                assert all(0 <= x < exact_total for x in points)
+                for x in points:
+                    iet_step(iet, x)
+                    iet_inverse_step(iet, x)
+
+    def test_inverse_step_just_below_the_total_is_undone(self):
+        # a seeded float 4-IET: the old float inverse step of the largest
+        # float below the total landed on beta[2], which steps elsewhere
+        lengths = (1.1994671035005637, 0.8947771028653482, 0.3060265767936443, 1.2773413251907022)
+        iet = Iet(lengths, Permutation((1, 4, 3, 2)))
+        omega = 3.6776121083502575
+        assert omega < sum(map(Fraction, lengths))
+        points = orbit(iet, omega, -1, 0)
+        assert points[1] == omega
+        assert iet_step(iet, points[0]) == omega
 
     @pytest.mark.parametrize("images", [(3, 1, 2), (4, 3, 2, 1), (2, 5, 3, 1, 4)])
     def test_exact_iet_orbit_negative_side_inverts_stepping(self, images):
@@ -284,7 +317,9 @@ class TestIet:
     def test_inverse_step_at_the_right_edge_and_at_every_breakpoint(self):
         # summed in permuted order, the image partition can round one ulp
         # below the total; it is closed at the total, so the last image
-        # interval still covers [beta_pi[m-1], total)
+        # interval still covers [beta_pi[m-1], total).  Steps run on the
+        # exact twin, whose domain is [0, exact total): its right edge is the
+        # largest float below the exact total
         rng = random.Random(20)
         rounded_below = 0
         for _ in range(300):
@@ -297,21 +332,24 @@ class TestIet:
             *_, permuted = itertools.accumulate(iet.lengths[j - 1] for j in inverse.images)
             rounded_below += permuted < tables.total
             assert tables.beta_pi[-1] == tables.total
-            edge = math.nextafter(tables.total, 0.0)
+            exact_total = sum(map(Fraction, iet.lengths))
+            edge = float(exact_total)
+            edge = edge if edge < exact_total else math.nextafter(edge, 0.0)
             for y in (edge, *tables.beta[:-1], *tables.beta_pi[:-1]):
-                assert 0 <= iet_inverse_step(iet, y, tables) < tables.total
+                assert 0 <= iet_inverse_step(iet, y) < exact_total
             # the last image interval comes from interval perm^-1(m), so just
             # below the total the inverse is just below that interval's right end
-            x = iet_inverse_step(iet, edge, tables)
+            x = iet_inverse_step(iet, edge)
             assert x == pytest.approx(tables.beta[inverse(m)], abs=1e-12)
         assert rounded_below > 0
 
     def test_domain_enforced(self):
         iet = self.golden_rotation()
-        with pytest.raises(OutOfDomainError):
-            iet_step(iet, -0.1)
-        with pytest.raises(OutOfDomainError):
-            iet_step(iet, 1.0)
+        for x in (-0.1, 1.0, math.inf, math.nan, Fraction(4, 3)):
+            with pytest.raises(OutOfDomainError):
+                iet_step(iet, x)
+            with pytest.raises(OutOfDomainError):
+                iet_inverse_step(iet, x)
 
     def test_tables_jumps(self):
         lengths = (0.2, 0.5, 0.3)
@@ -439,15 +477,15 @@ class TestBreakpointOrbits:
             for i in range(m):
                 assert len(fwd[i]) == len(bwd[i]) == n + 1
                 for k in range(n):
-                    assert iet_step(iet, fwd[i][k], tables) == fwd[i][k + 1]
-                    assert iet_inverse_step(iet, bwd[i][k], tables) == bwd[i][k + 1]
+                    assert iet_step(iet, fwd[i][k]) == fwd[i][k + 1]
+                    assert iet_inverse_step(iet, bwd[i][k]) == bwd[i][k + 1]
                 for j in range(n + 1):
                     x = bwd[i][j]
                     for k in range(n + 1):
                         shifted = k - j
                         assert x == (fwd[i][shifted] if shifted >= 0 else bwd[i][-shifted])
                         if k < n:
-                            x = iet_step(iet, x, tables)
+                            x = iet_step(iet, x)
                     assert all(type(v) is int for v in fwd[i] + bwd[i])
 
     @pytest.mark.parametrize(
@@ -457,15 +495,39 @@ class TestBreakpointOrbits:
     )
     def test_integer_twin_is_exact(self, lengths):
         iet = Iet(lengths, Permutation((3, 1, 2)))
-        tables, out = _iet_on_integers(iet)
+        tables, scale, enter, out = _iet_on_integers(iet)
         exact = [Fraction(x) for x in lengths]
-        scale = tables.total / sum(exact)
-        assert scale.denominator == 1
+        assert tables.total == scale * sum(exact)
         assert [b - a for a, b in zip(tables.beta, tables.beta[1:])] == [x * scale for x in exact]
         for n in tables.beta:
             value = out(n)
-            assert value == (float(Fraction(n) / scale) if isinstance(lengths[0], float) else n / scale)
+            assert value == (float(Fraction(n, scale)) if isinstance(lengths[0], float) else Fraction(n, scale))
             assert type(value) is (float if isinstance(lengths[0], float) else Fraction)
+        assert enter(lengths[0]) == tables.beta[1]
+        for outside in (sum(exact), -lengths[0], math.inf, math.nan):
+            with pytest.raises(OutOfDomainError):
+                enter(outside)
+
+    def test_points_join_the_twin_exactly(self):
+        # the scale grows to hold the points; with none it is the lengths' own
+        iet = Iet((0.5, 0.25), Permutation((2, 1)))
+        assert _iet_on_integers(iet)[1] == 4
+        tables, scale, enter, out = _iet_on_integers(iet, Fraction(1, 3), 2.0**-60)
+        assert scale == 3 * 2**60
+        assert (enter(Fraction(1, 3)), enter(2.0**-60)) == (2**60, 3)
+        assert tables.total == 3 * 2**60 * 3 // 4
+
+    def test_a_point_that_rounds_onto_the_total_leaves_below_it(self):
+        # 0.75 - 2^-60 rounds to the total 0.75; the API returns the largest
+        # float below it, which steps again, while the total itself stays the
+        # right end of the interval
+        iet = Iet((0.5, 0.25), Permutation((2, 1)))
+        below = math.nextafter(0.75, 0.0)
+        assert orbit(iet, Fraction(1, 2) - Fraction(1, 2**60), 0, 1) == [0.5, below]
+        assert iet_step(iet, below) == below - 0.5  # exact
+        tables, scale, _, out = _iet_on_integers(iet, Fraction(1, 2**60))
+        assert out(tables.total - 1) == below
+        assert out(tables.total) == 0.75
 
 
 class TestAdvisoriesAndSampling:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -49,27 +50,22 @@ from gordonlab.repetition import (
     verify_certificate_against_definition,
 )
 
-from oracles import per_q_torus_plan, wilson_interval
+from oracles import iet_orbit_fraction, per_q_torus_plan, wilson_interval
 
 
 def brute_find(system, omega, epsilon, r, q_max):
-    """Reference search: literal stepping, no closed forms or early exits."""
+    """Reference search: literal stepping, no closed forms or early exits;
+    IETs step on the exact Fraction oracle (``iet_orbit_fraction``)."""
+    thresh = Fraction(epsilon)
     for q in range(1, q_max + 1):
         k_max = math.floor(Fraction(r) * q)
-        points = orbit(system, omega, 0, k_max + q)
-        thresh = Fraction(epsilon)
-        ok = True
-        for k in range(k_max + 1):
-            a, b = points[k], points[k + q]
-            if isinstance(a, TorusPoint):
-                if Fraction(a.dist_raw(b), SCALE) >= thresh:
-                    ok = False
-                    break
-            else:
-                if abs(a - b) >= epsilon:
-                    ok = False
-                    break
-        if ok:
+        if isinstance(system, Iet):
+            points = iet_orbit_fraction(system.lengths, system.perm.images, omega, k_max + q)
+            dists = [abs(points[k + q] - points[k]) for k in range(k_max + 1)]
+        else:
+            points = orbit(system, omega, 0, k_max + q)
+            dists = [Fraction(points[k].dist_raw(points[k + q]), SCALE) for k in range(k_max + 1)]
+        if all(d < thresh for d in dists):
             return q
     return None
 
@@ -112,23 +108,30 @@ def stepping_torus_search(system, omega, epsilon, r, q_max):
 
 
 def stepping_iet_search(system, omega, epsilon, r, q_max):
-    """Reference IET search: every q in order, the distances of
-    repetition_distances up to the first one >= epsilon.
+    """Reference IET search: every q in order, the exact distances of the
+    Fraction oracle's orbit (``iet_orbit_fraction``) up to the first one
+    >= Fraction(epsilon).
 
     A q misses by the largest distance it saw; the near-miss is the smallest
-    miss, the earliest q among equals.  Returns ("found", q, k_max, max_dist)
-    or ("not_found", best_q, best_dist).
+    miss, the earliest q among equals.  Distances are exact, rounded once to
+    a float for float IETs.  Returns ("found", q, k_max, max_dist) or
+    ("not_found", best_q, best_dist).
     """
+    thresh = Fraction(epsilon)
+    rounded = float if any(isinstance(x, float) for x in system.lengths) else Fraction
+    points = iet_orbit_fraction(
+        system.lengths, system.perm.images, omega, math.floor(Fraction(r) * q_max) + q_max
+    )
     misses = []
     for q in range(1, q_max + 1):
         k_max = math.floor(Fraction(r) * q)
-        dists = repetition_distances(system, omega, q, k_max)
-        failing = [k for k, d in enumerate(dists) if d >= epsilon]
+        dists = [abs(points[k + q] - points[k]) for k in range(k_max + 1)]
+        failing = [k for k, d in enumerate(dists) if d >= thresh]
         if not failing:
-            return ("found", q, k_max, max(dists))
+            return ("found", q, k_max, rounded(max(dists)))
         misses.append((max(dists[: failing[0] + 1]), q))
     miss, q = min(misses)
-    return ("not_found", q, miss)
+    return ("not_found", q, rounded(miss))
 
 
 def as_iet_outcome(result):
@@ -248,7 +251,7 @@ class TestFindRepetitionTime:
         # ~1 apart, so q=8 (the circle-metric answer) is rejected and the
         # search lands on the next return time whose pairs all avoid the cut
         assert cert.q == 21
-        assert cert.max_dist == pytest.approx(0.021286236252207102, rel=1e-12)
+        assert cert.max_dist == 0.021286236252207047  # the exact distance, rounded once
         brute = brute_find(iet, 0.2, 0.06, 1.0, 100)
         assert brute == 21
 
@@ -334,6 +337,37 @@ class TestFindRepetitionTime:
                         omega, epsilon, r,
                     )
                     outcomes.add(got[0])
+        assert outcomes == {"found", "not_found"}
+
+    def test_random_iet_searches_match_the_fraction_oracle(self):
+        # float and exact IETs, m = 2..5: the verdict, q and the exact
+        # distance rounded once all match the oracle, and verification is
+        # exact: at epsilon = max_dist it passes only if the rounding went up
+        rng = random.Random(1263)
+        outcomes = set()
+        for case in range(200):
+            m = rng.randint(2, 5)
+            images = tuple(rng.sample(range(1, m + 1), m))
+            lengths = tuple(rng.random() * 2 for _ in range(m))
+            if case % 2:
+                lengths = tuple(Fraction(rng.randrange(1, 1000), rng.randrange(1, 1000)) for _ in range(m))
+            iet = Iet(lengths, Permutation(images))
+            omega = sum(map(Fraction, lengths)) * Fraction(rng.randrange(1000), 1000)
+            omega = omega if case % 2 else float(omega)
+            epsilon, r = rng.choice((0.02, 0.05, 0.1, 0.3)), rng.choice((0.5, 1, 2))
+            got = find_repetition_time(iet, omega, epsilon, r, 25)
+            assert as_iet_outcome(got) == stepping_iet_search(iet, omega, epsilon, r, 25)
+            outcomes.add(as_iet_outcome(got)[0])
+            if isinstance(got, RepetitionCertificate):
+                assert verify_certificate_against_definition(got, iet)
+                exact = max(
+                    abs(b - a)
+                    for a, b in zip(
+                        *(iet_orbit_fraction(lengths, images, omega, got.k_max + got.q)[s:] for s in (0, got.q))
+                    )
+                )
+                at_max = replace(got, epsilon=got.max_dist)
+                assert verify_certificate_against_definition(at_max, iet) == (Fraction(got.max_dist) > exact)
         assert outcomes == {"found", "not_found"}
 
     def test_one_dim_skewproduct_is_the_shift(self):
@@ -442,8 +476,8 @@ class TestFindRepetitionTime:
         def no_stepping(*_):
             raise AssertionError("a torus search stepped an orbit")
 
-        monkeypatch.setattr(repetition, "raw_stepper", no_stepping)
-        monkeypatch.setattr(repetition, "raw_orbit", no_stepping)
+        monkeypatch.setattr(repetition, "_iet_steps", no_stepping)
+        monkeypatch.setattr(repetition, "_exact_orbit", no_stepping)
         got = answers()
         monkeypatch.undo()
         assert got == expected
@@ -890,8 +924,13 @@ class TestPrpEstimate:
             assert raw == [p.raw for p in points]
             assert all(type(w) is tuple and len(w) == system_dim(system) for w in raw)
 
-    def test_iet_monte_carlo_builds_the_tables_once(self, monkeypatch):
-        iet = Iet((0.3, 0.5, 0.2), Permutation((3, 1, 2)))
+    @pytest.mark.parametrize(
+        "lengths", [(0.3, 0.5, 0.2), (Fraction(3, 10), Fraction(1, 2), Fraction(1, 5))],
+        ids=["floats", "fractions"],
+    )
+    def test_iet_monte_carlo_builds_one_twin(self, monkeypatch, lengths):
+        # one integer twin holds every draw, so its tables are built once
+        iet = Iet(lengths, Permutation((3, 1, 2)))
         expected = estimate_prp_fraction(iet, 0.1, 1, 30, 20, seed=3)
         built = []
         real = dynamics.iet_tables
@@ -902,7 +941,8 @@ class TestPrpEstimate:
 
         monkeypatch.setattr(dynamics, "iet_tables", counted)
         assert estimate_prp_fraction(iet, 0.1, 1, 30, 20, seed=3) == expected
-        assert built == [iet]
+        assert len(built) == 1
+        assert built[0].perm == iet.perm and all(type(x) is int for x in built[0].lengths)
 
     def test_seed_changes_the_samples(self):
         beta = float(GOLDEN)
