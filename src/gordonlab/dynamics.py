@@ -261,8 +261,8 @@ def _iet_on_integers(iet: Iet, *points):
         return n
 
     if any(isinstance(x, float) for x in iet.lengths):
-        last = total / scale  # the total rounded, made the largest float below it
-        last = math.nextafter(last, 0.0) if last >= Fraction(total, scale) else last
+        n, d = (total / scale).as_integer_ratio()  # the total, rounded to a float
+        last = math.nextafter(n / d, 0.0) if n * scale >= total * d else n / d  # below it
         out = lambda n: x if (x := n / scale) <= last or n >= total else last
     else:
         out = lambda n: Fraction(n, scale)
