@@ -31,12 +31,14 @@ from .arithmetic import (
 )
 from .dynamics import (
     Iet,
+    OutOfDomainError,
     Permutation,
     Shift,
     SkewProduct,
     SkewShift,
     TorusPoint,
     UnsupportedSystemError,
+    _iet_twin,
     raw_orbit,
     raw_state,
     system_dim,
@@ -141,7 +143,7 @@ def _parse_list(text: str, field: str, parse, kind: str = "") -> tuple:
         return tuple(parse(p) for p in parts)
     except ConfigError:
         raise
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{field}: {text!r} is not a comma-separated {kind} list") from exc
 
 
@@ -182,11 +184,12 @@ def build_omega(args: argparse.Namespace, system):
         if args.omega is None:
             return 0.0
         try:
-            x = float(Fraction(args.omega))
-        except (ValueError, ZeroDivisionError) as exc:
+            x = _number(args.omega)
+            _iet_twin(system, x).enter(x)
+        except OutOfDomainError as exc:
+            raise ConfigError("omega: outside the interval") from exc
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"omega: {args.omega!r} is not a number") from exc
-        if not 0.0 <= x < sum(map(Fraction, system.lengths)):
-            raise ConfigError("omega: outside the interval")
         return x
     if args.omega is None:
         return TorusPoint((FixedPointFrac(0),) * dim)

@@ -7,12 +7,13 @@ Every system steps exact integers.  A torus state is a tuple of ints mod
 unipotent (I for a shift; the skew-shift is the 2-D skew-product with
 increment 2*alpha), and ``_unipotent_power`` gives T^n by one exact binomial
 formula in n, with no matrix powers, to the closed form and to the repetition
-plan.  An IET steps on its integer twin (``_iet_on_integers``): the lengths and
-the point over their common denominator (a float is a dyadic rational), by one
-bisect and one add each way (``_iet_steps``), in orbits, searches, the Monte
-Carlo, cut refinements and towers alike.  Floats, ``Fraction``s,
-``FixedPointFrac`` and ``TorusPoint`` exist only at the API edge: a point is
-unwrapped (or enters the twin) once and its results leave once.
+plan.  An IET has one integer twin (``_iet_twin``): the lengths and the
+points it holds over their common denominator (a float is a dyadic rational),
+stepped by one bisect and one add each way, in orbits, searches, the Monte
+Carlo, cut refinements and towers alike; an IET draw is the exact point
+u*total on it.  Floats, ``Fraction``s, ``FixedPointFrac`` and ``TorusPoint``
+exist only at the API edge: a point is unwrapped (or enters the twin) once and
+its results leave once.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import operator
 import random
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -189,75 +191,77 @@ def system_dim(system: SystemSpec) -> int:
 
 
 def random_point(system: SystemSpec, rng: random.Random):
-    """Lebesgue-uniform sample of the system's phase space."""
-    return wrap_state(_random_raw(system, rng))
+    """Lebesgue-uniform sample of the system's phase space.  An IET point is
+    the exact draw u*total, leaving its twin once through ``out``."""
+    raw = _random_raw(system, rng)
+    if isinstance(system, Iet):
+        twin = _iet_draw_twin(system)
+        return twin.out(twin.enter(raw * Fraction(twin.total, twin.scale)))
+    return wrap_state(raw)
 
 
 def _random_raw(system: SystemSpec, rng: random.Random):
-    """The raw state of ``random_point``: one 128-bit draw per torus
-    coordinate, or a point of the IET's interval."""
+    """The draw behind ``random_point``: one 128-bit draw per torus
+    coordinate (the raw state), or for an IET the exact share u of its total,
+    u = rng.random(), a multiple of 2^-53 in [0, 1)."""
     if isinstance(system, (Shift, SkewShift, SkewProduct)):
         return tuple(map(rng.getrandbits, [128] * system_dim(system)))
     if isinstance(system, Iet):
-        *_, total = accumulate(system.lengths)  # the tables' total, with no tables
-        if isinstance(total, float):
-            return rng.random() * total
-        return Fraction(rng.random()) * total  # exact IETs stay exact
+        return Fraction(rng.random())
     raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# IET tables
+# the integer twin of an IET
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class IetTables:
-    """Breakpoints of the source/image partitions and per-interval jumps.
+class _IetTwin:
+    """An IET on integers: its lengths, and the points it holds, over one scale D.
 
-    beta[j] is the j-th source breakpoint (beta[0] = 0, beta[m] = total);
-    beta_pi are the image-partition breakpoints; interval j translates by
-    jumps[j-1] = beta_pi[perm(j)-1] - beta[j-1], and the image interval i
-    comes from the interval that jumps by back[i-1] = jumps[perm^-1(i)-1].
+    beta and beta_pi are the source and image breakpoints (0, ..., total);
+    interval j translates by jumps[j-1] = beta_pi[perm(j)-1] - beta[j-1], and
+    image interval i comes back by back[i-1] = jumps[perm^-1(i)-1].  step and
+    inverse are T and T^-1, one bisect and one add each.  enter(x) = x*D
+    raises outside [0, total); out(n) = n/D is a Fraction for exact IETs, else
+    the rounded float, but a point never rounds onto the total: it leaves as
+    the float below, so every float the API returns steps again.
     """
 
-    beta: tuple
-    beta_pi: tuple
-    total: object
-    jumps: tuple
-    back: tuple
+    beta: tuple[int, ...]
+    beta_pi: tuple[int, ...]
+    jumps: tuple[int, ...]
+    back: tuple[int, ...]
+    total: int
+    scale: int
+    enter: Callable[[object], int]
+    out: Callable[[int], object]
+    step: Callable[[int], int]
+    inverse: Callable[[int], int]
 
 
-def iet_tables(iet: Iet) -> IetTables:
-    images, lengths = iet.perm.images, iet.lengths
-    inv = sorted(range(len(images)), key=images.__getitem__)  # inv[i-1] = perm^-1(i) - 1
-    beta = (0, *accumulate(lengths))
-    # closed at total: a float sum in permuted order may round below it
-    beta_pi = (0, *islice(accumulate(lengths[j] for j in inv), len(inv) - 1), beta[-1])
-    jumps = tuple(beta_pi[i - 1] - b for i, b in zip(images, beta))
-    return IetTables(beta, beta_pi, beta[-1], jumps, tuple(jumps[j] for j in inv))
-
-
-def _iet_on_integers(iet: Iet, *points):
-    """The integer twin of iet: (tables, D, enter, out).
-
-    D is the lcm of the lengths' and the points' denominators, so the twin's
-    lengths and every multiple of a point are integers: enter(x) = x * D,
-    raising outside [0, total).  out(n) = n / D is a Fraction for exact IETs,
-    else the rounded float, but a point never rounds onto the total: it
-    leaves as the float below, so every float the API returns steps again.
-    """
+def _iet_twin(iet: Iet, *points) -> _IetTwin:
+    """The integer twin of iet at the lcm D of the lengths' and the points'
+    denominators (a float is a dyadic rational), so the twin's lengths and
+    every multiple of a point are integers."""
     ratios = [x.as_integer_ratio() for x in iet.lengths]
     dens = [x.as_integer_ratio()[1] for x in points if 0 <= x < math.inf]  # enter rejects the rest
     scale = math.lcm(*(d for _, d in ratios), *dens)
-    tables = iet_tables(Iet(tuple(n * (scale // d) for n, d in ratios), iet.perm))
-    total = tables.total
+    lengths = [n * (scale // d) for n, d in ratios]
+    images = iet.perm.images
+    inv = sorted(range(len(images)), key=images.__getitem__)  # inv[i-1] = perm^-1(i) - 1
+    beta = (0, *accumulate(lengths))
+    beta_pi = (0, *accumulate(lengths[j] for j in inv))
+    total = beta[-1]
+    jumps = tuple(beta_pi[i - 1] - b for i, b in zip(images, beta))
+    back = tuple(jumps[j] for j in inv)
 
     def enter(x):
         n, d = x.as_integer_ratio() if 0 <= x < math.inf else (-1, 1)
         n *= scale // d
         if not 0 <= n < total:
-            raise OutOfDomainError(f"IET point {x!r} outside [0, {out(total)!r})")
+            raise OutOfDomainError(f"IET point {x!r} outside [0, {Fraction(total, scale)})")
         return n
 
     if any(isinstance(x, float) for x in iet.lengths):
@@ -266,16 +270,15 @@ def _iet_on_integers(iet: Iet, *points):
         out = lambda n: x if (x := n / scale) <= last or n >= total else last
     else:
         out = lambda n: Fraction(n, scale)
-    return tables, scale, enter, out
+    step = lambda n: n + jumps[bisect_right(beta, n) - 1]
+    inverse = lambda n: n - back[bisect_right(beta_pi, n) - 1]
+    return _IetTwin(beta, beta_pi, jumps, back, total, scale, enter, out, step, inverse)
 
 
-def _iet_steps(tables: IetTables):
-    """(T, T^-1) on integer tables: one bisect and one add each."""
-    beta, beta_pi, jumps, back = tables.beta, tables.beta_pi, tables.jumps, tables.back
-    return (
-        lambda n: n + jumps[bisect_right(beta, n) - 1],
-        lambda n: n - back[bisect_right(beta_pi, n) - 1],
-    )
+def _iet_draw_twin(iet: Iet) -> _IetTwin:
+    """The twin that holds every draw u*total (``_random_raw``): u is a multiple
+    of 2^-53, so u*total = sum(u*length) is a multiple of the lengths over 2^53."""
+    return _iet_twin(iet, *(Fraction(x) / 2**53 for x in iet.lengths))
 
 
 def iet_step(iet: Iet, x):
@@ -286,20 +289,19 @@ def iet_inverse_step(iet: Iet, y):
     return orbit(iet, y, -1, -1)[0]
 
 
-def iet_breakpoint_orbits(tables: IetTables):
+def iet_breakpoint_orbits(twin: _IetTwin):
     """Yield the two-sided orbits of beta_0 = 0 and the internal breakpoints,
     one step longer each time: after the n-th yield, fwd[i][k] = T^k(beta_i)
     and bwd[i][k] = T^-k(beta_i) for k = 0..n (the same lists, grown).
 
-    Meant for integer tables (``_iet_on_integers``), stepped exactly by
-    ``_iet_steps``.  The cuts of T^q are 0 and T^-j(beta_i) for i >= 1,
-    0 <= j < q, and on the piece whose left end is c = T^-j(beta_i), T^k
-    (k <= q) is the translation by T^(k-j)(beta_i) - c: a lookup in these
-    orbits, not a walk.
+    The orbits step exactly, by the twin's step and inverse.  The cuts of
+    T^q are 0 and T^-j(beta_i) for i >= 1, 0 <= j < q, and on the piece whose
+    left end is c = T^-j(beta_i), T^k (k <= q) is the translation by
+    T^(k-j)(beta_i) - c: a lookup in these orbits, not a walk.
     """
-    forward, backward = _iet_steps(tables)
-    fwd = [[b] for b in tables.beta[:-1]]
-    bwd = [[b] for b in tables.beta[:-1]]
+    forward, backward = twin.step, twin.inverse
+    fwd = [[b] for b in twin.beta[:-1]]
+    bwd = [[b] for b in twin.beta[:-1]]
     pairs = list(zip(fwd, bwd))
     while True:
         for f, b in pairs:
@@ -419,9 +421,9 @@ def _exact_orbit(system: SystemSpec, state, n_min: int, n_max: int):
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     if isinstance(system, Iet):
-        tables, scale, enter, out = _iet_on_integers(system, state)
-        step_raw, back = _iet_steps(tables)
-        cur = enter(state)
+        twin = _iet_twin(system, state)
+        step_raw, back, scale, out = twin.step, twin.inverse, twin.scale, twin.out
+        cur = twin.enter(state)
         for _ in range(abs(n_min)):
             cur = step_raw(cur) if n_min > 0 else back(cur)
     else:
@@ -472,15 +474,11 @@ class IetContinuityPiece:
     def length(self):
         return self.hi - self.lo
 
-    @property
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
 
 def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     """Maximal intervals on which T^q is a translation (at most q(m-1)+1).
 
-    Runs on the integer twin (``_iet_on_integers``).  The cuts are 0 and the
+    Runs on the integer twin (``_iet_twin``).  The cuts are 0 and the
     pull-backs T^-j(beta_i), 1 <= i < m, 0 <= j < q; the piece whose left end
     is c = T^-j(beta_i) translates by T^(q-j)(beta_i) - c, read from the
     two-sided breakpoint orbits (``iet_breakpoint_orbits``, shared with the
@@ -490,8 +488,8 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    tables, _, _, out = _iet_on_integers(iet)
-    fwd, bwd = next(islice(iet_breakpoint_orbits(tables), q - 1, None))  # q steps each way
+    twin = _iet_twin(iet)
+    fwd, bwd = next(islice(iet_breakpoint_orbits(twin), q - 1, None))  # q steps each way
     cuts = sorted([(0, 0, 0), *((bwd[i][j], i, j) for i in range(1, len(bwd)) for j in range(q))])
     starts = []  # (left end, translation) of each maximal piece
     prev = None
@@ -502,5 +500,6 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
         translation = fwd[i][q - j] - c
         if not starts or starts[-1][1] != translation:
             starts.append((c, translation))
-    ends = [lo for lo, _ in starts[1:]] + [tables.total]
+    ends = [lo for lo, _ in starts[1:]] + [twin.total]
+    out = twin.out
     return [IetContinuityPiece(out(lo), out(hi), out(t)) for (lo, t), hi in zip(starts, ends)]

@@ -39,8 +39,8 @@ from .dynamics import (
     UnsupportedSystemError,
     _unipotent_power,
     _exact_orbit,
-    _iet_on_integers,
-    _iet_steps,
+    _iet_draw_twin,
+    _iet_twin,
     _random_raw,
     iet_breakpoint_orbits,
     random_point,
@@ -113,7 +113,7 @@ def find_repetition_time(
     """
     _check_search(system, epsilon, r, q_max)
     if isinstance(system, Iet):
-        return _find_iet(_iet_on_integers(system, omega), omega, epsilon, r, q_max)
+        return _find_iet(_iet_twin(system, omega), omega, epsilon, r, q_max)
     thresh = _strict_raw_threshold(epsilon)
     w = raw_state(system, omega)
     w0, stepped = w[0], len(w) > 2
@@ -147,7 +147,8 @@ def _check_search(system: SystemSpec, epsilon: float, r: float, q_max: int) -> N
 
 def _certifies(system: SystemSpec, epsilon: float, r: float, q_max: int):
     """Whether an omega has a certificate: a bool for every omega, or a map
-    from omega's raw state (a tuple of ints, or an IET point) to bool.
+    from a draw (``_random_raw``: omega's raw tuple of ints, or an IET's share
+    u of its total) to bool.
 
     The verdict of ``find_repetition_time`` without its near-miss: the plan is
     built once, and an omega is certifiable when some candidate passes.  When
@@ -163,12 +164,11 @@ def _certifies(system: SystemSpec, epsilon: float, r: float, q_max: int):
     """
     _check_search(system, epsilon, r, q_max)
     if isinstance(system, Iet):
-        # an IET draw is a multiple of the total (of its ulp, for floats) over
-        # 2^53, so one integer twin holds every draw of ``_random_raw``
-        *_, total = accumulate(system.lengths)
-        grain = Fraction(math.ulp(total)) if isinstance(total, float) else total
-        twin = _iet_on_integers(system, grain / 2**53)
-        return lambda x: isinstance(_find_iet(twin, x, epsilon, r, q_max), RepetitionCertificate)
+        twin = _iet_draw_twin(system)  # holds every draw's point u*total
+        total = Fraction(twin.total, twin.scale)
+        return lambda u: isinstance(
+            _find_iet(twin, u * total, epsilon, r, q_max), RepetitionCertificate
+        )
     thresh = _strict_raw_threshold(epsilon)
     arcs = 3 * thresh <= SCALE + 2
     kept = []  # (k_max, first, coef, drift, lo, width) per candidate that can pass
@@ -299,11 +299,10 @@ def _progression(s, u, k_max, first, thresh):
 def _find_iet(twin, omega, epsilon, r, q_max):
     """The IET search on an integer twin that holds omega: every q in order,
     stepping, early exit; a distance fails when d/D >= epsilon, in integers."""
-    tables, scale, enter, out = twin
-    forward, _ = _iet_steps(tables)
-    thresh = _strict_raw_threshold(epsilon, scale)
+    forward, out = twin.step, twin.out
+    thresh = _strict_raw_threshold(epsilon, twin.scale)
     r_num, r_den = Fraction(r).as_integer_ratio()
-    states = [enter(omega)]
+    states = [twin.enter(omega)]
     best_q, best_dist = None, None
     for q in range(1, q_max + 1):
         k_max = r_num * q // r_den
@@ -596,8 +595,8 @@ def estimate_prp_fraction(
     """Monte Carlo frequency of certifiable starting points.
 
     Each sample's generator is derived from (seed, index) by hashing, so the
-    result is bit-identical for a fixed seed; samples are drawn as raw states
-    (``_random_raw``, the draw behind ``sample_start_point``).  A sample is a hit when
+    result is bit-identical for a fixed seed; samples are the draws behind
+    ``sample_start_point`` (``_random_raw``), never wrapped.  A sample is a hit when
     ``find_repetition_time`` would certify it, but no near-miss is computed:
     ``_certifies`` plans the torus search once, before any sample, and for
     epsilon < 1/3 answers each sample by arc membership, one modular compare
@@ -662,7 +661,7 @@ def veech_tower_search(
     A candidate piece J must be long enough for the coverage bound, have
     floors T^k J (1 <= k < q) disjoint from J, and return with overlap
     Leb(J and T^q J) > (1-eps) Leb(J).  Everything runs exactly on the
-    integer twin (``_iet_on_integers``); intervals come back in the IET's own
+    integer twin (``_iet_twin``); intervals come back in the IET's own
     arithmetic, scores as floats.
 
     Each q adds the cuts T^-(q-1)(beta_i).  The piece whose left end is
@@ -684,15 +683,15 @@ def veech_tower_search(
     best_score = -1.0
     if epsilon == 0:
         return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)
-    tables, _, _, out = _iet_on_integers(iet)
-    total = tables.total
+    twin = _iet_twin(iet)
+    total, out = twin.total, twin.out
     num, den = epsilon.as_integer_ratio()
     # q_in = longer // ln + 1, since (den-num) total // (ln den) is
     # ((den-num) total // den) // ln; no piece this short gets in by q_max
     longer = (den - num) * total // den
     never = longer // q_max
-    orbits = iet_breakpoint_orbits(tables)
-    cuts = list(tables.beta)
+    orbits = iet_breakpoint_orbits(twin)
+    cuts = list(twin.beta)
     # one state per piece [c, c + length), aligned with c in cuts:
     # [length, i, j, l, min |t_k| over 1 <= k <= l] with c = T^-j(beta_i)
     states = [[end - c, i, 0, 0, total] for i, (c, end) in enumerate(zip(cuts, cuts[1:]))]

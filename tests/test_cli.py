@@ -582,6 +582,27 @@ class TestExitCodes:
         assert run_cli(argv, capsys) == (2, "", f"config error: {message}\n")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (ORBIT + ["--system", "iet", "--lengths", "1e400,1", "--perm", "2,1"],
+             "lengths: '1e400,1' is not a comma-separated number list"),
+            (["gordon", "--system", "shift", "--alpha", "golden", "--q-list", "1,2",
+              "--c-list", "1e400"], "c-list: '1e400' is not a comma-separated number list"),
+            (ORBIT + HALVES + ["--omega", "1e400"], "omega: '1e400' is not a number"),
+            (GORDON + ["--function", "coding", "--breakpoints", "0,1e400", "--levels", "1,2"],
+             "breakpoints: '0,1e400' is not a comma-separated number list"),
+            (GORDON + ["--function", "coding", "--breakpoints", "0,0.5", "--levels", "1,-1e400"],
+             "levels: '1,-1e400' is not a comma-separated number list"),
+            (["transfer", "--alpha", "golden", "--q", "3", "--energy", "0.3", "--u0", "1e400,0"],
+             "u0: '1e400,0' is not a comma-separated number list"),
+        ],
+        ids=["lengths", "c-list", "omega", "breakpoints", "levels", "u0"],
+    )
+    def test_a_number_past_the_float_range_is_a_config_error(self, argv, message, capsys):
+        # a literal too large for a float is bad input, not an OverflowError
+        assert run_cli(argv, capsys) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ('{"subcommand": "cf",\n "alpha": "golden",,\n}',

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,12 @@ from gordonlab.dynamics import (
     SkewShift,
     TorusPoint,
     UnsupportedSystemError,
-    _iet_on_integers,
+    _iet_twin,
+    _random_raw,
     iet_breakpoint_orbits,
     iet_inverse_step,
     iet_refine_continuity,
     iet_step,
-    iet_tables,
     iterate_closed_form,
     orbit,
     random_point,
@@ -29,9 +30,13 @@ from gordonlab.dynamics import (
     step,
     system_dim,
 )
+from gordonlab.repetition import _certifies
 
 from iet_reference import refine_continuity_stepping
 from oracles import circle_dist_fraction, skewshift_orbit_fraction
+
+# their float sum exceeds their exact sum: 1 - 2^-53 times it lay outside the IET
+LARGE_DRAW_LENGTHS = (1.924402250361636, 1.1405611404903604, 0.34303419035543725)
 
 raw_values = st.integers(min_value=0, max_value=SCALE - 1)
 # dyadic rationals are exactly representable, so Fraction oracles are exact
@@ -315,11 +320,10 @@ class TestIet:
         assert iet_inverse_step(iet, iet_step(iet, x)) == pytest.approx(x, abs=1e-12)
 
     def test_inverse_step_at_the_right_edge_and_at_every_breakpoint(self):
-        # summed in permuted order, the image partition can round one ulp
-        # below the total; it is closed at the total, so the last image
-        # interval still covers [beta_pi[m-1], total).  Steps run on the
-        # exact twin, whose domain is [0, exact total): its right edge is the
-        # largest float below the exact total
+        # summed in permuted order, the float image partition can end one ulp
+        # below the float sum.  Steps run on the exact twin, whose domain is
+        # [0, exact total): its right edge is the largest float below the
+        # exact total, and the float partial sums of both partitions step
         rng = random.Random(20)
         rounded_below = 0
         for _ in range(300):
@@ -327,20 +331,19 @@ class TestIet:
             images = list(range(1, m + 1))
             rng.shuffle(images)
             iet = Iet(tuple(rng.random() * 2 for _ in range(m)), Permutation(tuple(images)))
-            tables = iet_tables(iet)
             inverse = iet.perm.inverse()
-            *_, permuted = itertools.accumulate(iet.lengths[j - 1] for j in inverse.images)
-            rounded_below += permuted < tables.total
-            assert tables.beta_pi[-1] == tables.total
+            beta = (0, *itertools.accumulate(iet.lengths))
+            beta_pi = (0, *itertools.accumulate(iet.lengths[j - 1] for j in inverse.images))
+            rounded_below += beta_pi[-1] < beta[-1]
             exact_total = sum(map(Fraction, iet.lengths))
             edge = float(exact_total)
             edge = edge if edge < exact_total else math.nextafter(edge, 0.0)
-            for y in (edge, *tables.beta[:-1], *tables.beta_pi[:-1]):
+            for y in (edge, *beta[:-1], *beta_pi[:-1]):
                 assert 0 <= iet_inverse_step(iet, y) < exact_total
             # the last image interval comes from interval perm^-1(m), so just
             # below the total the inverse is just below that interval's right end
             x = iet_inverse_step(iet, edge)
-            assert x == pytest.approx(tables.beta[inverse(m)], abs=1e-12)
+            assert x == pytest.approx(beta[inverse(m)], abs=1e-12)
         assert rounded_below > 0
 
     def test_domain_enforced(self):
@@ -354,19 +357,20 @@ class TestIet:
     def test_tables_jumps(self):
         lengths = (0.2, 0.5, 0.3)
         perm = Permutation((3, 1, 2))
-        tables = iet_tables(Iet(lengths, perm))
-        # jump of interval j moves beta_{j-1} onto beta^pi_{perm(j)-1}
+        twin = _iet_twin(Iet(lengths, perm))
+        # jump of interval j moves beta_{j-1} onto beta^pi_{perm(j)-1}, and
+        # image interval i comes back by the jump of perm^-1(i), exactly
         for j in (1, 2, 3):
-            src = tables.beta[j - 1]
-            dst = tables.beta_pi[perm(j) - 1]
-            assert src + tables.jumps[j - 1] == pytest.approx(dst, abs=1e-15)
+            assert twin.beta[j - 1] + twin.jumps[j - 1] == twin.beta_pi[perm(j) - 1]
+            assert twin.back[perm(j) - 1] == twin.jumps[j - 1]
+        assert twin.beta_pi[-1] == twin.beta[-1] == twin.total
 
     def test_interval_lengths_preserved(self):
         lengths = (0.2, 0.5, 0.3)
         iet = Iet(lengths, Permutation((3, 1, 2)))
-        tables = iet_tables(iet)
+        beta = (0, *itertools.accumulate(lengths))
         for j, length in enumerate(lengths, start=1):
-            lo, hi = tables.beta[j - 1], tables.beta[j]
+            lo, hi = beta[j - 1], beta[j]
             assert hi - lo == pytest.approx(length, abs=1e-15)
             img_lo = iet_step(iet, lo)
             img_mid = iet_step(iet, (lo + hi) / 2)
@@ -468,12 +472,12 @@ class TestBreakpointOrbits:
         for _ in range(6):
             perm = Permutation(tuple(rng.sample(range(1, m + 1), m)))
             iet = Iet(tuple(rng.randrange(1, 10**6) for _ in range(m)), perm)
-            tables = iet_tables(iet)
+            twin = _iet_twin(iet)
             n = 25
-            orbits = iet_breakpoint_orbits(tables)
+            orbits = iet_breakpoint_orbits(twin)
             for _ in range(n):
                 fwd, bwd = next(orbits)
-            assert [f[0] for f in fwd] == [b[0] for b in bwd] == list(tables.beta[:-1])
+            assert [f[0] for f in fwd] == [b[0] for b in bwd] == list(twin.beta[:-1])
             for i in range(m):
                 assert len(fwd[i]) == len(bwd[i]) == n + 1
                 for k in range(n):
@@ -495,27 +499,28 @@ class TestBreakpointOrbits:
     )
     def test_integer_twin_is_exact(self, lengths):
         iet = Iet(lengths, Permutation((3, 1, 2)))
-        tables, scale, enter, out = _iet_on_integers(iet)
+        twin = _iet_twin(iet)
+        scale, out = twin.scale, twin.out
         exact = [Fraction(x) for x in lengths]
-        assert tables.total == scale * sum(exact)
-        assert [b - a for a, b in zip(tables.beta, tables.beta[1:])] == [x * scale for x in exact]
-        for n in tables.beta:
+        assert twin.total == scale * sum(exact)
+        assert [b - a for a, b in zip(twin.beta, twin.beta[1:])] == [x * scale for x in exact]
+        for n in twin.beta:
             value = out(n)
             assert value == (float(Fraction(n, scale)) if isinstance(lengths[0], float) else Fraction(n, scale))
             assert type(value) is (float if isinstance(lengths[0], float) else Fraction)
-        assert enter(lengths[0]) == tables.beta[1]
+        assert twin.enter(lengths[0]) == twin.beta[1]
         for outside in (sum(exact), -lengths[0], math.inf, math.nan):
             with pytest.raises(OutOfDomainError):
-                enter(outside)
+                twin.enter(outside)
 
     def test_points_join_the_twin_exactly(self):
         # the scale grows to hold the points; with none it is the lengths' own
         iet = Iet((0.5, 0.25), Permutation((2, 1)))
-        assert _iet_on_integers(iet)[1] == 4
-        tables, scale, enter, out = _iet_on_integers(iet, Fraction(1, 3), 2.0**-60)
-        assert scale == 3 * 2**60
-        assert (enter(Fraction(1, 3)), enter(2.0**-60)) == (2**60, 3)
-        assert tables.total == 3 * 2**60 * 3 // 4
+        assert _iet_twin(iet).scale == 4
+        twin = _iet_twin(iet, Fraction(1, 3), 2.0**-60)
+        assert twin.scale == 3 * 2**60
+        assert (twin.enter(Fraction(1, 3)), twin.enter(2.0**-60)) == (2**60, 3)
+        assert twin.total == 3 * 2**60 * 3 // 4
 
     def test_a_point_that_rounds_onto_the_total_leaves_below_it(self):
         # 0.75 - 2^-60 rounds to the total 0.75; the API returns the largest
@@ -525,9 +530,9 @@ class TestBreakpointOrbits:
         below = math.nextafter(0.75, 0.0)
         assert orbit(iet, Fraction(1, 2) - Fraction(1, 2**60), 0, 1) == [0.5, below]
         assert iet_step(iet, below) == below - 0.5  # exact
-        tables, scale, _, out = _iet_on_integers(iet, Fraction(1, 2**60))
-        assert out(tables.total - 1) == below
-        assert out(tables.total) == 0.75
+        twin = _iet_twin(iet, Fraction(1, 2**60))
+        assert twin.out(twin.total - 1) == below
+        assert twin.out(twin.total) == 0.75
 
 
 class TestAdvisoriesAndSampling:
@@ -548,16 +553,61 @@ class TestAdvisoriesAndSampling:
                 assert a.dim == system_dim(system)
 
     def test_iet_point_is_the_first_draw_times_the_total(self):
-        for iet in (
-            Iet((0.1, 0.2, 0.7), Permutation((3, 1, 2))),
-            Iet((Fraction(1, 3), Fraction(5, 7)), Permutation((2, 1))),
-        ):
-            total = iet_tables(iet).total
-            for seed in range(5):
-                draw = random.Random(seed).random()
+        # the point is u*total exactly, u the generator's first random(),
+        # rounded once: a float that would round onto the total leaves as the
+        # float below it, so every point lies in [0, exact total)
+        rng = random.Random(17)
+        for exact in (False, True) * 300:
+            m = rng.randint(2, 5)
+            if exact:
+                lengths = tuple(Fraction(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(m))
+            else:
+                lengths = tuple(rng.random() * 2 for _ in range(m))
+            iet = Iet(lengths, Permutation(tuple(rng.sample(range(1, m + 1), m))))
+            total = sum(map(Fraction, lengths))
+            for _ in range(5):
+                seed = rng.getrandbits(32)
+                point = Fraction(random.Random(seed).random()) * total
                 got = random_point(iet, random.Random(seed))
-                assert got == (draw if isinstance(total, float) else Fraction(draw)) * total
-                assert type(got) is type(total)
+                if exact:
+                    assert type(got) is Fraction and got == point
+                else:
+                    rounded = float(point)
+                    assert type(got) is float
+                    assert got == (rounded if rounded < total else math.nextafter(rounded, 0.0))
+                assert 0 <= got < total
+
+    def test_the_largest_draw_lies_below_the_total(self):
+        # u = 1 - 2^-53: the float sum of these lengths exceeds their exact
+        # sum, so u times the float sum lay outside the IET; u times the
+        # exact sum does not, and steps and certifies like any other point
+        class Largest(random.Random):
+            def random(self):
+                return 1 - 2.0**-53
+
+        iet = Iet(LARGE_DRAW_LENGTHS, Permutation((3, 1, 2)))
+        total = sum(map(Fraction, iet.lengths))
+        x = random_point(iet, Largest())
+        assert x < total
+        points = orbit(iet, x, -3, 3)
+        assert points[3] == x and all(0 <= y < total for y in points)
+        assert _certifies(iet, 0.1, 1, 20)(_random_raw(iet, Largest())) in (True, False)
+
+    @pytest.mark.parametrize(
+        "lengths", [LARGE_DRAW_LENGTHS, (0.1, 0.2)], ids=["float-total", "total-rounds-up"]
+    )
+    def test_the_domain_error_names_the_exact_total(self, lengths):
+        # x is the float nearest the exact total: the total itself, or above
+        # it.  The message's bound is the exact total, not x again
+        iet = Iet(lengths, Permutation(tuple(range(len(lengths), 0, -1))))
+        total = sum(map(Fraction, lengths))
+        x = float(total)
+        for stepper in (iet_step, iet_inverse_step):
+            with pytest.raises(OutOfDomainError) as info:
+                stepper(iet, x)
+            point, bound = re.fullmatch(r"IET point (.*) outside \[0, (.*)\)", str(info.value)).groups()
+            assert point == repr(x) != bound
+            assert Fraction(bound) == total
 
     def test_system_dim(self):
         assert system_dim(Shift((GOLDEN, GOLDEN))) == 2

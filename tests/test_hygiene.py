@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
-private module-level name is used somewhere in the package, only
-``arithmetic`` holds the raw circle metric, and no module imports numpy or
-scipy when it is itself imported, nor while it refines IET cuts."""
+private module-level name is used somewhere in the package, ``__all__`` lists
+exactly what ``__init__`` imports, only ``arithmetic`` holds the raw circle
+metric, and no module imports numpy or scipy when it is itself imported, nor
+while it refines IET cuts."""
 
 import ast
 import pathlib
@@ -90,6 +91,49 @@ def test_the_scan_sees_a_dead_private_name():
 def test_every_private_module_level_name_is_used():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def export_mismatches(source: str) -> list[str]:
+    """How ``__all__`` differs from the names an ``__init__`` imports, plus
+    ``__version__``: a name listed twice, imported and left out, or listed
+    and not imported."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    (listed,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]
+    ]
+    expected = imported | {"__version__"}
+    return sorted(
+        [f"{name} (listed twice)" for name in set(listed) if listed.count(name) > 1]
+        + [f"{name} (imported, not in __all__)" for name in expected - set(listed)]
+        + [f"{name} (in __all__, not imported)" for name in set(listed) - expected]
+    )
+
+
+def test_the_scan_sees_a_stale_export():
+    source = (
+        "from .a import f, g\n"
+        "from .b import h as k\n"
+        "__version__ = '1'\n"
+        "__all__ = ['f', 'k', 'gone', 'f']\n"
+    )
+    assert export_mismatches(source) == [
+        "__version__ (imported, not in __all__)",
+        "f (listed twice)",
+        "g (imported, not in __all__)",
+        "gone (in __all__, not imported)",
+    ]
+
+
+def test_all_lists_exactly_what_init_imports():
+    assert export_mismatches((PACKAGE / "__init__.py").read_text()) == []
 
 
 CIRCLE_PRIMITIVES = {"_HALF", "_circle", "_signed"}

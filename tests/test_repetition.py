@@ -476,7 +476,13 @@ class TestFindRepetitionTime:
         def no_stepping(*_):
             raise AssertionError("a torus search stepped an orbit")
 
-        monkeypatch.setattr(repetition, "_iet_steps", no_stepping)
+        build = dynamics._iet_twin
+
+        def twin_without_steps(*args):
+            return replace(build(*args), step=no_stepping, inverse=no_stepping)
+
+        monkeypatch.setattr(dynamics, "_iet_twin", twin_without_steps)
+        monkeypatch.setattr(repetition, "_iet_twin", twin_without_steps)
         monkeypatch.setattr(repetition, "_exact_orbit", no_stepping)
         got = answers()
         monkeypatch.undo()
@@ -919,7 +925,9 @@ class TestPrpEstimate:
         raw = [dynamics._random_raw(system, repetition._sample_rng(9, i)) for i in range(25)]
         points = [sample_start_point(system, 9, i) for i in range(25)]
         if isinstance(system, Iet):
-            assert raw == points
+            # an IET draw is its share u of the total, and the point u*total
+            total = sum(map(Fraction, system.lengths))
+            assert points == [float(u * total) for u in raw]
         else:
             assert raw == [p.raw for p in points]
             assert all(type(w) is tuple and len(w) == system_dim(system) for w in raw)
@@ -929,20 +937,20 @@ class TestPrpEstimate:
         ids=["floats", "fractions"],
     )
     def test_iet_monte_carlo_builds_one_twin(self, monkeypatch, lengths):
-        # one integer twin holds every draw, so its tables are built once
+        # one integer twin holds every draw, so it is built once per estimate
         iet = Iet(lengths, Permutation((3, 1, 2)))
         expected = estimate_prp_fraction(iet, 0.1, 1, 30, 20, seed=3)
         built = []
-        real = dynamics.iet_tables
+        real = dynamics._iet_twin
 
-        def counted(system):
+        def counted(system, *points):
             built.append(system)
-            return real(system)
+            return real(system, *points)
 
-        monkeypatch.setattr(dynamics, "iet_tables", counted)
+        monkeypatch.setattr(dynamics, "_iet_twin", counted)
+        monkeypatch.setattr(repetition, "_iet_twin", counted)
         assert estimate_prp_fraction(iet, 0.1, 1, 30, 20, seed=3) == expected
-        assert len(built) == 1
-        assert built[0].perm == iet.perm and all(type(x) is int for x in built[0].lengths)
+        assert built == [iet]
 
     def test_seed_changes_the_samples(self):
         beta = float(GOLDEN)
