@@ -224,20 +224,19 @@ def classify_badly_approximable(
     q*alpha to [-bound, bound], bound = floor(c*2^128/lo).  ``_returns`` walks
     exactly those returns (three-gap theorem), and the ones in the block get
     the full witness test; no q is skipped that could be a witness.
-    method="auto" (or its other name, "convergents") tests q = 1 and then
-    the convergent denominators of the stored rational, from Euclid run to
-    termination, and is exact at every horizon.  For c >= 1/2, q = 1 is a
-    witness.  For c < 1/2, the first witness q is reduced (else q/gcd would
-    be an earlier one) and |alpha - p/q| <= c/q^2 < 1/(2q^2), so by
-    Legendre's theorem p/q is a convergent; the expansion ends in a quotient
-    >= 2, so its other form adds no candidate.  "scan" is the exhaustive
-    oracle.
+    method="auto" tests q = 1 and then the convergent denominators of the
+    stored rational, from Euclid run to termination, and is exact at every
+    horizon.  For c >= 1/2, q = 1 is a witness.  For c < 1/2, the first
+    witness q is reduced (else q/gcd would be an earlier one) and
+    |alpha - p/q| <= c/q^2 < 1/(2q^2), so by Legendre's theorem p/q is a
+    convergent; the expansion ends in a quotient >= 2, so its other form adds
+    no candidate.  "scan" is the exhaustive oracle.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    if method not in ("auto", "scan", "convergents"):
+    if method not in ("auto", "scan"):
         raise ValueError(f"unknown method: {method!r}")
 
     c_num, c_den = Fraction(c).as_integer_ratio()

@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--c", required=True, help="constant c in q<q alpha> >= c")
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--method", default="auto", choices=["auto", "scan", "convergents"])
+    p.add_argument("--method", default="auto", choices=["auto", "scan"])
     finish(p, cmd_classify)
 
     p = sub.add_parser("orbit", help="orbit coordinates over a site range")

@@ -666,14 +666,14 @@ def veech_tower_search(
 
     Each q adds the cuts T^-(q-1)(beta_i).  The piece whose left end is
     c = T^-j(beta_i) moves under T^k (k <= q) by t_k = T^(k-j)(beta_i) - c,
-    a lookup in the two-sided breakpoint orbits (``iet_breakpoint_orbits``),
-    and its floors miss J while min |t_k| >= |J|.  A piece keeps its level l
-    and min_{k <= l} |t_k|; both halves of a split inherit them (T^k, k < q,
-    is one translation on the whole parent).  With eps = num/den exactly, a
-    piece of length ln is in the window ((1-eps) total/q, total/q], where
-    coverage > 1 - eps, for (den-num) total // (ln den) < q <= total // ln:
-    pieces wait in a schedule keyed by that entry q, and each q visits the
-    live pieces of the window by left end.
+    a lookup in the breakpoint orbits (``iet_breakpoint_orbits``).  Its
+    floors miss J while low = min |t_k| over 1 <= k < q is >= |J|, and both
+    halves of a split keep low (T^k, k < q, is one translation on the whole
+    parent).  With eps = num/den exactly, a piece of length ln has coverage
+    > 1 - eps at q iff longer // q < ln <= total // q, where
+    longer = (den-num) total // den, so pieces no longer than longer // q_max
+    are dropped.  Each q walks the kept pieces by left end once: it reads
+    t_q, scores the piece if it is a candidate, and folds |t_q| into low.
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
@@ -686,69 +686,43 @@ def veech_tower_search(
     twin = _iet_twin(iet)
     total, out = twin.total, twin.out
     num, den = epsilon.as_integer_ratio()
-    # q_in = longer // ln + 1, since (den-num) total // (ln den) is
-    # ((den-num) total // den) // ln; no piece this short gets in by q_max
     longer = (den - num) * total // den
     never = longer // q_max
     orbits = iet_breakpoint_orbits(twin)
-    cuts = list(twin.beta)
-    # one state per piece [c, c + length), aligned with c in cuts:
-    # [length, i, j, l, min |t_k| over 1 <= k <= l] with c = T^-j(beta_i)
-    states = [[end - c, i, 0, 0, total] for i, (c, end) in enumerate(zip(cuts, cuts[1:]))]
-    schedule = {}  # q_in -> [(c, length, state)]
-    for c, state in zip(cuts, states):
-        if state[0] > never:
-            schedule.setdefault(longer // state[0] + 1, []).append((c, state[0], state))
-    active = []
+    fwd, bwd = next(orbits)
+    # [c, length, fwd[i], j, low] for each piece [c, c + length) longer than
+    # never, by left end, with c = T^-j(beta_i)
+    pieces = [[c, end - c, f, 0, total] for c, end, f in zip(twin.beta, twin.beta[1:], fwd)]
+    pieces = [piece for piece in pieces if piece[1] > never]
     for q in range(1, q_max + 1):
-        fwd, bwd = next(orbits)
-        for i in range(1, len(bwd)) if q > 1 else ():
+        for i in range(1, len(bwd)):  # at q = 1, the beta_i: cuts already
             x = bwd[i][q - 1]
-            pos = bisect_left(cuts, x)
-            parent = states[pos - 1]
-            if cuts[pos] == x or parent[0] <= never:
-                continue  # a cut already, or inside a piece too short to matter
-            a = cuts[pos - 1]
-            cuts.insert(pos, x)
-            half = [a + parent[0] - x, i, q - 1, parent[3], parent[4]]
-            states.insert(pos, half)
-            parent[0] = x - a  # its old schedule entry goes stale
-            for c, state in ((a, parent), (x, half)):
-                ln = state[0]
-                if state[4] >= ln > never:  # no floor met J yet, and J can still enter
-                    q_in = longer // ln + 1
-                    schedule.setdefault(q_in if q_in > q else q, []).append((c, ln, state))
-        entering = schedule.pop(q, None)
-        if entering:
-            active += entering
-            active.sort()
-        kept = []
-        for entry in active:
-            c, ln, state = entry
-            if state[0] != ln or q * ln > total:
-                continue  # split since, or too long from now on
-            _, i, j, l, low = state
-            if l < q - 1:  # the floors k = l+1..q-1, at T^(k-j)(beta_i)
-                if l < j:
-                    t = min(map(abs, map(c.__rsub__, fwd[i][: q - j] + bwd[i][1 : j - l])))
-                elif l == q - 2:
-                    t = abs(fwd[i][q - 1 - j] - c)
-                else:
-                    t = min(map(abs, map(c.__rsub__, fwd[i][l + 1 - j : q - j])))
-                if t < low:
-                    low = state[4] = t
-                state[3] = q - 1
-            if low < ln:
-                continue  # a floor met J: dead until split
-            kept.append(entry)
-            t = abs(fwd[i][q - j] - c)
-            overlap = ln - t if t < ln else 0
-            coverage, overlap_fraction = q * ln / total, overlap / ln
-            score = min(coverage, overlap_fraction)
-            if score > best_score:
-                best_score = score
-                best_q, best_cov, best_ovf = q, coverage, overlap_fraction
-            if num * ln > den * t:  # overlap > (1 - eps) ln
-                return VeechTower(q, (out(c), out(c + ln)), coverage, float(out(overlap)))
-        active = kept
+            pos = bisect_left(pieces, [x])  # the first piece with c >= x ([x] < [x, ...])
+            if pos == 0:
+                continue  # left of every kept piece
+            a, ln, _, _, low = parent = pieces[pos - 1]
+            if x - a >= ln:
+                continue  # a cut already, or in a gap between kept pieces
+            if a + ln - x > never:
+                pieces.insert(pos, [x, a + ln - x, fwd[i], q - 1, low])
+            if x - a > never:
+                parent[1] = x - a
+            else:
+                del pieces[pos - 1]
+        lo, hi = longer // q, total // q
+        for piece in pieces:
+            c, ln, f, j, low = piece
+            t = abs(f[q - j] - c)
+            if lo < ln <= hi and ln <= low:  # a candidate: floors k < q miss J
+                overlap = ln - t if t < ln else 0
+                coverage, overlap_fraction = q * ln / total, overlap / ln
+                score = min(coverage, overlap_fraction)
+                if score > best_score:
+                    best_score = score
+                    best_q, best_cov, best_ovf = q, coverage, overlap_fraction
+                if num * ln > den * t:  # overlap > (1 - eps) ln
+                    return VeechTower(q, (out(c), out(c + ln)), coverage, float(out(overlap)))
+            if t < low:
+                piece[4] = t  # the floor k = q, for the next q
+        next(orbits)  # fwd and bwd grow in place, to k = q + 1
     return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)

@@ -317,13 +317,17 @@ class TestClassify:
         for alpha in (GOLDEN, SQRT2_MINUS_1, LIOUVILLE10):
             for c in (0.05, 0.2, 0.4):
                 scan = classify_badly_approximable(alpha, c, 10**4, method="scan")
-                conv = classify_badly_approximable(alpha, c, 10**4, method="convergents")
-                assert scan.verdict == conv.verdict
-                assert scan.witness_q == conv.witness_q
+                auto = classify_badly_approximable(alpha, c, 10**4, method="auto")
+                assert scan.verdict == auto.verdict
+                assert scan.witness_q == auto.witness_q
+
+    def test_only_auto_and_scan_are_methods(self):
+        with pytest.raises(ValueError, match="unknown method: 'convergents'"):
+            classify_badly_approximable(GOLDEN, 0.2, 100, method="convergents")
 
     def test_exact_rational_witnessed_at_denominator(self):
         quarter = FixedPointFrac.from_fraction(1, 4)
-        verdict = classify_badly_approximable(quarter, 0.001, 10**8, method="convergents")
+        verdict = classify_badly_approximable(quarter, 0.001, 10**8, method="auto")
         assert verdict.witness_q == 4
         assert verdict.witness_dist == 0.0
 
@@ -332,7 +336,7 @@ class TestClassify:
         # and 10); the horizon past them needs no more, q = 10 is the witness
         alpha = FixedPointFrac.from_fraction(3, 10)
         assert cf_expand(alpha, 200).exhausted_at == 2
-        for method in ("auto", "convergents", "scan"):
+        for method in ("auto", "scan"):
             verdict = classify_badly_approximable(alpha, 0.001, 10**7, method=method)
             assert verdict.witness_q == 10, method
         assert witness_outcome(

@@ -623,6 +623,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.endswith("error: argument --eps: 'abc' is not a number\n")
 
+    def test_unknown_classify_method_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--alpha", "golden", "--c", "0.2", "--qmax", "10",
+                  "--method", "convergents"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --method: invalid choice: 'convergents'" in captured.err
+
     def test_missing_required_flag_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(

@@ -1105,13 +1105,22 @@ class TestVeechTowers:
     @pytest.mark.parametrize("images", [(3, 1, 2), (4, 3, 2, 1), (2, 5, 3, 1, 4)])
     def test_search_matches_from_scratch_stepping_on_many_short_searches(self, images):
         # short searches end at an early tower or scan few q: pieces that
-        # were visited and are split later pass their floors to both halves
+        # were visited and are split later pass their floors to both halves.
+        # Lengths over a denominator of at most 12 make new cuts coincide with
+        # old ones and land between the kept pieces, and q_max 1 or 2 (or a
+        # short first interval) leaves a first piece too short to keep
         rng = random.Random(sum(images))
+        searches = ((0.3, 42), (0.95, 42), (0.3, 1), (0.5, 2))
         for _ in range(40):
-            iet = Iet(tuple(rng.random() + 0.05 for _ in images), Permutation(images))
-            for epsilon in (0.2, 0.3):
-                got = veech_tower_search(iet, epsilon, 42)
-                assert repr(got) == repr(veech_tower_search_stepping(iet, epsilon, 42))
+            floats = tuple(rng.random() + 0.05 for _ in images)
+            den = rng.randint(2, 12)
+            exact = tuple(Fraction(rng.randint(1, 2 * den), den) for _ in images)
+            for lengths, first in ((floats, (0.2, 42)), (exact, (0.01, 42))):
+                iet = Iet(lengths, Permutation(images))
+                for epsilon, q_max in (first, *searches):
+                    got = veech_tower_search(iet, epsilon, q_max)
+                    want = veech_tower_search_stepping(iet, epsilon, q_max)
+                    assert repr(got) == repr(want)
 
     def test_half_of_a_dead_piece_is_a_tower(self):
         # at q = 5 the piece P of T^5 around J has a floor meeting P; the cut
@@ -1135,8 +1144,9 @@ class TestVeechTowers:
 
     def test_tower_on_a_piece_that_entered_the_window_late(self):
         # J = [0, 1/41) is a piece of T^17 already, but with eps = 1/2 it is
-        # long enough for the window only from q = 21 on: it waits in the
-        # schedule, and the first tower is on it at q = 21
+        # long enough for the window only from q = 21 on: it is kept and its
+        # floors are folded in at every q before that, and the first tower is
+        # on it at q = 21
         lengths = (Fraction(17, 41), Fraction(18, 41), Fraction(1, 41), Fraction(5, 41))
         iet = Iet(lengths, Permutation((2, 4, 1, 3)))
         tower = veech_tower_search(iet, 0.5, 40)
