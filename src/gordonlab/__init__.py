@@ -18,8 +18,11 @@ Layers (each importable on its own):
   truncated spectra, and localization statistics.
 - ``cli``: a seeded, reproducible experiment runner over all of the above.
 
-numpy and scipy are imported inside the functions that compute with them, so
-importing the package or the CLI loads neither and most subcommands never do.
+The defect gamma(q) and transfer products run on plain float lists.  numpy
+holds only ``PotentialWindow``'s arrays and the spectra, and scipy only the
+eigensolver, each imported inside the functions that use them: importing the
+package or the CLI loads neither, and of the subcommands only ``spectrum``
+does.
 """
 
 from .arithmetic import (

@@ -49,7 +49,10 @@ class FixedPointFrac:
     value: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % SCALE)
+        value = self.value
+        # an int already in range (every raw state) is stored as given
+        if type(value) is not int or not 0 <= value < SCALE:
+            object.__setattr__(self, "value", value % SCALE)
 
     # -- constructors ----------------------------------------------------
 

@@ -48,6 +48,8 @@ from .potentials import (
     Cosine,
     DimensionMismatchError,
     PiecewiseConstant,
+    _gamma,
+    _orbit_samples,
     gordon_profile,
     sample_potential,
 )
@@ -63,7 +65,8 @@ from .repetition import (
 )
 from .spectral import (
     ConvergenceFailureError,
-    gordon_three_block_check,
+    _start_vector,
+    _three_block,
     localization_diagnostics,
     truncated_spectrum,
 )
@@ -442,11 +445,16 @@ def cmd_transfer(args) -> tuple:
     q = args.q
     if q < 1:
         raise ConfigError("q: must be >= 1")
-    window = sample_potential(system, f, args.lam, omega, 1 - q, 2 * q)
+    # gordon_three_block_check's kernels, fed plain samples over [1-q, 2q]:
+    # no PotentialWindow, so no numpy
+    base = _orbit_samples(system, f, omega, 1 - q, 2 * q)
     u0 = _parse_list(args.u0, "u0", _number, "number") if args.u0 else (1.0, 0.0)
     if len(u0) != 2:
         raise ConfigError("u0: expected two components")
-    report = gordon_three_block_check(window, args.energy, q, u0)
+    u = _start_vector(u0)
+    lam = float(args.lam)
+    values = [lam * v for v in base[q : 2 * q]]
+    report = _three_block(values, args.energy, u, _gamma(base, q, lam))
     columns = [
         "q",
         "energy",

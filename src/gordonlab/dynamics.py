@@ -50,7 +50,8 @@ class TorusPoint:
     coords: tuple[FixedPointFrac, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(self.coords))
+        if type(self.coords) is not tuple:
+            object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) < 1:
             raise ValueError("TorusPoint needs at least one coordinate")
 

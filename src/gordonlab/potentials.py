@@ -6,7 +6,9 @@ with modulus-of-continuity bounds and finite-horizon decay verdicts.
 
 The defect is computed from the unscaled samples and multiplied by |lam| at
 the end, so coupling homogeneity gamma(lam*V, q) = |lam| * gamma(V, q) holds
-exactly in floating point, including lam = 0.
+exactly in floating point, including lam = 0.  It has one kernel on plain
+float lists (``_gamma``); ``PotentialWindow``'s numpy arrays are an API-edge
+form, and ``gordon_profile`` builds none.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 from typing import TYPE_CHECKING, Sequence
 
 from .arithmetic import SCALE, FixedPointFrac
@@ -153,6 +155,15 @@ def _sample_raw(f: SamplingFunction, states: list, torus: bool) -> list[float]:
     raise TypeError(f"unknown sampling function {type(f).__name__}")
 
 
+def _orbit_samples(
+    system: SystemSpec, f: SamplingFunction, omega, n_min: int, n_max: int
+) -> list[float]:
+    """The lam-free samples f(T^n omega), n_min <= n <= n_max, as plain floats."""
+    _check_dims(f, system_dim(system))
+    states = raw_orbit(system, raw_state(system, omega), n_min, n_max)
+    return _sample_raw(f, states, not isinstance(system, Iet))
+
+
 def evaluate_sampling(f: SamplingFunction, point) -> float:
     """f at a TorusPoint (torus variants) or a plain number (interval codings)."""
     torus = isinstance(point, TorusPoint)
@@ -202,6 +213,8 @@ def sample_potential(
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     _check_dims(f, system_dim(system))
+    # the states stay alive until the array is built: building it from
+    # ``_orbit_samples`` after they are freed measured a higher peak RSS
     states = raw_orbit(system, raw_state(system, omega), n_min, n_max)
     base = np.array(_sample_raw(f, states, not isinstance(system, Iet)), dtype=float)
     return PotentialWindow(
@@ -246,11 +259,27 @@ def explicit_window(values, n_min: int) -> PotentialWindow:
 # ---------------------------------------------------------------------------
 
 
+def _gamma(base: list[float], q: int, lam: float) -> float:
+    """|lam| times the defect of the lam-free samples at sites 1-q..2q (3q floats).
+
+    Like numpy's max, any nan difference (a nan sample, or inf - inf) makes
+    the defect nan, wherever it sits; Python's max alone would skip a nan
+    that is not first.
+    """
+    mid = base[q : 2 * q]
+    diffs = list(map(abs, map(sub, mid, base[2 * q :])))
+    diffs += map(abs, map(sub, mid, base[:q]))
+    raw = math.nan if any(map(math.isnan, diffs)) else max(diffs)
+    return abs(float(lam)) * raw
+
+
 def gordon_gamma(window: PotentialWindow, q: int) -> float:
     """max over n in [1, q] of |V(n) - V(n+q)| and |V(n) - V(n-q)|.
 
-    Needs the window to cover [1-q, 2q].  Computed from the unscaled samples
-    and multiplied by |lam| last, so it is exactly |lam|-homogeneous.
+    Needs the window to cover [1-q, 2q].  Computed by ``_gamma`` from the
+    window's unscaled samples as plain floats and multiplied by |lam| last,
+    so it is exactly |lam|-homogeneous; a nan anywhere in the three blocks
+    gives nan.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -259,13 +288,8 @@ def gordon_gamma(window: PotentialWindow, q: int) -> float:
             f"defect at q={q} needs sites [{1 - q}, {2 * q}], window is "
             f"[{window.n_min}, {window.n_max}]"
         )
-    base = window.base_values
     off = -window.n_min
-    mid = base[off + 1 : off + q + 1]
-    plus = base[off + 1 + q : off + 2 * q + 1]
-    minus = base[off + 1 - q : off + 1]
-    raw = max(float(abs(mid - plus).max()), float(abs(mid - minus).max()))
-    return abs(window.lam) * raw
+    return _gamma(window.base_values[off + 1 - q : off + 2 * q + 1].tolist(), q, window.lam)
 
 
 @dataclass(frozen=True)
@@ -309,8 +333,10 @@ def gordon_profile(
 ) -> GordonProfile:
     """Defect profile over q_list and the largest C consistent with decay.
 
-    One orbit window [1 - max(q), 2 max(q)] serves every q.  The comparison
-    runs in log space (log gamma + q log C) to dodge underflow of C**-q.
+    One orbit of plain float samples over [1 - max(q), 2 max(q)] serves
+    every q (no ``PotentialWindow``, no numpy); each entry is bit for bit
+    ``gordon_gamma(sample_potential(...), q)``.  The comparison runs in log
+    space (log gamma + q log C) to dodge underflow of C**-q.
     """
     q_list = list(q_list)
     if not q_list:
@@ -322,8 +348,8 @@ def gordon_profile(
     if not c_list or any(c <= 0 for c in c_list):
         raise ValueError("c_list must be nonempty and positive")
     q_top = q_list[-1]
-    window = sample_potential(system, f, lam, omega, 1 - q_top, 2 * q_top)
-    entries = tuple((q, gordon_gamma(window, q)) for q in q_list)
+    base = _orbit_samples(system, f, omega, 1 - q_top, 2 * q_top)
+    entries = tuple((q, _gamma(base[q_top - q : q_top + 2 * q], q, lam)) for q in q_list)
     consistent = [c for c in c_list if _decay_consistent(entries, c)]
     if consistent:
         return GordonProfile(entries, DECAY_CONSISTENT, max(consistent))

@@ -5,6 +5,10 @@ ends, and localization diagnostics (inverse participation ratio, edge mass).
 No spectral-type verdicts are ever claimed: finite truncations cannot decide
 continuity of spectra, so outputs are defect values, inequality margins, and
 descriptive statistics only.
+
+Transfer products and the three-block data have one kernel each on plain
+float lists (``_transfer``, ``_three_block``) and load no numpy; only the
+eigensolver does.
 """
 
 from __future__ import annotations
@@ -47,26 +51,42 @@ class TransferProduct:
     n_hi: int
 
     def det(self) -> float:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
+        return _det(self.entries)
 
 
-def transfer_block(window: PotentialWindow, energy: float, n_lo: int, n_hi: int) -> TransferProduct:
-    """Transfer matrix of the difference equation across sites n_lo..n_hi."""
-    if n_lo > n_hi:
-        raise ValueError("n_lo must be <= n_hi")
+def _det(entries) -> float:
+    (a, b), (c, d) = entries
+    return a * d - b * c
+
+
+def _transfer(values: list[float], energy: float):
+    """Entries of the product of [[E - v, -1], [1, 0]] over values, in order."""
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for v in values:
+        t = energy - v
+        # left-multiply by [[t, -1], [1, 0]]
+        a, b, c, d = t * a - c, t * b - d, a, b
+    return (a, b), (c, d)
+
+
+def _block_values(window: PotentialWindow, n_lo: int, n_hi: int) -> list[float]:
+    """V(n_lo..n_hi) as plain floats, after checking the window covers them."""
     if window.n_min > n_lo or window.n_max < n_hi:
         raise WindowTooSmallError(
             f"transfer block [{n_lo}, {n_hi}] outside window [{window.n_min}, {window.n_max}]"
         )
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    values = window.values
     off = -window.n_min
-    for j in range(n_lo, n_hi + 1):
-        t = energy - float(values[off + j])
-        # left-multiply by [[t, -1], [1, 0]]
-        a, b, c, d = t * a - c, t * b - d, a, b
-    return TransferProduct(((a, b), (c, d)), float(energy), n_lo, n_hi)
+    return window.values[off + n_lo : off + n_hi + 1].tolist()
+
+
+def transfer_block(window: PotentialWindow, energy: float, n_lo: int, n_hi: int) -> TransferProduct:
+    """Transfer matrix of the difference equation across sites n_lo..n_hi,
+    computed by ``_transfer`` on the window's values as plain floats."""
+    if n_lo > n_hi:
+        raise ValueError("n_lo must be <= n_hi")
+    values = _block_values(window, n_lo, n_hi)
+    energy = float(energy)
+    return TransferProduct(_transfer(values, energy), energy, n_lo, n_hi)
 
 
 def _adjugate(entries):
@@ -110,21 +130,22 @@ class ThreeBlockReport:
     det_drift: float
 
 
-def gordon_three_block_check(
-    window: PotentialWindow, energy: float, q: int, u0
-) -> ThreeBlockReport:
-    """Evaluate the three-block inequality data at energy E and period q.
-
-    The window must cover [1-q, 2q] (so gamma(q) is measurable alongside);
-    A^-1 comes from the adjugate since det A = 1, avoiding inversion error.
-    """
+def _start_vector(u0) -> tuple[float, float]:
     u = (float(u0[0]), float(u0[1]))
     if u == (0.0, 0.0):
         raise ValueError("u0 must be a nontrivial vector")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    block = transfer_block(window, energy, 1, q)
-    a = block.entries
+    return u
+
+
+def _three_block(
+    values: list[float], energy: float, u: tuple[float, float], gamma: float
+) -> ThreeBlockReport:
+    """The three-block data for the period block A over V(1..q) = values.
+
+    A^-1 comes from the adjugate since det A = 1, avoiding inversion error.
+    """
+    energy = float(energy)
+    a = _transfer(values, energy)
     a2 = _matmul(a, a)
     ainv = _adjugate(a)
     n0 = _norm2(u)
@@ -132,16 +153,31 @@ def gordon_three_block_check(
     np2 = _norm2(_matvec(a2, u))
     nm = _norm2(_matvec(ainv, u))
     return ThreeBlockReport(
-        q=q,
-        energy=float(energy),
+        q=len(values),
+        energy=energy,
         norm_u0=n0,
         norm_plus=np_,
         norm_plus2=np2,
         norm_minus=nm,
         min_ratio=max(np_, np2, nm) / n0,
-        gamma=gordon_gamma(window, q),
-        det_drift=abs(block.det() - 1.0),
+        gamma=gamma,
+        det_drift=abs(_det(a) - 1.0),
     )
+
+
+def gordon_three_block_check(
+    window: PotentialWindow, energy: float, q: int, u0
+) -> ThreeBlockReport:
+    """Evaluate the three-block inequality data at energy E and period q.
+
+    The window must cover [1-q, 2q] (so gamma(q) is measurable alongside);
+    ``_three_block`` runs on the window's values over [1, q] as plain floats.
+    """
+    u = _start_vector(u0)
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    values = _block_values(window, 1, q)
+    return _three_block(values, energy, u, gordon_gamma(window, q))
 
 
 # ---------------------------------------------------------------------------

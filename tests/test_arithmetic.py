@@ -100,6 +100,27 @@ class TestFixedPointFrac:
         assert FixedPointFrac(SCALE).value == 0
         assert FixedPointFrac(-1).value == SCALE - 1
 
+    def test_every_input_leaves_a_plain_int_in_range(self):
+        # in-range ints are stored as given; everything else is reduced mod 1
+        for given_value, expected in [
+            (0, 0),
+            (SCALE - 1, SCALE - 1),
+            (-1, SCALE - 1),
+            (-SCALE - 5, SCALE - 5),
+            (SCALE, 0),
+            (3 * SCALE + 7, 7),
+            (True, 1),
+            (False, 0),
+        ]:
+            value = FixedPointFrac(given_value).value
+            assert type(value) is int and value == expected, given_value
+        raw = 12345 << 100
+        assert FixedPointFrac(raw).value is raw
+
+    def test_non_integer_values_are_rejected(self):
+        with pytest.raises(TypeError):
+            FixedPointFrac([1])
+
     def test_from_fraction_is_exact_for_dyadics(self):
         x = FixedPointFrac.from_fraction(3, 8)
         assert x.value * 8 == 3 * SCALE

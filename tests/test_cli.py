@@ -669,7 +669,8 @@ class TestBundledRecipes:
 
 
 class TestImportPolicy:
-    """numpy and scipy load only where a subcommand computes with them."""
+    """Only ``spectrum`` loads numpy and scipy; every other subcommand, ``gordon``
+    and ``transfer`` included, computes on plain floats and loads neither."""
 
     LIGHT = {
         "cf": "cf --alpha golden --depth 8",
@@ -680,8 +681,6 @@ class TestImportPolicy:
         "prp-measure": "prp-measure --system skewshift --alpha golden --eps 0.1 --qmax 50 "
         "--samples 5 --seed 1",
         "veech": "veech --system iet --lengths 0.5,0.5 --perm 2,1 --eps 0.3 --qmax 10",
-    }
-    NUMPY_ONLY = {
         "gordon": "gordon --system shift --alpha golden --q-list 3,5",
         "transfer": "transfer --system shift --alpha golden --q 5 --energy 0.3",
     }
@@ -708,8 +707,7 @@ print(json.dumps(report))
     def test_heavy_packages_load_only_where_they_compute(self, capsys, src_env):
         runs = [
             (name, command.split())
-            for name, command in [*self.LIGHT.items(), *self.NUMPY_ONLY.items(),
-                                  ("spectrum", self.FREE_CHAIN)]
+            for name, command in [*self.LIGHT.items(), ("spectrum", self.FREE_CHAIN)]
         ]
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD, json.dumps(runs)],
@@ -720,8 +718,6 @@ print(json.dumps(report))
         assert report["import"][0] == []
         for name in self.LIGHT:
             assert report[name][0] == [], name
-        for name in self.NUMPY_ONLY:
-            assert report[name][0] == ["numpy"], name
         assert report["spectrum"][0] == ["numpy", "scipy"]
         # the lazily loaded solver gives the bits of an in-process run
         for name, argv in runs:

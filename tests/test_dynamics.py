@@ -92,6 +92,16 @@ class TestTorusPoint:
         with pytest.raises(ValueError):
             TorusPoint.from_floats(0.1).dist(TorusPoint.from_floats(0.1, 0.2))
 
+    def test_coords_are_always_a_tuple(self):
+        coords = (GOLDEN, ZERO)
+        assert TorusPoint(coords).coords is coords  # a tuple is kept as given
+        for given_coords in ([GOLDEN, ZERO], iter((GOLDEN, ZERO)), {0: GOLDEN, 1: ZERO}.values()):
+            point = TorusPoint(given_coords)
+            assert type(point.coords) is tuple and point.coords == coords
+            assert point == TorusPoint(coords) and hash(point) == hash(TorusPoint(coords))
+        with pytest.raises(ValueError):
+            TorusPoint([])
+
 
 class TestPermutation:
     def test_inverse(self):

@@ -254,6 +254,87 @@ class TestGordonGamma:
         assert gordon_gamma(self.golden_window(lam=0.0), 8) == 0.0
 
 
+def numpy_gamma(window, q):
+    """gamma(q) as one numpy max over every |V(n) - V(n +- q)|, n in [1, q]."""
+    base, off = window.base_values, -window.n_min
+    mid = base[off + 1 : off + q + 1]
+    with np.errstate(invalid="ignore"):
+        diffs = np.abs(np.concatenate([mid - base[off + 1 + q : off + 2 * q + 1],
+                                       mid - base[off + 1 - q : off + 1]]))
+    return abs(window.lam) * float(diffs.max())
+
+
+class TestGammaKernel:
+    """The plain-float kernel against numpy's max, nan and inf included."""
+
+    BLOCKS = {"minus": 0, "mid": 1, "plus": 2}
+
+    def test_matches_numpy_on_sampled_windows(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            q = rng.randint(1, 40)
+            lam = rng.choice([0.0, -1.75, 1.0, 5.0, rng.uniform(-10, 10)])
+            omega = torus1(FixedPointFrac(rng.getrandbits(128)))
+            window = sample_potential(Shift((GOLDEN,)), Cosine((1,)), lam, omega, 1 - q, 2 * q)
+            assert gordon_gamma(window, q) == numpy_gamma(window, q)
+
+    @pytest.mark.parametrize("block", ["minus", "mid", "plus"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_sample_in_any_block_is_seen(self, block, bad):
+        q = 4
+        for n in range(q):
+            values = [0.25 * k for k in range(3 * q)]
+            values[self.BLOCKS[block] * q + n] = bad
+            window = explicit_window(values, n_min=1 - q)
+            gamma = gordon_gamma(window, q)
+            assert repr(gamma) == repr(numpy_gamma(window, q))
+            assert repr(gamma) == ("nan" if math.isnan(bad) else "inf")
+
+    def test_a_nan_after_a_finite_difference_is_not_skipped(self):
+        # Python's max keeps a finite first value past a later nan
+        for values in ([9.0, 1.0, 2.0, 0.0, 1.0, math.nan],
+                       [9.0, 2.0, 1.0, math.nan, 0.0, 1.0],
+                       [math.nan, 9.0, 1.0, 2.0, 0.0, 1.0]):
+            assert math.isnan(gordon_gamma(explicit_window(values, n_min=-1), 2))
+
+    def test_inf_facing_inf_is_nan(self):
+        q = 3
+        for other in (0, 2):  # the mid site's partner in the minus or plus block
+            values = [0.5] * (3 * q)
+            values[q] = values[other * q] = math.inf
+            window = explicit_window(values, n_min=1 - q)
+            assert math.isnan(gordon_gamma(window, q))
+            assert math.isnan(numpy_gamma(window, q))
+
+
+PROFILE_CASES = [
+    pytest.param(Shift((GOLDEN,)), Cosine((1,), 0.2), _start(0.3), id="shift-cosine"),
+    pytest.param(Shift((LIOUVILLE10,)), PiecewiseConstant((0.1, 0.5), (2.0, -1.0)), _start(0.7),
+                 id="shift-coding"),
+    pytest.param(SkewShift(GOLDEN), BourgainQuadratic(), _start(0.3, 0.8), id="skewshift-bourgain"),
+    pytest.param(SkewShift(SQRT2), TrigPoly((((1, 2), 0.5, 0.0), ((0, 1), -1.25, 0.1))),
+                 _start(0.6, 0.1), id="skewshift-trigpoly"),
+    pytest.param(Iet((0.2, 0.5, 0.3), Permutation((3, 1, 2))),
+                 PiecewiseConstant((0.25, 0.6), (1.0, -0.5)), 0.123, id="iet-coding"),
+    pytest.param(Iet((0.2, 0.5, 0.3), Permutation((3, 1, 2))), Cosine((3,)), 0.77, id="iet-cosine"),
+]
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.75, 1.0, 5.0])
+@pytest.mark.parametrize("system, f, omega", PROFILE_CASES)
+def test_profile_entries_are_gordon_gamma_of_sampled_windows(system, f, omega, lam):
+    """gordon_profile builds no window; each entry is still bit for bit the
+    gamma of a sampled PotentialWindow over [1-q, 2q]."""
+    q_list = [1, 2, 3, 5, 8, 13, 21]
+    profile = gordon_profile(system, f, lam, omega, q_list, [1.5])
+    expected = []
+    for q in q_list:
+        window = sample_potential(system, f, lam, omega, 1 - q, 2 * q)
+        expected.append((q, gordon_gamma(window, q)))
+        assert expected[-1][1] == numpy_gamma(window, q)
+    assert profile.entries == tuple(expected)
+
+
 class TestGordonProfile:
     def test_liouville_cosine_frozen_profile(self):
         profile = gordon_profile(

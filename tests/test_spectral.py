@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from gordonlab.arithmetic import GOLDEN, ZERO
+from gordonlab.cli import build_function, build_omega, build_parser, build_system, main
 from gordonlab.dynamics import Shift, TorusPoint
 from gordonlab.potentials import (
     Cosine,
@@ -179,6 +181,62 @@ class TestThreeBlock:
                 checked += 1
                 assert abs(block.det() - 1.0) <= 1e-10
         assert checked >= 3
+
+
+TRANSFER_SYSTEMS = [
+    ["--system", "shift", "--alpha", "golden"],
+    ["--system", "shift", "--alpha", "liouville10", "--function", "coding",
+     "--breakpoints", "0.1,0.5", "--levels", "2,-1"],
+    ["--system", "skewshift", "--alpha", "sqrt2", "--function", "bourgain", "--omega", "0.3,0.8"],
+    ["--system", "iet", "--lengths", "0.2,0.5,0.3", "--perm", "3,1,2", "--function", "coding",
+     "--breakpoints", "0.25,0.6", "--levels", "1,-0.5", "--omega", "0.123"],
+]
+TRANSFER_COLUMNS = ["q", "energy", "norm_plus", "norm_plus2", "norm_minus", "min_ratio",
+                    "gamma", "det_drift"]
+
+
+def transfer_argv(rng, lam, q):
+    u0 = f"{rng.uniform(-1, 1)!r},{rng.uniform(-1, 1)!r}"
+    return ["transfer", *rng.choice(TRANSFER_SYSTEMS), f"--lambda={lam!r}", "--q", str(q),
+            f"--energy={rng.uniform(-4, 4)!r}", f"--u0={u0}"]
+
+
+def api_report(args):
+    """The three-block report of a sampled PotentialWindow for parsed transfer args."""
+    system = build_system(args)
+    window = sample_potential(system, build_function(args), args.lam, build_omega(args, system),
+                              1 - args.q, 2 * args.q)
+    u0 = [float(x) for x in args.u0.split(",")]
+    return gordon_three_block_check(window, args.energy, args.q, u0)
+
+
+class TestTransferSubcommand:
+    """``transfer`` runs the kernels on plain samples, never on a window, and
+    reports the bits of gordon_three_block_check on a sampled window."""
+
+    def test_rows_are_the_window_report_field_by_field(self):
+        rng = random.Random(19)
+        nonfinite = 0
+        for lam in (0.0, -1.75, 1.0, 5.0):
+            for _ in range(12):
+                q = rng.choice([1, 2, 5, 13, 89, 377, 987]) if lam != 5.0 else rng.randint(800, 1000)
+                args = build_parser().parse_args(transfer_argv(rng, lam, q))
+                columns, rows, computed = args.handler(args)
+                report = api_report(args)
+                assert columns == TRANSFER_COLUMNS and computed == {}
+                assert [repr(x) for x in rows[0]] == [repr(getattr(report, c)) for c in columns]
+                nonfinite += not all(map(math.isfinite, rows[0][1:]))
+        assert nonfinite >= 10  # lam=5 at q >= 800 overflows (ROADMAP item 5)
+
+    def test_end_to_end_run_prints_the_window_report(self, capsys):
+        argv = transfer_argv(random.Random(7), -1.75, 34)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        body = [line for line in out.splitlines() if not line.startswith("#")]
+        header, row = list(csv.reader(body))
+        report = api_report(build_parser().parse_args(argv))
+        assert header == TRANSFER_COLUMNS
+        assert row == [repr(getattr(report, c)) for c in header]
 
 
 class TestTruncatedSpectrum:
