@@ -29,48 +29,6 @@ from .arithmetic import (
     cf_expand,
     classify_badly_approximable,
 )
-from .dynamics import (
-    Iet,
-    OutOfDomainError,
-    Permutation,
-    Shift,
-    SkewProduct,
-    SkewShift,
-    TorusPoint,
-    UnsupportedSystemError,
-    _iet_twin,
-    raw_orbit,
-    raw_state,
-    system_dim,
-)
-from .potentials import (
-    BourgainQuadratic,
-    Cosine,
-    DimensionMismatchError,
-    PiecewiseConstant,
-    _gamma,
-    _orbit_samples,
-    gordon_profile,
-    sample_potential,
-)
-from .repetition import (
-    ConstructiveNotAvailable,
-    RepetitionNotFound,
-    TowerNotFound,
-    estimate_prp_fraction,
-    find_repetition_time,
-    skewshift_constructive_q,
-    veech_tower_search,
-    verify_certificate_against_definition,
-)
-from .spectral import (
-    ConvergenceFailureError,
-    _start_vector,
-    _three_block,
-    localization_diagnostics,
-    truncated_spectrum,
-)
-
 SCHEMA_VERSION = 1
 
 # construct-q verifies by stepping k_max + q states (about 150 bytes each)
@@ -155,6 +113,8 @@ def _number(text: str) -> float:
 
 
 def build_system(args: argparse.Namespace):
+    from .dynamics import Iet, Permutation, Shift, SkewProduct, SkewShift
+
     name = args.system
     if name in ("shift", "skewshift", "skewproduct"):
         if args.alpha is None:
@@ -182,6 +142,8 @@ def build_system(args: argparse.Namespace):
 
 
 def build_omega(args: argparse.Namespace, system):
+    from .dynamics import Iet, OutOfDomainError, TorusPoint, _iet_twin, system_dim
+
     dim = system_dim(system)
     if isinstance(system, Iet):
         if args.omega is None:
@@ -203,6 +165,8 @@ def build_omega(args: argparse.Namespace, system):
 
 
 def build_function(args: argparse.Namespace):
+    from .potentials import BourgainQuadratic, Cosine, PiecewiseConstant
+
     name = getattr(args, "function", "cosine")
     if name == "cosine":
         freq = _parse_list(args.freq, "freq", int, "integer") if args.freq else (1,)
@@ -327,6 +291,8 @@ def cmd_classify(args) -> tuple:
 
 
 def cmd_orbit(args) -> tuple:
+    from .dynamics import Iet, raw_orbit, raw_state, system_dim
+
     system = build_system(args)
     omega = build_omega(args, system)
     if args.nmin > args.nmax:
@@ -343,6 +309,8 @@ def cmd_orbit(args) -> tuple:
 
 
 def cmd_repeat(args) -> tuple:
+    from .repetition import RepetitionNotFound, find_repetition_time
+
     system = build_system(args)
     omega = build_omega(args, system)
     result = find_repetition_time(system, omega, args.eps, args.r, args.qmax)
@@ -360,6 +328,13 @@ def cmd_repeat(args) -> tuple:
 
 
 def cmd_construct_q(args) -> tuple:
+    from .dynamics import SkewShift
+    from .repetition import (
+        ConstructiveNotAvailable,
+        skewshift_constructive_q,
+        verify_certificate_against_definition,
+    )
+
     alpha = parse_alpha(args.alpha)
     omega1 = parse_alpha(args.omega1) if args.omega1 else FixedPointFrac(0)
     cf = cf_expand(alpha, 64)
@@ -381,6 +356,8 @@ def cmd_construct_q(args) -> tuple:
 
 
 def cmd_prp_measure(args) -> tuple:
+    from .repetition import estimate_prp_fraction
+
     system = build_system(args)
     est = estimate_prp_fraction(
         system,
@@ -402,6 +379,9 @@ def cmd_prp_measure(args) -> tuple:
 
 
 def cmd_veech(args) -> tuple:
+    from .dynamics import Iet
+    from .repetition import TowerNotFound, veech_tower_search
+
     system = build_system(args)
     if not isinstance(system, Iet):
         raise ConfigError("system: veech requires --system iet")
@@ -423,6 +403,8 @@ def cmd_veech(args) -> tuple:
 
 
 def cmd_gordon(args) -> tuple:
+    from .potentials import DimensionMismatchError, gordon_profile
+
     system = build_system(args)
     omega = build_omega(args, system)
     f = build_function(args)
@@ -439,6 +421,9 @@ def cmd_gordon(args) -> tuple:
 
 
 def cmd_transfer(args) -> tuple:
+    from .potentials import _gamma, _orbit_samples
+    from .spectral import _start_vector, _three_block
+
     system = build_system(args)
     omega = build_omega(args, system)
     f = build_function(args)
@@ -479,6 +464,9 @@ def cmd_transfer(args) -> tuple:
 
 
 def cmd_spectrum(args) -> tuple:
+    from .potentials import sample_potential
+    from .spectral import localization_diagnostics, truncated_spectrum
+
     system = build_system(args)
     omega = build_omega(args, system)
     f = build_function(args)
@@ -670,7 +658,16 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, UnsupportedSystemError, ConvergenceFailureError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (TypeError, RuntimeError) as exc:
+        # the layers' domain errors; a raised one's layer is loaded already
+        from .dynamics import UnsupportedSystemError
+        from .spectral import ConvergenceFailureError
+
+        if not isinstance(exc, (UnsupportedSystemError, ConvergenceFailureError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,6 @@ the smallest such q, so results are canonical and reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from bisect import bisect_left
@@ -565,6 +564,8 @@ class PrpEstimate:
 
 
 def _sample_rng(seed: int, index: int) -> random.Random:
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 

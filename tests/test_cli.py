@@ -8,9 +8,20 @@ import time
 
 import pytest
 
+from gordonlab import cli
 from gordonlab.arithmetic import GOLDEN, SQRT2_MINUS_1
 from gordonlab.cli import main, parse_alpha
-from gordonlab.dynamics import Iet, Permutation, Shift, SkewProduct, SkewShift, TorusPoint, orbit
+from gordonlab.dynamics import (
+    Iet,
+    Permutation,
+    Shift,
+    SkewProduct,
+    SkewShift,
+    TorusPoint,
+    UnsupportedSystemError,
+    orbit,
+)
+from gordonlab.spectral import ConvergenceFailureError
 
 ORBIT = ["orbit", "--nmin", "0", "--nmax", "1"]
 GORDON = ["gordon", "--alpha", "golden", "--q-list", "3"]
@@ -653,6 +664,25 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("gordonlab ")
 
+    @pytest.mark.parametrize("error", [UnsupportedSystemError, ConvergenceFailureError])
+    def test_domain_error_exits_one(self, error, monkeypatch, capsys):
+        def handler(args):
+            raise error("not defined here")
+
+        monkeypatch.setattr(cli, "cmd_cf", handler)
+        code, out, err = run_cli(["cf", "--alpha", "golden"], capsys)
+        assert (code, out, err) == (1, "", "error: not defined here\n")
+
+    @pytest.mark.parametrize("error", [TypeError, RuntimeError])
+    def test_other_type_and_runtime_errors_propagate(self, error, monkeypatch, capsys):
+        def handler(args):
+            raise error("a bug, not a domain error")
+
+        monkeypatch.setattr(cli, "cmd_cf", handler)
+        with pytest.raises(error, match="a bug"):
+            main(["cf", "--alpha", "golden"])
+        assert capsys.readouterr().err == ""
+
 
 class TestBundledRecipes:
     @pytest.mark.parametrize("recipe", RECIPES, ids=lambda p: p.stem)
@@ -727,3 +757,47 @@ print(json.dumps(report))
         n = len(rows)
         expected = sorted(2 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
         assert [float(e) for _, e in rows] == pytest.approx(expected, abs=1e-12)
+
+
+class TestLayerLoading:
+    """A fresh process loads only the layers its subcommand calls: the package
+    loads none, the CLI ``arithmetic``, and each handler the rest it needs."""
+
+    CHILD = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv[0] == "import":
+    __import__(argv[1])
+else:
+    from gordonlab.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+layers = ("arithmetic", "dynamics", "repetition", "potentials", "spectral")
+print(json.dumps([m for m in layers if "gordonlab." + m in sys.modules]))
+"""
+    COMMANDS = {**TestImportPolicy.LIGHT, "spectrum": TestImportPolicy.FREE_CHAIN}
+    LAYERS = {
+        "import gordonlab": [],
+        "import gordonlab.cli": ["arithmetic"],
+        "cf": ["arithmetic"],
+        "classify": ["arithmetic"],
+        "orbit": ["arithmetic", "dynamics"],
+        "repeat": ["arithmetic", "dynamics", "repetition"],
+        "construct-q": ["arithmetic", "dynamics", "repetition"],
+        "prp-measure": ["arithmetic", "dynamics", "repetition"],
+        "veech": ["arithmetic", "dynamics", "repetition"],
+        "gordon": ["arithmetic", "dynamics", "potentials"],
+        "transfer": ["arithmetic", "dynamics", "potentials", "spectral"],
+        "spectrum": ["arithmetic", "dynamics", "potentials", "spectral"],
+    }
+
+    @pytest.mark.parametrize("case", LAYERS)
+    def test_process_loads_only_the_layers_it_calls(self, case, src_env):
+        # one interpreter per case: modules loaded by one run stay for the next
+        command = case if case.startswith("import ") else self.COMMANDS[case]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(command.split())],
+            capture_output=True, text=True, env=src_env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == self.LAYERS[case]

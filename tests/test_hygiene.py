@@ -1,10 +1,11 @@
 """Source hygiene: every name a package module imports is used in it, every
-private module-level name is used somewhere in the package, ``__all__`` lists
-exactly what ``__init__`` imports, only ``arithmetic`` holds the raw circle
-metric, and no module imports numpy or scipy when it is itself imported, nor
-while it refines IET cuts."""
+private module-level name is used somewhere in the package, ``__init__``'s
+export table names each export once and from a layer that defines it, only
+``arithmetic`` holds the raw circle metric, and no module imports numpy or
+scipy when it is itself imported, nor while it refines IET cuts."""
 
 import ast
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -12,8 +13,7 @@ import sys
 import pytest
 
 PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "gordonlab"
-# __init__.py imports names only to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 HEAVY = {"numpy", "scipy"}
 
 
@@ -43,16 +43,19 @@ def test_module_uses_every_import(module):
     assert unused_imports(module.read_text()) == []
 
 
+def _bound_names(statement) -> list[str]:
+    """Names a module-level def, class or assignment binds (imports do not count)."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        nodes = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def _bound_private_names(statement) -> list[str]:
     """Single-underscore names a module-level def, class or assignment binds."""
-    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        targets = [statement.name]
-    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
-        nodes = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
-        targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
-    else:
-        targets = []
-    return [t for t in targets if t.startswith("_") and not t.startswith("__")]
+    return [t for t in _bound_names(statement) if t.startswith("_") and not t.startswith("__")]
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
@@ -93,47 +96,74 @@ def test_every_private_module_level_name_is_used():
     assert dead_private_names(sources) == []
 
 
-def export_mismatches(source: str) -> list[str]:
-    """How ``__all__`` differs from the names an ``__init__`` imports, plus
-    ``__version__``: a name listed twice, imported and left out, or listed
-    and not imported."""
-    tree = ast.parse(source)
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    }
-    (listed,) = [
+def export_table(source: str) -> dict[str, tuple[str, ...]]:
+    """The ``_EXPORTS`` table an ``__init__`` assigns: layer -> exported names."""
+    (table,) = [
         ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"]
     ]
-    expected = imported | {"__version__"}
-    return sorted(
-        [f"{name} (listed twice)" for name in set(listed) if listed.count(name) > 1]
-        + [f"{name} (imported, not in __all__)" for name in expected - set(listed)]
-        + [f"{name} (in __all__, not imported)" for name in set(listed) - expected]
-    )
+    return table
+
+
+def export_mismatches(table: dict, layers: dict[str, str]) -> list[str]:
+    """How an export table is stale: a name listed twice, a layer that is not
+    a module of the package, or a name its layer does not define."""
+    listed = [name for names in table.values() for name in names]
+    found = [f"{name} (listed twice)" for name in set(listed) if listed.count(name) > 1]
+    for layer, names in table.items():
+        if layer not in layers:
+            found.append(f"{layer} (no such layer)")
+            continue
+        body = ast.parse(layers[layer]).body
+        defined = {name for statement in body for name in _bound_names(statement)}
+        found += [f"{layer}.{n} (not defined in {layer})" for n in names if n not in defined]
+    return sorted(found)
 
 
 def test_the_scan_sees_a_stale_export():
-    source = (
-        "from .a import f, g\n"
-        "from .b import h as k\n"
-        "__version__ = '1'\n"
-        "__all__ = ['f', 'k', 'gone', 'f']\n"
+    table = export_table(
+        "from importlib import import_module\n"
+        "_EXPORTS = {\n"
+        "    'a': ('f', 'g', 'f'),\n"
+        "    'b': ('h', 'k'),\n"
+        "    'gone': ('m',),\n"
+        "}\n"
     )
-    assert export_mismatches(source) == [
-        "__version__ (imported, not in __all__)",
+    layers = {
+        "a": "def f():\n    pass\ng, _ = 1, 2\n",
+        "b": "from .a import f as h\nclass k:\n    pass\n",
+    }
+    assert export_mismatches(table, layers) == [
+        "b.h (not defined in b)",
         "f (listed twice)",
-        "g (imported, not in __all__)",
-        "gone (in __all__, not imported)",
+        "gone (no such layer)",
     ]
 
 
-def test_all_lists_exactly_what_init_imports():
-    assert export_mismatches((PACKAGE / "__init__.py").read_text()) == []
+def test_the_export_table_names_each_export_once_from_its_layer():
+    table = export_table((PACKAGE / "__init__.py").read_text())
+    layers = {p.stem: p.read_text() for p in MODULES if p.name != "__init__.py"}
+    assert export_mismatches(table, layers) == []
+
+
+def test_every_export_resolves_to_its_layers_object():
+    import gordonlab
+
+    table = export_table((PACKAGE / "__init__.py").read_text())
+    listed = [name for names in table.values() for name in names]
+    assert gordonlab.__all__ == [*listed, "__version__"]
+    assert dir(gordonlab) == sorted(gordonlab.__all__)
+    for layer, names in table.items():
+        module = importlib.import_module(f"gordonlab.{layer}")
+        for name in names:
+            assert getattr(gordonlab, name) is getattr(module, name), f"{layer}.{name}"
+    star = {}
+    exec("from gordonlab import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == sorted(gordonlab.__all__)
+    # a layer's own name that the package does not export
+    with pytest.raises(AttributeError, match="no attribute 'raw_orbit'"):
+        gordonlab.raw_orbit
 
 
 CIRCLE_PRIMITIVES = {"_HALF", "_circle", "_signed"}
