@@ -60,14 +60,9 @@ _EXPORTS = {
         "SystemSpec",
         "TorusPoint",
         "UnsupportedSystemError",
-        "iet_inverse_step",
         "iet_refine_continuity",
-        "iet_step",
-        "iterate_closed_form",
         "orbit",
         "random_point",
-        "skewshift_pair_difference",
-        "step",
         "system_dim",
     ),
     "potentials": (
@@ -101,7 +96,6 @@ _EXPORTS = {
         "badly_approximable_obstruction",
         "estimate_prp_fraction",
         "find_repetition_time",
-        "repetition_distances",
         "sample_start_point",
         "skewshift_constructive_q",
         "veech_tower_search",

@@ -235,6 +235,8 @@ def classify_badly_approximable(
     convergent; the expansion ends in a quotient >= 2, so its other form adds
     no candidate.  "scan" is the exhaustive oracle.
     """
+    if not isfinite(c):
+        raise ValueError("c must be finite")
     if c <= 0:
         raise ValueError("c must be positive")
     if q_max < 1:

@@ -282,14 +282,6 @@ def _iet_draw_twin(iet: Iet) -> _IetTwin:
     return _iet_twin(iet, *(Fraction(x) / 2**53 for x in iet.lengths))
 
 
-def iet_step(iet: Iet, x):
-    return orbit(iet, x, 1, 1)[0]
-
-
-def iet_inverse_step(iet: Iet, y):
-    return orbit(iet, y, -1, -1)[0]
-
-
 def iet_breakpoint_orbits(twin: _IetTwin):
     """Yield the two-sided orbits of beta_0 = 0 and the internal breakpoints,
     one step longer each time: after the n-th yield, fwd[i][k] = T^k(beta_i)
@@ -364,11 +356,6 @@ def raw_stepper(system: SystemSpec):
     raise UnsupportedSystemError(f"unknown system {type(system).__name__}")
 
 
-def step(system: SystemSpec, omega):
-    """One application of T."""
-    return orbit(system, omega, 1, 1)[0]
-
-
 def _unipotent_power(system: SystemSpec, n: int) -> tuple[list[int], list[int]]:
     """(coef, drift) of T^n = L^n.w + drift mod 2**128, exact for every integer n.
 
@@ -403,11 +390,6 @@ def _closed_form_raw(system: SystemSpec, w: tuple[int, ...], n: int) -> tuple[in
     )
 
 
-def iterate_closed_form(system: SystemSpec, omega, n: int):
-    """T^n in one exact evaluation (any integer n); IETs are unsupported."""
-    return wrap_state(_closed_form_raw(system, raw_state(system, omega), n))
-
-
 def raw_orbit(system: SystemSpec, state, n_min: int, n_max: int) -> list:
     """[T^n state for n in n_min..n_max] on raw states, two-sided; an IET
     orbit steps on the twin of its point and comes back through ``out``."""
@@ -440,22 +422,6 @@ def _exact_orbit(system: SystemSpec, state, n_min: int, n_max: int):
 def orbit(system: SystemSpec, omega, n_min: int, n_max: int) -> list:
     """[T^n omega for n in n_min..n_max], two-sided."""
     return list(map(wrap_state, raw_orbit(system, raw_state(system, omega), n_min, n_max)))
-
-
-def skewshift_pair_difference(
-    alpha: FixedPointFrac, omega1: FixedPointFrac, n: int, q: int
-) -> tuple[FixedPointFrac, FixedPointFrac]:
-    """T^{n+q}(w) - T^n(w) for the skew-shift, independent of w2.
-
-    With (coef, drift) = T^q from ``_unipotent_power``, delta = T^q w - w is
-    (drift[0], coef[1]*w1 + drift[1]), and the difference is L^n.delta, so
-    its second coordinate gains n*drift[0].
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    coef, drift = _unipotent_power(SkewShift(alpha), q)
-    second = coef[1] * omega1.value + drift[1] + n * drift[0]
-    return FixedPointFrac(drift[0]), FixedPointFrac(second)
 
 
 # ---------------------------------------------------------------------------

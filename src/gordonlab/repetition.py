@@ -45,7 +45,6 @@ from .dynamics import (
     random_point,
     raw_dist,
     raw_state,
-    skewshift_pair_difference,
 )
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -134,6 +133,9 @@ def find_repetition_time(
 
 def _check_search(system: SystemSpec, epsilon: float, r: float, q_max: int) -> None:
     """Raise on arguments no search accepts, before any work is planned."""
+    for name, value in (("epsilon", epsilon), ("r", r)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if r <= 0:
@@ -321,27 +323,11 @@ def _find_iet(twin, omega, epsilon, r, q_max):
     return RepetitionNotFound(epsilon, r, q_max, best_q, out(best_dist))
 
 
-def repetition_distances(system: SystemSpec, omega, q: int, k_max: int) -> list:
-    """dist(T^k w, T^{k+q} w) for k = 0..k_max, by stepping only.
-
-    Returns exact raw integers for torus systems and, for IETs, the exact
-    distances through the twin's ``out``; certificate verification steps the
-    same exact orbit (``_exact_orbit``).
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    states, _, out = _exact_orbit(system, raw_state(system, omega), 0, k_max + q)
-    dists = [raw_dist(states[k], states[k + q]) for k in range(k_max + 1)]
-    return dists if out is None else list(map(out, dists))
-
-
 def verify_certificate_against_definition(
     cert: RepetitionCertificate, system: SystemSpec
 ) -> bool:
     """Recompute every distance by stepping and confirm the strict inequality."""
-    if cert.q < 1 or cert.epsilon <= 0 or cert.r <= 0:
+    if cert.q < 1 or not 0 < cert.epsilon < math.inf or not 0 < cert.r < math.inf:
         return False
     r_num, r_den = Fraction(cert.r).as_integer_ratio()
     k_max = r_num * cert.q // r_den
@@ -404,8 +390,10 @@ def skewshift_constructive_q(
     k = 0..floor(r q).  The returned certificate uses that bound as epsilon;
     a bound of 1/2 or more says nothing, so it is not available.
     """
-    if epsilon <= 0 or epsilon > 1:
+    if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
+    if not math.isfinite(r):
+        raise ValueError("r must be finite")
     if r <= 0:
         raise ValueError("r must be positive")
 
@@ -460,7 +448,9 @@ def skewshift_constructive_q(
     omega = TorusPoint((omega1, FixedPointFrac(0)))
     r_num, r_den = r_frac.as_integer_ratio()
     k_max = r_num * q // r_den
-    u, s = (x.value for x in skewshift_pair_difference(alpha, omega1, 0, q))
+    # delta = T^q w - w = (drift[0], coef[1]*w1 + drift[1]), whatever w2 is
+    coef, drift = _unipotent_power(SkewShift(alpha), q)
+    u, s = drift[0], (coef[1] * omega1.value + drift[1]) % SCALE
     # every distance is at most total_raw < thresh, so the check passes and
     # observes the maximum over k = 0..k_max
     thresh = _strict_raw_threshold(eps_rep)
@@ -513,6 +503,8 @@ def badly_approximable_obstruction(
     """
     if cert.r < 1:
         raise ValueError("the obstruction needs a certificate with r >= 1")
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     q = cert.q
@@ -576,7 +568,8 @@ def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    # at hits == n the exact upper end is 1, which the float sum misses by an ulp
+    return (max(0.0, center - half), 1.0 if hits == n else min(1.0, center + half))
 
 
 def sample_start_point(system: SystemSpec, seed: int, index: int):

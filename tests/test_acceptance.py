@@ -28,7 +28,7 @@ from gordonlab.arithmetic import (
     cf_expand,
 )
 from gordonlab.cli import main as cli_main
-from gordonlab.dynamics import Iet, Permutation, Shift, SkewShift, TorusPoint
+from gordonlab.dynamics import Iet, Permutation, Shift, SkewShift, TorusPoint, orbit
 from gordonlab.potentials import (
     NO_DECAY_AT_HORIZON,
     Cosine,
@@ -47,7 +47,6 @@ from gordonlab.repetition import (
     badly_approximable_obstruction,
     estimate_prp_fraction,
     find_repetition_time,
-    repetition_distances,
     skewshift_constructive_q,
     veech_tower_search,
     verify_certificate_against_definition,
@@ -102,8 +101,9 @@ def test_criterion_1_repetition_certificates_on_the_sampled_grid():
                     break
                 n_certs += 1
                 if i % 20 == 0:
-                    dists = repetition_distances(system, omega, cert.q, cert.k_max)
-                    if len(set(dists)) != 1:
+                    points = orbit(system, omega, 0, cert.k_max + cert.q)
+                    dists = {points[k].dist_raw(points[k + cert.q]) for k in range(cert.k_max + 1)}
+                    if len(dists) != 1:
                         ok = False
                         break
                     n_const += 1

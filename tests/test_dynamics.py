@@ -16,18 +16,13 @@ from gordonlab.dynamics import (
     SkewProduct,
     SkewShift,
     TorusPoint,
-    UnsupportedSystemError,
     _iet_twin,
     _random_raw,
+    _unipotent_power,
     iet_breakpoint_orbits,
-    iet_inverse_step,
     iet_refine_continuity,
-    iet_step,
-    iterate_closed_form,
     orbit,
     random_point,
-    skewshift_pair_difference,
-    step,
     system_dim,
 )
 from gordonlab.repetition import _certifies
@@ -128,32 +123,28 @@ class TestClosedForms:
     def test_shift_closed_form_equals_stepping(self, a, w, n):
         system = Shift((FixedPointFrac(a),))
         start = TorusPoint((FixedPointFrac(w),))
-        target = iterate_closed_form(system, start, n)
-        walked = start
-        stepper = (
-            (lambda p: step(system, p))
-            if n >= 0
-            else (lambda p: TorusPoint((p.coords[0] - system.alpha[0],)))
-        )
-        for _ in range(abs(n)):
-            walked = stepper(walked)
+        target = orbit(system, start, n, n)[0]  # the closed form, no step
+        if n >= 0:
+            walked = orbit(system, start, 0, n)[-1]  # n steps
+        else:
+            walked = start
+            for _ in range(-n):
+                walked = TorusPoint((walked.coords[0] - system.alpha[0],))
         assert walked.coords[0].value == target.coords[0].value
 
     @given(raw_values, raw_values, raw_values, st.integers(min_value=0, max_value=25))
     def test_skewshift_closed_form_equals_stepping(self, a, w1, w2, n):
         system = SkewShift(FixedPointFrac(a))
         start = TorusPoint((FixedPointFrac(w1), FixedPointFrac(w2)))
-        target = iterate_closed_form(system, start, n)
-        walked = start
-        for _ in range(n):
-            walked = step(system, walked)
+        target = orbit(system, start, n, n)[0]
+        walked = orbit(system, start, 0, n)[-1]
         assert [c.value for c in walked.coords] == [c.value for c in target.coords]
 
     @given(dyadics, dyadics, dyadics, st.integers(min_value=-12, max_value=12))
     def test_skewshift_matches_exact_rational_oracle(self, a, w1, w2, n):
         system = SkewShift(fxp(a))
         start = TorusPoint((fxp(w1), fxp(w2)))
-        got = iterate_closed_form(system, start, n)
+        got = orbit(system, start, n, n)[0]
         want = skewshift_orbit_fraction(a, w1, w2, n)
         for coord, expected in zip(got.coords, want):
             assert coord.to_fraction() == expected
@@ -162,8 +153,8 @@ class TestClosedForms:
     def test_skewshift_is_skewproduct_with_doubled_frequency(self, a, w1, w2, n):
         alpha = FixedPointFrac(a)
         start = TorusPoint((FixedPointFrac(w1), FixedPointFrac(w2)))
-        via_skewshift = iterate_closed_form(SkewShift(alpha), start, n)
-        via_product = iterate_closed_form(SkewProduct(2, alpha + alpha), start, n)
+        via_skewshift = orbit(SkewShift(alpha), start, n, n)[0]
+        via_product = orbit(SkewProduct(2, alpha + alpha), start, n, n)[0]
         assert [c.value for c in via_skewshift.coords] == [
             c.value for c in via_product.coords
         ]
@@ -177,13 +168,11 @@ class TestClosedForms:
     def test_skewproduct_closed_form_equals_stepping_and_inverts(self, d, a, ws, n):
         system = SkewProduct(d, FixedPointFrac(a))
         start = TorusPoint(tuple(FixedPointFrac(w) for w in ws[:d]))
-        target = iterate_closed_form(system, start, n)
+        target = orbit(system, start, n, n)[0]
         if n >= 0:
-            walked = start
-            for _ in range(n):
-                walked = step(system, walked)
+            walked = orbit(system, start, 0, n)[-1]
             assert [c.value for c in walked.coords] == [c.value for c in target.coords]
-        back = iterate_closed_form(system, target, -n)
+        back = orbit(system, target, -n, -n)[0]
         assert [c.value for c in back.coords] == [c.value for c in start.coords]
 
     @pytest.mark.parametrize("make_system", TORUS_SYSTEMS.values(), ids=TORUS_SYSTEMS.keys())
@@ -191,40 +180,36 @@ class TestClosedForms:
     def test_closed_form_is_a_group_action(self, make_system, a, ws, m, n):
         system = make_system(FixedPointFrac(a))
         start = TorusPoint(tuple(FixedPointFrac(w) for w in ws[: system.dim]))
-        inner = iterate_closed_form(system, start, n)
-        assert (
-            iterate_closed_form(system, inner, m).raw
-            == iterate_closed_form(system, start, m + n).raw
-        )
-        there = iterate_closed_form(system, start, m)
-        assert iterate_closed_form(system, there, -m).raw == start.raw
+        inner = orbit(system, start, n, n)[0]
+        assert orbit(system, inner, m, m)[0].raw == orbit(system, start, m + n, m + n)[0].raw
+        there = orbit(system, start, m, m)[0]
+        assert orbit(system, there, -m, -m)[0].raw == start.raw
 
-    def test_closed_form_rejects_iets(self):
-        iet = Iet((0.5, 0.5), Permutation((2, 1)))
-        with pytest.raises(UnsupportedSystemError):
-            iterate_closed_form(iet, 0.25, 3)
-
-    @given(raw_values, raw_values, st.integers(min_value=-10, max_value=10), st.integers(min_value=1, max_value=40))
-    def test_skewshift_pair_difference_is_exact(self, a, w1, n, q):
-        alpha = FixedPointFrac(a)
-        system = SkewShift(alpha)
-        start = TorusPoint((FixedPointFrac(w1), FixedPointFrac(0)))
-        first, second = skewshift_pair_difference(alpha, FixedPointFrac(w1), n, q)
-        p_n = iterate_closed_form(system, start, n)
-        p_nq = iterate_closed_form(system, start, n + q)
-        assert (p_nq.coords[0] - p_n.coords[0]).value == first.value
-        assert (p_nq.coords[1] - p_n.coords[1]).value == second.value
+    @given(
+        raw_values,
+        raw_values,
+        raw_values,
+        st.integers(min_value=-10, max_value=10),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_skewshift_pair_difference_is_exact(self, a, w1, w2, n, q):
+        # the torus scan reads coordinate 1 of T^{n+q}w - T^n w as the
+        # progression delta_1 + n*drift[0], with (coef, drift) the form of T^q
+        system = SkewShift(FixedPointFrac(a))
+        start = TorusPoint((FixedPointFrac(w1), FixedPointFrac(w2)))
+        p_n, p_nq = orbit(system, start, n, n)[0], orbit(system, start, n + q, n + q)[0]
+        coef, drift = _unipotent_power(system, q)
+        assert (p_nq[0] - p_n[0]).value == drift[0]
+        assert (p_nq[1] - p_n[1]).value == (coef[1] * w1 + drift[1] + n * drift[0]) % SCALE
 
     def test_pair_difference_is_independent_of_w2(self):
-        alpha = GOLDEN
-        system = SkewShift(alpha)
+        system = SkewShift(GOLDEN)
+        diffs = set()
         for w2 in (0.0, 0.3, 0.77):
             start = TorusPoint((FixedPointFrac(123456), FixedPointFrac.from_float(w2)))
-            p0 = iterate_closed_form(system, start, 4)
-            p1 = iterate_closed_form(system, start, 4 + 7)
-            diff = (p1.coords[1] - p0.coords[1]).value
-            _, second = skewshift_pair_difference(alpha, FixedPointFrac(123456), 4, 7)
-            assert diff == second.value
+            points = orbit(system, start, 4, 4 + 7)
+            diffs.add(tuple((b - a).value for a, b in zip(points[0].coords, points[-1].coords)))
+        assert len(diffs) == 1
 
 
 class TestOrbit:
@@ -236,7 +221,7 @@ class TestOrbit:
         points = orbit(system, start, n_min, n_max)
         assert len(points) == n_max - n_min + 1
         for offset, point in enumerate(points):
-            expected = iterate_closed_form(system, start, n_min + offset)
+            expected = orbit(system, start, n_min + offset, n_min + offset)[0]
             assert [c.value for c in point.coords] == [c.value for c in expected.coords]
 
     def test_iet_orbit_negative_side_inverts_stepping(self):
@@ -246,10 +231,8 @@ class TestOrbit:
         x = points[5]  # n = 0
         assert x == 0.25
         for k in range(5):
-            assert iet_step(iet, points[5 + k]) == pytest.approx(points[6 + k], abs=1e-12)
-            assert iet_inverse_step(iet, points[5 - k]) == pytest.approx(
-                points[4 - k], abs=1e-12
-            )
+            assert orbit(iet, points[5 + k], 1, 1)[0] == pytest.approx(points[6 + k], abs=1e-12)
+            assert orbit(iet, points[5 - k], -1, -1)[0] == pytest.approx(points[4 - k], abs=1e-12)
 
     def test_rejects_reversed_window(self):
         with pytest.raises(ValueError):
@@ -274,8 +257,7 @@ class TestOrbit:
                 assert points[-n_min] == omega
                 assert all(0 <= x < exact_total for x in points)
                 for x in points:
-                    iet_step(iet, x)
-                    iet_inverse_step(iet, x)
+                    orbit(iet, x, -1, 1)  # one step each way
 
     def test_inverse_step_just_below_the_total_is_undone(self):
         # a seeded float 4-IET: the old float inverse step of the largest
@@ -286,7 +268,7 @@ class TestOrbit:
         assert omega < sum(map(Fraction, lengths))
         points = orbit(iet, omega, -1, 0)
         assert points[1] == omega
-        assert iet_step(iet, points[0]) == omega
+        assert orbit(iet, points[0], 1, 1) == [omega]
 
     @pytest.mark.parametrize("images", [(3, 1, 2), (4, 3, 2, 1), (2, 5, 3, 1, 4)])
     def test_exact_iet_orbit_negative_side_inverts_stepping(self, images):
@@ -296,8 +278,8 @@ class TestOrbit:
         points = orbit(iet, Fraction(1, 3), -8, 8)
         assert points[8] == Fraction(1, 3)
         for left, right in zip(points, points[1:]):
-            assert iet_step(iet, left) == right
-            assert iet_inverse_step(iet, right) == left
+            assert orbit(iet, left, 1, 1) == [right]
+            assert orbit(iet, right, -1, -1) == [left]
 
 
 class TestIet:
@@ -315,19 +297,19 @@ class TestIet:
 
     def test_halves_exchange(self):
         iet = Iet((0.5, 0.5), Permutation((2, 1)))
-        assert iet_step(iet, 0.25) == 0.75
-        assert iet_step(iet, 0.75) == 0.25
+        assert orbit(iet, 0.25, 1, 1) == [0.75]
+        assert orbit(iet, 0.75, 1, 1) == [0.25]
 
     def test_two_interval_exchange_is_rotation(self):
         iet = self.golden_rotation()
         beta = float(GOLDEN)
         for x in (0.0, 0.1, 0.37, 1 - beta, 0.9):
-            assert iet_step(iet, x) == pytest.approx((x + beta) % 1.0, abs=1e-12)
+            assert orbit(iet, x, 1, 1)[0] == pytest.approx((x + beta) % 1.0, abs=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     def test_step_inverse_roundtrip(self, x):
         iet = self.golden_rotation()
-        assert iet_inverse_step(iet, iet_step(iet, x)) == pytest.approx(x, abs=1e-12)
+        assert orbit(iet, orbit(iet, x, 1, 1)[0], -1, -1)[0] == pytest.approx(x, abs=1e-12)
 
     def test_inverse_step_at_the_right_edge_and_at_every_breakpoint(self):
         # summed in permuted order, the float image partition can end one ulp
@@ -349,20 +331,19 @@ class TestIet:
             edge = float(exact_total)
             edge = edge if edge < exact_total else math.nextafter(edge, 0.0)
             for y in (edge, *beta[:-1], *beta_pi[:-1]):
-                assert 0 <= iet_inverse_step(iet, y) < exact_total
+                assert 0 <= orbit(iet, y, -1, -1)[0] < exact_total
             # the last image interval comes from interval perm^-1(m), so just
             # below the total the inverse is just below that interval's right end
-            x = iet_inverse_step(iet, edge)
+            x = orbit(iet, edge, -1, -1)[0]
             assert x == pytest.approx(beta[inverse(m)], abs=1e-12)
         assert rounded_below > 0
 
     def test_domain_enforced(self):
         iet = self.golden_rotation()
         for x in (-0.1, 1.0, math.inf, math.nan, Fraction(4, 3)):
-            with pytest.raises(OutOfDomainError):
-                iet_step(iet, x)
-            with pytest.raises(OutOfDomainError):
-                iet_inverse_step(iet, x)
+            for n in (1, -1):
+                with pytest.raises(OutOfDomainError):
+                    orbit(iet, x, n, n)
 
     def test_tables_jumps(self):
         lengths = (0.2, 0.5, 0.3)
@@ -382,8 +363,8 @@ class TestIet:
         for j, length in enumerate(lengths, start=1):
             lo, hi = beta[j - 1], beta[j]
             assert hi - lo == pytest.approx(length, abs=1e-15)
-            img_lo = iet_step(iet, lo)
-            img_mid = iet_step(iet, (lo + hi) / 2)
+            img_lo = orbit(iet, lo, 1, 1)[0]
+            img_mid = orbit(iet, (lo + hi) / 2, 1, 1)[0]
             assert img_mid - img_lo == pytest.approx((hi - lo) / 2, abs=1e-12)
 
 
@@ -407,9 +388,7 @@ class TestContinuityRefinement:
             for piece in pieces:
                 for t in (0.21, 0.5, 0.83):
                     x = piece.lo + piece.length * t
-                    y = x
-                    for _ in range(q):
-                        y = iet_step(iet, y)
+                    y = orbit(iet, x, q, q)[0]
                     assert y - x == pytest.approx(piece.translation, abs=1e-9)
 
     def test_adjacent_pieces_have_distinct_translations(self):
@@ -490,17 +469,12 @@ class TestBreakpointOrbits:
             assert [f[0] for f in fwd] == [b[0] for b in bwd] == list(twin.beta[:-1])
             for i in range(m):
                 assert len(fwd[i]) == len(bwd[i]) == n + 1
-                for k in range(n):
-                    assert iet_step(iet, fwd[i][k]) == fwd[i][k + 1]
-                    assert iet_inverse_step(iet, bwd[i][k]) == bwd[i][k + 1]
+                assert orbit(iet, twin.beta[i], -n, n) == bwd[i][::-1] + fwd[i][1:]
                 for j in range(n + 1):
-                    x = bwd[i][j]
-                    for k in range(n + 1):
-                        shifted = k - j
-                        assert x == (fwd[i][shifted] if shifted >= 0 else bwd[i][-shifted])
-                        if k < n:
-                            x = iet_step(iet, x)
-                    assert all(type(v) is int for v in fwd[i] + bwd[i])
+                    assert orbit(iet, bwd[i][j], 0, n) == [
+                        fwd[i][k - j] if k >= j else bwd[i][j - k] for k in range(n + 1)
+                    ]
+                assert all(type(v) is int for v in fwd[i] + bwd[i])
 
     @pytest.mark.parametrize(
         "lengths",
@@ -539,7 +513,7 @@ class TestBreakpointOrbits:
         iet = Iet((0.5, 0.25), Permutation((2, 1)))
         below = math.nextafter(0.75, 0.0)
         assert orbit(iet, Fraction(1, 2) - Fraction(1, 2**60), 0, 1) == [0.5, below]
-        assert iet_step(iet, below) == below - 0.5  # exact
+        assert orbit(iet, below, 1, 1) == [below - 0.5]  # exact
         twin = _iet_twin(iet, Fraction(1, 2**60))
         assert twin.out(twin.total - 1) == below
         assert twin.out(twin.total) == 0.75
@@ -612,9 +586,9 @@ class TestAdvisoriesAndSampling:
         iet = Iet(lengths, Permutation(tuple(range(len(lengths), 0, -1))))
         total = sum(map(Fraction, lengths))
         x = float(total)
-        for stepper in (iet_step, iet_inverse_step):
+        for n in (1, -1):
             with pytest.raises(OutOfDomainError) as info:
-                stepper(iet, x)
+                orbit(iet, x, n, n)
             point, bound = re.fullmatch(r"IET point (.*) outside \[0, (.*)\)", str(info.value)).groups()
             assert point == repr(x) != bound
             assert Fraction(bound) == total

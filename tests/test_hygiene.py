@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used in it, every
 private module-level name is used somewhere in the package, ``__init__``'s
-export table names each export once and from a layer that defines it, only
-``arithmetic`` holds the raw circle metric, and no module imports numpy or
-scipy when it is itself imported, nor while it refines IET cuts."""
+export table names each export once, from a layer that defines it, and none
+that only the tests use, only ``arithmetic`` holds the raw circle metric, and
+no module imports numpy or scipy when it is itself imported, nor while it
+refines IET cuts."""
 
 import ast
 import importlib
@@ -164,6 +165,58 @@ def test_every_export_resolves_to_its_layers_object():
     # a layer's own name that the package does not export
     with pytest.raises(AttributeError, match="no attribute 'raw_orbit'"):
         gordonlab.raw_orbit
+
+
+REPO = PACKAGE.parent.parent
+# exports that no code outside the tests uses, kept as documented API
+API_ONLY = {
+    "ZERO": "the circle's origin, beside GOLDEN and the other constants",
+    "evaluate_sampling": "f at one API point, the single-point form of sample_potential",
+    "explicit_window": "criterion 5's periodic windows, from given values",
+    "modulus_bound": "criterion 3a's bound, and the perturbation budget of ROADMAP item 3",
+}
+
+
+def unused_exports(table: dict, layers: dict[str, str], sources: list[str]) -> list[str]:
+    """Exported names that no source uses: imported by name from the package
+    or a layer, read as ``g.X`` or ``gordonlab.X``, or loaded as a name in
+    the layer that exports it."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "gordonlab"
+            ):
+                used.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("g", "gordonlab")
+            ):
+                used.add(node.attr)
+    for layer, names in table.items():
+        for node in ast.walk(ast.parse(layers[layer])):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+                used.add(node.id)
+    return sorted(name for names in table.values() for name in names if name not in used)
+
+
+def test_the_scan_sees_a_test_only_export():
+    table = {"a": ("f", "h", "k", "m", "n", "p", "s")}
+    layers = {"a": "def f():\n    return h\ndef h():\n    pass\nk = m = n = p = s = 0\n"}
+    sources = [
+        layers["a"],
+        "from gordonlab.a import f\nfrom os import m\n",
+        "import gordonlab as g\ng.k\nx.n\ngordonlab.p\n",
+    ]
+    assert unused_exports(table, layers, sources) == ["m", "n", "s"]
+
+
+def test_every_export_is_used_outside_the_tests():
+    table = export_table((PACKAGE / "__init__.py").read_text())
+    layers = {p.stem: p.read_text() for p in MODULES}
+    sources = [p.read_text() for d in ("src", "scripts", "bench") for p in (REPO / d).rglob("*.py")]
+    assert unused_exports(table, layers, sources) == sorted(API_ONLY)
 
 
 CIRCLE_PRIMITIVES = {"_HALF", "_circle", "_signed"}

@@ -17,6 +17,7 @@ from gordonlab.arithmetic import (
     ZERO,
     FixedPointFrac,
     cf_expand,
+    classify_badly_approximable,
 )
 from gordonlab import dynamics, repetition
 from iet_reference import exact_edges, exact_maps, veech_tower_search_stepping
@@ -27,7 +28,6 @@ from gordonlab.dynamics import (
     SkewProduct,
     SkewShift,
     TorusPoint,
-    iet_step,
     orbit,
     raw_orbit,
     system_dim,
@@ -43,7 +43,6 @@ from gordonlab.repetition import (
     badly_approximable_obstruction,
     estimate_prp_fraction,
     find_repetition_time,
-    repetition_distances,
     sample_start_point,
     skewshift_constructive_q,
     veech_tower_search,
@@ -197,8 +196,9 @@ class TestFindRepetitionTime:
         system = Shift((GOLDEN,))
         omega = TorusPoint((FixedPointFrac.from_float(0.37),))
         cert = find_repetition_time(system, omega, 0.06, 3, 100)
-        dists = repetition_distances(system, omega, cert.q, cert.k_max)
-        assert len(set(dists)) == 1  # exact fixed-point equality, not approx
+        points = orbit(system, omega, 0, cert.k_max + cert.q)
+        dists = {points[k].dist_raw(points[k + cert.q]) for k in range(cert.k_max + 1)}
+        assert len(dists) == 1  # exact fixed-point equality, not approx
 
     def test_shift_certificate_independent_of_omega(self):
         rng = random.Random(11)
@@ -546,6 +546,37 @@ class TestFindRepetitionTime:
         assert cert.q <= q_star
 
 
+OBSTRUCTED = RepetitionCertificate(0.1, 1.0, 8, 8, 0.05, TorusPoint((ZERO, ZERO)))
+# entry point -> (the argument it names, a call with that argument set to x)
+NON_FINITE_CALLS = {
+    "find-epsilon": ("epsilon", lambda x: find_repetition_time(Shift((GOLDEN,)), TorusPoint((ZERO,)), x, 1, 9)),
+    "find-r": ("r", lambda x: find_repetition_time(Shift((GOLDEN,)), TorusPoint((ZERO,)), 0.1, x, 9)),
+    "prp-epsilon": ("epsilon", lambda x: estimate_prp_fraction(SkewShift(GOLDEN), x, 1.0, 9, 4, seed=1)),
+    "prp-r": ("r", lambda x: estimate_prp_fraction(SkewShift(GOLDEN), 0.1, x, 9, 4, seed=1)),
+    "construct-epsilon": ("epsilon", lambda x: skewshift_constructive_q(GOLDEN, ZERO, x, cf_expand(GOLDEN, 8))),
+    "construct-r": ("r", lambda x: skewshift_constructive_q(GOLDEN, ZERO, 0.3, cf_expand(GOLDEN, 8), r=x)),
+    "classify-c": ("c", lambda x: classify_badly_approximable(GOLDEN, x, 100)),
+    "obstruction-epsilon": ("epsilon", lambda x: badly_approximable_obstruction(GOLDEN, x, OBSTRUCTED)),
+}
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name, call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+    def test_entry_points_name_the_argument(self, name, call, value):
+        # not an OverflowError or an unlabelled ValueError from Fraction()
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call(value)
+
+    @pytest.mark.parametrize("field", ["epsilon", "r"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_certificate_does_not_verify(self, field, value):
+        system = Shift((GOLDEN,))
+        cert = find_repetition_time(system, TorusPoint((ZERO,)), 0.06, 3, 100)
+        assert verify_certificate_against_definition(cert, system)
+        assert not verify_certificate_against_definition(replace(cert, **{field: value}), system)
+
+
 class TestVerification:
     def test_valid_certificate_passes(self):
         system = SkewShift(LIOUVILLE10)
@@ -734,7 +765,8 @@ class TestConstructive:
                 if isinstance(rep, ConstructiveNotAvailable):
                     continue
                 cert = rep.certificate
-                dists = repetition_distances(SkewShift(alpha), cert.omega, cert.q, cert.k_max)
+                points = orbit(SkewShift(alpha), cert.omega, 0, cert.k_max + cert.q)
+                dists = [points[k].dist_raw(points[k + cert.q]) for k in range(cert.k_max + 1)]
                 assert cert.max_dist_raw == max(dists), (alpha, eps, r)
                 paths.add(rep.reported_epsilon < 1 / 3)
         assert paths == {True, False}
@@ -983,6 +1015,10 @@ class TestPrpEstimate:
         assert 0.0 <= est.wilson_ci[0] <= est.fraction <= est.wilson_ci[1] + 1e-12
         assert est.wilson_ci[1] <= 1.0
 
+    def test_wilson_interval_ends_at_one_when_every_sample_hits(self):
+        # the float formula gives 1 - 2^-53 at some n (400 and 4096 among them)
+        assert [n for n in range(1, 5001) if repetition._wilson_interval(n, n)[1] != 1.0] == []
+
     def test_wilson_interval_interior_case(self):
         est = estimate_prp_fraction(SkewShift(LIOUVILLE10), 0.05, 1.0, 150, 80, seed=5)
         assert 0 < est.n_hits < est.n_samples
@@ -1056,11 +1092,7 @@ class TestVeechTowers:
         length = hi - lo
         # each floor acts as a rigid translate of the base; midpoints at
         # mutual distance >= length certify pairwise disjointness
-        mids = []
-        m = (lo + hi) / 2
-        for _ in range(tower.q):
-            mids.append(m)
-            m = iet_step(iet, m)
+        mids = orbit(iet, (lo + hi) / 2, 0, tower.q - 1)
         for i in range(len(mids)):
             for j in range(i + 1, len(mids)):
                 assert abs(mids[i] - mids[j]) >= length - 1e-9
