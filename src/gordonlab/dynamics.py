@@ -43,33 +43,36 @@ class UnsupportedSystemError(TypeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TorusPoint:
-    """A point of T^d; distances use the max metric over coordinates."""
+    """A point of T^d held as its raw tuple (ints mod 2**128); ``coords`` and
+    ``[i]`` make ``FixedPointFrac``s when read.  Distances use the max metric."""
 
-    coords: tuple[FixedPointFrac, ...]
+    raw: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.coords) is not tuple:
-            object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) < 1:
+    def __init__(self, coords) -> None:
+        coords = tuple(coords)
+        if not coords:
             raise ValueError("TorusPoint needs at least one coordinate")
+        bad = [type(c).__name__ for c in coords if not isinstance(c, FixedPointFrac)]
+        if bad:
+            raise TypeError(f"TorusPoint coordinates are FixedPointFrac, got {bad[0]}")
+        object.__setattr__(self, "raw", tuple(c.value for c in coords))
 
     @classmethod
     def from_floats(cls, *xs: float) -> "TorusPoint":
         return cls(tuple(FixedPointFrac.from_float(x) for x in xs))
 
     @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> FixedPointFrac:
-        return self.coords[i]
+    def coords(self) -> tuple[FixedPointFrac, ...]:
+        return tuple(map(FixedPointFrac, self.raw))
 
     @property
-    def raw(self) -> tuple[int, ...]:
-        """The raw state: one int in [0, 2**128) per coordinate."""
-        return tuple(c.value for c in self.coords)
+    def dim(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, i: int) -> FixedPointFrac:
+        return FixedPointFrac(self.raw[i])
 
     def dist_raw(self, other: "TorusPoint") -> int:
         if self.dim != other.dim:
@@ -324,7 +327,9 @@ def raw_state(system: SystemSpec, omega):
 def wrap_state(state):
     """Inverse of raw_state: raw tuples become TorusPoints, IET points pass."""
     if isinstance(state, tuple):
-        return TorusPoint(tuple(map(FixedPointFrac, state)))
+        point = object.__new__(TorusPoint)
+        object.__setattr__(point, "raw", state)  # already raw: nothing to convert
+        return point
     return state
 
 
@@ -340,6 +345,9 @@ def raw_stepper(system: SystemSpec):
     """The one-step map T of a torus system, as a function of one raw state."""
     if isinstance(system, Shift):
         alpha = tuple(a.value for a in system.alpha)
+        if len(alpha) == 1:
+            a = alpha[0]
+            return lambda w: ((w[0] + a) % SCALE,)
         return lambda w: tuple([(x + a) % SCALE for x, a in zip(w, alpha)])
     if isinstance(system, SkewShift):
         two_alpha = 2 * system.alpha.value

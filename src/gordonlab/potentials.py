@@ -181,7 +181,8 @@ class PotentialWindow:
     """V(n) = lam * f(T^n omega) for n in [n_min, n_max].
 
     ``values`` holds the coupled samples; ``base_values`` the lam-free ones
-    (the defect works on base_values so coupling scales it exactly).
+    (the defect works on base_values so coupling scales it exactly).  Both
+    are read-only: ``gordon_gamma`` keeps its answers on the window.
     """
 
     system: SystemSpec
@@ -217,6 +218,8 @@ def sample_potential(
     # ``_orbit_samples`` after they are freed measured a higher peak RSS
     states = raw_orbit(system, raw_state(system, omega), n_min, n_max)
     base = np.array(_sample_raw(f, states, not isinstance(system, Iet)), dtype=float)
+    values = float(lam) * base
+    base.flags.writeable = values.flags.writeable = False
     return PotentialWindow(
         system=system,
         f=f,
@@ -224,7 +227,7 @@ def sample_potential(
         omega=omega,
         n_min=n_min,
         n_max=n_max,
-        values=float(lam) * base,
+        values=values,
         base_values=base,
     )
 
@@ -242,6 +245,7 @@ def explicit_window(values, n_min: int) -> PotentialWindow:
     base = np.array([float(v) for v in values], dtype=float)
     if base.size == 0:
         raise ValueError("values must be nonempty")
+    base.flags.writeable = False  # read-only, so values and base_values can share it
     return PotentialWindow(
         system=None,
         f=None,
@@ -249,7 +253,7 @@ def explicit_window(values, n_min: int) -> PotentialWindow:
         omega=None,
         n_min=n_min,
         n_max=n_min + base.size - 1,
-        values=base.copy(),
+        values=base,
         base_values=base,
     )
 
@@ -276,10 +280,10 @@ def _gamma(base: list[float], q: int, lam: float) -> float:
 def gordon_gamma(window: PotentialWindow, q: int) -> float:
     """max over n in [1, q] of |V(n) - V(n+q)| and |V(n) - V(n-q)|.
 
-    Needs the window to cover [1-q, 2q].  Computed by ``_gamma`` from the
-    window's unscaled samples as plain floats and multiplied by |lam| last,
-    so it is exactly |lam|-homogeneous; a nan anywhere in the three blocks
-    gives nan.
+    Needs the window to cover [1-q, 2q].  Computed once per window and q (kept
+    in the window's ``__dict__``, not a field) by ``_gamma`` from the unscaled
+    samples as plain floats and multiplied by |lam| last, so it is exactly
+    |lam|-homogeneous; a nan anywhere in the three blocks gives nan.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -288,8 +292,11 @@ def gordon_gamma(window: PotentialWindow, q: int) -> float:
             f"defect at q={q} needs sites [{1 - q}, {2 * q}], window is "
             f"[{window.n_min}, {window.n_max}]"
         )
-    off = -window.n_min
-    return _gamma(window.base_values[off + 1 - q : off + 2 * q + 1].tolist(), q, window.lam)
+    gammas = window.__dict__.setdefault("_gammas", {})
+    if q not in gammas:
+        lo = 1 - q - window.n_min
+        gammas[q] = _gamma(window.base_values[lo : lo + 3 * q].tolist(), q, window.lam)
+    return gammas[q]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -18,12 +21,15 @@ from gordonlab.dynamics import (
     TorusPoint,
     _iet_twin,
     _random_raw,
+    _closed_form_raw,
     _unipotent_power,
     iet_breakpoint_orbits,
     iet_refine_continuity,
     orbit,
     random_point,
+    raw_orbit,
     system_dim,
+    wrap_state,
 )
 from gordonlab.repetition import _certifies
 
@@ -89,13 +95,51 @@ class TestTorusPoint:
 
     def test_coords_are_always_a_tuple(self):
         coords = (GOLDEN, ZERO)
-        assert TorusPoint(coords).coords is coords  # a tuple is kept as given
+        point = TorusPoint(coords)
+        assert point.coords == coords  # rebuilt from the stored raw tuple
+        assert type(point.raw) is tuple and point.raw == (GOLDEN.value, ZERO.value)
         for given_coords in ([GOLDEN, ZERO], iter((GOLDEN, ZERO)), {0: GOLDEN, 1: ZERO}.values()):
             point = TorusPoint(given_coords)
             assert type(point.coords) is tuple and point.coords == coords
             assert point == TorusPoint(coords) and hash(point) == hash(TorusPoint(coords))
         with pytest.raises(ValueError):
             TorusPoint([])
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_a_wrapped_point_is_the_point_of_its_coordinates(self, dim):
+        rng = random.Random(2200 + dim)
+        system = SkewProduct(dim, FixedPointFrac(rng.getrandbits(128)))
+        states = [tuple(rng.getrandbits(128) for _ in range(dim)) for _ in range(20)]
+        states += [(0,) * dim, (SCALE - 1,) * dim]
+        start = TorusPoint(tuple(map(FixedPointFrac, states[0])))
+        wrapped = [wrap_state(s) for s in states] + orbit(system, start, -3, 3)
+        for point in wrapped:
+            built = TorusPoint(tuple(map(FixedPointFrac, point.raw)))
+            assert point == built and hash(point) == hash(built)
+            assert type(point.raw) is tuple and point.raw == built.raw
+            assert point.coords == built.coords and all(type(c) is FixedPointFrac for c in point.coords)
+            assert point.dim == built.dim == dim
+            assert [point[i] for i in range(dim)] == list(built.coords)
+            for other in wrapped[:3]:
+                assert point.dist_raw(other) == built.dist_raw(other) == other.dist_raw(built)
+            for copied in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point)):
+                assert copied == point and copied.raw == point.raw and hash(copied) == hash(point)
+        assert wrap_state(states[0]).raw is states[0]  # the raw tuple is stored, not rebuilt
+
+    def test_the_one_field_is_the_raw_tuple(self):
+        assert [f.name for f in dataclasses.fields(TorusPoint)] == ["raw"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TorusPoint((GOLDEN,)).raw = (0,)
+
+    @pytest.mark.parametrize("bad", [0.5, 3, Fraction(1, 2), "0.5", None])
+    def test_a_coordinate_that_is_not_fixed_point_fails_at_construction(self, bad):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            TorusPoint((bad,))
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            TorusPoint((GOLDEN, bad))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            TorusPoint(())
 
 
 class TestPermutation:
@@ -223,6 +267,17 @@ class TestOrbit:
         for offset, point in enumerate(points):
             expected = orbit(system, start, n_min + offset, n_min + offset)[0]
             assert [c.value for c in point.coords] == [c.value for c in expected.coords]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_shift_stepper_agrees_with_the_closed_form_at_every_site(self, dim):
+        rng = random.Random(2300 + dim)
+        for _ in range(4):
+            system = Shift(tuple(FixedPointFrac(rng.getrandbits(128)) for _ in range(dim)))
+            omega = tuple(rng.getrandbits(128) for _ in range(dim))
+            for n_min in range(-50, 51):
+                states = raw_orbit(system, omega, n_min, n_min + 7)
+                assert states == [_closed_form_raw(system, omega, n) for n in range(n_min, n_min + 8)]
+                assert all(type(w) is tuple and len(w) == dim for w in states)
 
     def test_iet_orbit_negative_side_inverts_stepping(self):
         beta = float(GOLDEN)

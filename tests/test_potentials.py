@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+
+from gordonlab import potentials
 
 from gordonlab.arithmetic import (
     GOLDEN,
@@ -17,6 +20,7 @@ from gordonlab.potentials import (
     DECAY_CONSISTENT,
     NO_DECAY_AT_HORIZON,
     BourgainQuadratic,
+    PotentialWindow,
     Cosine,
     DimensionMismatchError,
     PiecewiseConstant,
@@ -252,6 +256,62 @@ class TestGordonGamma:
             scaled = self.golden_window(lam=lam)
             assert gordon_gamma(scaled, 8) == abs(lam) * g1  # exact, not approx
         assert gordon_gamma(self.golden_window(lam=0.0), 8) == 0.0
+
+
+class TestGammaMemo:
+    """gamma(q) is computed once per window and q; the window's arrays are read-only."""
+
+    def windows(self):
+        sampled = sample_potential(Shift((GOLDEN,)), Cosine((1,)), -1.3, torus1(ZERO), -7, 16)
+        explicit = explicit_window([math.sin(n) for n in range(-7, 17)], n_min=-7)
+        return sampled, explicit
+
+    def test_a_second_call_reads_the_memo(self, monkeypatch):
+        calls = []
+        kernel = potentials._gamma
+        monkeypatch.setattr(potentials, "_gamma", lambda *a: calls.append(a) or kernel(*a))
+        for window in self.windows():
+            calls.clear()
+            first = [gordon_gamma(window, q) for q in (1, 5, 8)]
+            assert len(calls) == 3
+            again = [gordon_gamma(window, q) for q in (8, 5, 1)][::-1]
+            assert len(calls) == 3 and list(map(repr, again)) == list(map(repr, first))
+            fresh = [kernel(window.base_values[7 - q + 1 : 7 + 2 * q + 1].tolist(), q, window.lam)
+                     for q in (1, 5, 8)]
+            assert list(map(repr, fresh)) == list(map(repr, first))
+
+    def test_a_rejected_q_is_rejected_every_time(self):
+        window = self.windows()[0]
+        for _ in range(2):
+            with pytest.raises(WindowTooSmallError):
+                gordon_gamma(window, 9)
+            with pytest.raises(ValueError):
+                gordon_gamma(window, 0)
+
+    def test_the_arrays_are_read_only(self):
+        for window in self.windows():
+            for array in (window.values, window.base_values):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+                with pytest.raises(ValueError):
+                    array += 1.0
+
+    def test_the_memo_is_not_a_field(self):
+        names = [f.name for f in dataclasses.fields(PotentialWindow)]
+        assert names == ["system", "f", "lam", "omega", "n_min", "n_max", "values", "base_values"]
+        for window in self.windows():
+            gordon_gamma(window, 3)
+            assert [f.name for f in dataclasses.fields(window)] == names
+
+    def test_a_replaced_window_starts_with_an_empty_memo(self):
+        window = self.windows()[0]
+        g = gordon_gamma(window, 8)
+        scaled = dataclasses.replace(window, lam=4.0)
+        assert "_gammas" not in scaled.__dict__
+        unit = gordon_gamma(dataclasses.replace(window, lam=1.0), 8)
+        assert gordon_gamma(scaled, 8) == 4.0 * unit and g == 1.3 * unit  # lam was -1.3
+        assert gordon_gamma(window, 8) == g
 
 
 def numpy_gamma(window, q):

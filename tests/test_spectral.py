@@ -123,6 +123,13 @@ class TestThreeBlock:
             assert report.gamma == 0.0
             assert report.min_ratio >= 0.5 - 1e-12
 
+    def test_the_reported_gamma_is_the_window_gamma_at_every_energy(self):
+        window = sample_potential(Shift((GOLDEN,)), Cosine((1,)), 2.0, TorusPoint((ZERO,)), -12, 26)
+        for energy in (-3.0, -0.4, 0.0, 1.7, 3.9):
+            for q in (5, 13):
+                report = gordon_three_block_check(window, energy, q, (1.0, 0.5))
+                assert repr(report.gamma) == repr(gordon_gamma(window, q))
+
     def test_report_fields_are_consistent(self):
         window = self.periodic_window([0.4, -0.9, 1.3], 3)
         report = gordon_three_block_check(window, 0.7, 3, (1.0, 0.0))
