@@ -6,8 +6,8 @@ Every system steps exact integers.  A torus state is a tuple of ints mod
 2**128, one per coordinate.  Every torus map is T(w) = L.w + b with L
 unipotent (I for a shift; the skew-shift is the 2-D skew-product with
 increment 2*alpha), and ``_unipotent_power`` gives T^n by one exact binomial
-formula in n, with no matrix powers, to the closed form and to the repetition
-plan.  An IET has one integer twin (``_iet_twin``): the lengths and the
+formula in n, with no matrix powers, to the closed form, to the repetition
+plan and to the samplers' phase sequences (``raw_phases``).  An IET has one integer twin (``_iet_twin``): the lengths and the
 points it holds over their common denominator (a float is a dyadic rational),
 stepped by one bisect and one add each way, in orbits, searches, the Monte
 Carlo, cut refinements and towers alike; an IET draw is the exact point
@@ -25,7 +25,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 
 from .arithmetic import SCALE, FixedPointFrac, _circle
 
@@ -396,6 +396,30 @@ def _closed_form_raw(system: SystemSpec, w: tuple[int, ...], n: int) -> tuple[in
         (sum(coef[k] * w[i - k] for k in range(i + 1)) + drift[i]) % SCALE
         for i in range(len(w))
     )
+
+
+def raw_phases(system: SystemSpec, k: tuple[int, ...], state: tuple[int, ...],
+               n_min: int, n_max: int):
+    """Integers = k.T^n(state) (mod 2**128) for n in n_min..n_max, unreduced.
+
+    T is unipotent, so k.T^n(state) is an integer polynomial in n of degree
+    at most dim (``_unipotent_power``): its dim + 1 closed-form values at
+    n_min.. give its forward differences, and nested running sums rebuild
+    every later value, congruent mod 2**128, with no state per site.
+    """
+    if n_min > n_max:
+        raise ValueError("n_min must be <= n_max")
+    count = n_max - n_min + 1
+    column = [sum(map(operator.mul, k, _closed_form_raw(system, state, n_min + t)))
+              for t in range(system_dim(system) + 1)]
+    diffs = []  # diffs[j] = Delta^j at n_min
+    while column:
+        diffs.append(column[0] % SCALE)
+        column = list(map(operator.sub, column[1:], column))
+    seq = repeat(diffs.pop(), count)
+    for d in reversed(diffs):
+        seq = accumulate(seq, initial=d)
+    return islice(seq, count)
 
 
 def raw_orbit(system: SystemSpec, state, n_min: int, n_max: int) -> list:

@@ -4,6 +4,11 @@
 
 with modulus-of-continuity bounds and finite-horizon decay verdicts.
 
+On a torus every linear form k.T^n w is a polynomial in n (T is unipotent),
+so a sampler reads one integer phase per site and term from
+``dynamics.raw_phases`` (forward differences of the closed form, summed up),
+not a state tuple; an IET orbit steps its number states.
+
 The defect is computed from the unscaled samples and multiplied by |lam| at
 the end, so coupling homogeneity gamma(lam*V, q) = |lam| * gamma(V, q) holds
 exactly in floating point, including lam = 0.  It has one kernel on plain
@@ -20,7 +25,7 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, Sequence
 
 from .arithmetic import SCALE, FixedPointFrac
-from .dynamics import Iet, SystemSpec, TorusPoint, raw_orbit, raw_state, system_dim
+from .dynamics import Iet, SystemSpec, TorusPoint, raw_orbit, raw_phases, raw_state, system_dim
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,45 +135,56 @@ def _check_dims(f: SamplingFunction, d: int) -> None:
         raise DimensionMismatchError("quadratic-phase sampling needs a 2-D state")
 
 
-def _sample_raw(f: SamplingFunction, states: list, torus: bool) -> list[float]:
-    """f at each raw state: int tuples mod 2**128 on tori, numbers on intervals."""
+def _sample_raw(f: SamplingFunction, phases, count: int, dim: int | None) -> list[float]:
+    """f at the count sites of an orbit.  On a dim-torus ``phases(k)`` yields
+    integers = k.w (mod 2**128) at each site (``dynamics.raw_phases``), reduced
+    here; on an interval (dim None) it yields the number states, for any k."""
     if isinstance(f, (Cosine, TrigPoly)):
-        out = [0.0] * len(states)
+        out = [0.0] * count
         for freq, amp, phase in f.terms:
-            if torus:
-                ts = [(sum(map(mul, freq, w)) % SCALE) / SCALE for w in states]
+            if dim is None:
+                out = [o + amp * math.cos(2 * math.pi * (freq[0] * float(x) + phase))
+                       for o, x in zip(out, phases(freq))]
             else:
-                ts = [freq[0] * float(x) for x in states]
-            out = [o + amp * math.cos(2 * math.pi * (t + phase)) for o, t in zip(out, ts)]
+                out = [o + amp * math.cos(2 * math.pi * ((x % SCALE) / SCALE + phase))
+                       for o, x in zip(out, phases(freq))]
         return out
     if isinstance(f, PiecewiseConstant):
-        if torus:
+        if dim is None:
+            xs = [float(x) - math.floor(float(x)) for x in phases((1,))]
+        else:
             # the exact coordinate is < 1; a just-below-1 value can round up
             # to 1.0 in double, which must stay in the last piece
-            xs = [min(w[0] / SCALE, _BELOW_ONE) for w in states]
-        else:
-            xs = [float(x) - math.floor(float(x)) for x in states]
+            xs = [min((x % SCALE) / SCALE, _BELOW_ONE) for x in phases((1,))]
         # index -1 (left of the first breakpoint) is the wrapped last piece
         return [f.values[bisect_right(f.breakpoints, x) - 1] for x in xs]
     if isinstance(f, BourgainQuadratic):
-        return [math.cos(2 * math.pi * (w[1] / SCALE)) for w in states]
+        e2 = (0, 1, *[0] * (dim - 2))
+        return [math.cos(2 * math.pi * ((x % SCALE) / SCALE)) for x in phases(e2)]
     raise TypeError(f"unknown sampling function {type(f).__name__}")
 
 
 def _orbit_samples(
     system: SystemSpec, f: SamplingFunction, omega, n_min: int, n_max: int
 ) -> list[float]:
-    """The lam-free samples f(T^n omega), n_min <= n <= n_max, as plain floats."""
+    """The lam-free samples f(T^n omega), n_min <= n <= n_max, as plain floats:
+    a torus term reads its phase sequence, an IET steps its number states."""
     _check_dims(f, system_dim(system))
-    states = raw_orbit(system, raw_state(system, omega), n_min, n_max)
-    return _sample_raw(f, states, not isinstance(system, Iet))
+    state = raw_state(system, omega)
+    if isinstance(system, Iet):
+        states = raw_orbit(system, state, n_min, n_max)
+        return _sample_raw(f, lambda k: states, len(states), None)
+    phases = lambda k: raw_phases(system, k, state, n_min, n_max)
+    return _sample_raw(f, phases, n_max - n_min + 1, system.dim)
 
 
 def evaluate_sampling(f: SamplingFunction, point) -> float:
     """f at a TorusPoint (torus variants) or a plain number (interval codings)."""
-    torus = isinstance(point, TorusPoint)
-    _check_dims(f, point.dim if torus else 1)
-    return _sample_raw(f, [point.raw if torus else point], torus)[0]
+    if isinstance(point, TorusPoint):
+        _check_dims(f, point.dim)
+        return _sample_raw(f, lambda k: (sum(map(mul, k, point.raw)),), 1, point.dim)[0]
+    _check_dims(f, 1)
+    return _sample_raw(f, lambda k: (point,), 1, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +198,9 @@ class PotentialWindow:
 
     ``values`` holds the coupled samples; ``base_values`` the lam-free ones
     (the defect works on base_values so coupling scales it exactly).  Both
-    are read-only: ``gordon_gamma`` keeps its answers on the window.
+    are read-only, since ``gordon_gamma`` keeps its answers on the window: an
+    array that is writeable or does not own its data is stored as a read-only
+    copy, one copy when ``values is base_values``.
     """
 
     system: SystemSpec
@@ -194,10 +212,24 @@ class PotentialWindow:
     values: np.ndarray
     base_values: np.ndarray
 
+    def __post_init__(self) -> None:
+        values = _read_only(self.values)
+        base = values if self.base_values is self.values else _read_only(self.base_values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "base_values", base)
+
     def value_at(self, n: int) -> float:
         if not self.n_min <= n <= self.n_max:
             raise WindowTooSmallError(f"site {n} outside window [{self.n_min}, {self.n_max}]")
         return float(self.values[n - self.n_min])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array itself when it owns its data and is read-only, else a read-only copy."""
+    if array.flags.writeable or not array.flags.owndata:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
 
 def sample_potential(
@@ -213,11 +245,7 @@ def sample_potential(
 
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
-    _check_dims(f, system_dim(system))
-    # the states stay alive until the array is built: building it from
-    # ``_orbit_samples`` after they are freed measured a higher peak RSS
-    states = raw_orbit(system, raw_state(system, omega), n_min, n_max)
-    base = np.array(_sample_raw(f, states, not isinstance(system, Iet)), dtype=float)
+    base = np.array(_orbit_samples(system, f, omega, n_min, n_max), dtype=float)
     values = float(lam) * base
     base.flags.writeable = values.flags.writeable = False
     return PotentialWindow(

@@ -60,12 +60,16 @@ def _det(entries) -> float:
 
 
 def _transfer(values: list[float], energy: float):
-    """Entries of the product of [[E - v, -1], [1, 0]] over values, in order."""
+    """Entries of the product of [[E - v, -1], [1, 0]] over values, in order.
+
+    Left-multiplying by [[t, -1], [1, 0]] maps the columns (a, c) and (b, d)
+    each to (t*x - y, x); two swaps per factor build no tuple.
+    """
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for v in values:
         t = energy - v
-        # left-multiply by [[t, -1], [1, 0]]
-        a, b, c, d = t * a - c, t * b - d, a, b
+        a, c = t * a - c, a
+        b, d = t * b - d, b
     return (a, b), (c, d)
 
 

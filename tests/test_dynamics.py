@@ -19,6 +19,7 @@ from gordonlab.dynamics import (
     SkewProduct,
     SkewShift,
     TorusPoint,
+    UnsupportedSystemError,
     _iet_twin,
     _random_raw,
     _closed_form_raw,
@@ -28,6 +29,7 @@ from gordonlab.dynamics import (
     orbit,
     random_point,
     raw_orbit,
+    raw_phases,
     system_dim,
     wrap_state,
 )
@@ -335,6 +337,67 @@ class TestOrbit:
         for left, right in zip(points, points[1:]):
             assert orbit(iet, left, 1, 1) == [right]
             assert orbit(iet, right, -1, -1) == [left]
+
+
+PHASE_SYSTEMS = {
+    **{f"shift-d{d}": (lambda rng, d=d: Shift(tuple(FixedPointFrac(rng.getrandbits(128))
+                                                    for _ in range(d)))) for d in (1, 2, 3)},
+    "skewshift": lambda rng: SkewShift(FixedPointFrac(rng.getrandbits(128))),
+    **{f"skewproduct-d{d}": (lambda rng, d=d: SkewProduct(d, FixedPointFrac(rng.getrandbits(128))))
+       for d in (2, 3, 4, 5)},
+}
+
+
+class TestRawPhases:
+    """k.T^n(w) from forward differences, against the dot product over ``raw_orbit``."""
+
+    @staticmethod
+    def oracle(system, k, state, n_min, n_max):
+        return [sum(a * b for a, b in zip(k, w)) % SCALE
+                for w in raw_orbit(system, state, n_min, n_max)]
+
+    @pytest.mark.parametrize("make_system", PHASE_SYSTEMS.values(), ids=PHASE_SYSTEMS.keys())
+    def test_every_window_matches_the_stepped_orbit(self, make_system):
+        rng = random.Random(2301)
+        system = make_system(rng)
+        dim = system.dim
+        for k in [(1,) + (0,) * (dim - 1), (0,) * dim, (0,) * (dim - 1) + (1,),
+                  tuple(rng.choice([-3, -1, 0, 2, 5]) for _ in range(dim)),
+                  tuple(-rng.randint(1, 10**6) for _ in range(dim))]:
+            state = tuple(rng.getrandbits(128) for _ in range(dim))
+            for n_min in (-10**12, -23, -1, 0, 1, 17, 10**9):
+                for length in range(1, dim + 3):  # shorter and longer than the table
+                    n_max = n_min + length - 1
+                    got = list(raw_phases(system, k, state, n_min, n_max))
+                    assert all(type(x) is int for x in got)
+                    assert [x % SCALE for x in got] == self.oracle(system, k, state, n_min, n_max)
+            n_min = rng.randint(-500, 500)
+            got = list(raw_phases(system, k, state, n_min, n_min + 999))
+            assert [x % SCALE for x in got] == self.oracle(system, k, state, n_min, n_min + 999)
+
+    def test_one_site_is_the_closed_form_dot_product(self):
+        rng = random.Random(2302)
+        for make_system in PHASE_SYSTEMS.values():
+            system = make_system(rng)
+            state = tuple(rng.getrandbits(128) for _ in range(system.dim))
+            k = tuple(rng.randint(-4, 4) for _ in range(system.dim))
+            for n in (-(10**15), -2, 0, 3, 10**15):
+                (got,) = raw_phases(system, k, state, n, n)
+                w = _closed_form_raw(system, state, n)
+                assert got % SCALE == sum(a * b for a, b in zip(k, w)) % SCALE
+
+    def test_rejects_a_reversed_window_and_an_iet(self):
+        system = SkewShift(GOLDEN)
+        with pytest.raises(ValueError):
+            raw_phases(system, (1, 1), (0, 0), 3, 2)
+        with pytest.raises(UnsupportedSystemError):
+            raw_phases(Iet((0.5, 0.5), Permutation((2, 1))), (1,), 0.25, 0, 3)
+
+    def test_is_not_a_package_export(self):
+        import gordonlab
+
+        with pytest.raises(AttributeError, match="no attribute 'raw_phases'"):
+            gordonlab.raw_phases
 
 
 class TestIet:

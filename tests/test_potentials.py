@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -139,14 +140,21 @@ SAMPLING_SYSTEMS = {
     "shift-d2": (Shift((GOLDEN, SQRT2)), _start(0.3, 0.8)),
     "skewshift": (SkewShift(LIOUVILLE10), _start(0.3, 0.8)),
     "skewproduct-d3": (SkewProduct(3, GOLDEN), _start(0.3, 0.8, 0.55)),
+    "skewproduct-d5": (SkewProduct(5, SQRT2), _start(0.9, 0.1, 0.45, 0.3, 0.65)),
     "iet": (Iet((0.2, 0.5, 0.3), Permutation((3, 1, 2))), 0.123),
 }
 
 
 def _sampling_functions(d):
+    zero, ones = (0,) * d, (1,) * d
     fs = {
         "cosine": Cosine(tuple(range(1, d + 1)), 0.3),
-        "trigpoly": TrigPoly(((tuple([1] * d), 0.5, 0.0), (tuple(range(d, 0, -1)), -1.25, 0.1))),
+        "cosine-negative": Cosine(tuple(range(-d, 0)), 0.7),
+        "trigpoly": TrigPoly(((ones, 0.5, 0.0), (tuple(range(d, 0, -1)), -1.25, 0.1))),
+        # a constant term, and a term whose amplitude is 0.0: 0.0 + 0.0*cos must
+        # stay +0.0 where the cosine is negative
+        "trigpoly-zero-frequency": TrigPoly(((zero, 0.75, 0.2), (ones, -0.5, 0.4))),
+        "trigpoly-zero-amplitude": TrigPoly(((ones, 0.0, 0.3),)),
     }
     if d == 1:
         fs["coding"] = PiecewiseConstant((0.1, 0.5), (2.0, -1.0))
@@ -162,11 +170,31 @@ COMPATIBLE_PAIRS = [
 ]
 
 
+def reference_sample(f, point: TorusPoint) -> float:
+    """f at a torus point, term by term from its raw coordinates."""
+    w = point.raw
+    if isinstance(f, PiecewiseConstant):
+        x = min(w[0] / SCALE, math.nextafter(1.0, 0.0))
+        return f.values[bisect_right(f.breakpoints, x) - 1]
+    if isinstance(f, BourgainQuadratic):
+        return math.cos(2 * math.pi * (w[1] / SCALE))
+    total = 0.0
+    for k, amp, phase in f.terms:
+        t = (sum(a * b for a, b in zip(k, w)) % SCALE) / SCALE
+        total = total + amp * math.cos(2 * math.pi * (t + phase))
+    return total
+
+
 @pytest.mark.parametrize("system, omega, f", COMPATIBLE_PAIRS)
 def test_sample_potential_matches_pointwise_evaluation_along_the_orbit(system, omega, f):
     window = sample_potential(system, f, 2.0, omega, -20, 50)
-    pointwise = [evaluate_sampling(f, p) for p in orbit(system, omega, -20, 50)]
-    assert np.array_equal(window.base_values, pointwise)
+    points = orbit(system, omega, -20, 50)
+    got = list(map(float.hex, window.base_values.tolist()))
+    assert got == [float.hex(evaluate_sampling(f, p)) for p in points]
+    if not isinstance(system, Iet):
+        assert got == [float.hex(reference_sample(f, p)) for p in points]
+    if isinstance(f, TrigPoly) and all(amp == 0.0 for _, amp, _ in f.terms):
+        assert got == [float.hex(0.0)] * len(points)
 
 
 class TestPotentialWindow:
@@ -304,6 +332,35 @@ class TestGammaMemo:
             gordon_gamma(window, 3)
             assert [f.name for f in dataclasses.fields(window)] == names
 
+    def test_a_window_built_from_writeable_arrays_keeps_its_own_copy(self):
+        b = np.array([0.0, 1.0] * 3)
+        w = PotentialWindow(None, None, 1.0, None, -1, 4, b, b)
+        assert gordon_gamma(w, 2) == 0.0
+        b[0] = 5.0
+        assert gordon_gamma(w, 2) == 0.0
+        assert gordon_gamma(dataclasses.replace(w), 2) == 0.0
+        assert gordon_gamma(PotentialWindow(None, None, 1.0, None, -1, 4, b, b), 2) == 5.0
+        assert w.values is w.base_values and w.values is not b
+        assert not w.values.flags.writeable and w.values.tolist() == [0.0, 1.0] * 3
+
+    def test_views_and_writeable_arrays_are_copied_read_only(self):
+        data = np.arange(8.0)
+        view = data[1:7]
+        view.flags.writeable = False  # read-only, but data can still change it
+        w = PotentialWindow(None, None, 2.0, None, 0, 5, 2.0 * view, view)
+        for array in (w.values, w.base_values):
+            assert array.flags.owndata and not array.flags.writeable
+        assert w.base_values is not view and w.values is not w.base_values
+        data[:] = -1.0
+        assert w.base_values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_read_only_arrays_of_the_builders_are_not_copied(self):
+        for window in self.windows():
+            again = dataclasses.replace(window)
+            assert again.values is window.values and again.base_values is window.base_values
+        explicit = self.windows()[1]
+        assert explicit.values is explicit.base_values
+
     def test_a_replaced_window_starts_with_an_empty_memo(self):
         window = self.windows()[0]
         g = gordon_gamma(window, 8)
@@ -393,6 +450,19 @@ def test_profile_entries_are_gordon_gamma_of_sampled_windows(system, f, omega, l
         expected.append((q, gordon_gamma(window, q)))
         assert expected[-1][1] == numpy_gamma(window, q)
     assert profile.entries == tuple(expected)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.75, 5.0])
+@pytest.mark.parametrize("system, omega, f", COMPATIBLE_PAIRS)
+def test_profile_entries_are_window_gammas_bit_for_bit(system, omega, f, lam):
+    """Every system and function of the sampler: each profile entry has the
+    bits of gordon_gamma on a window sampled over [1-q, 2q]."""
+    q_list = [1, 2, 3, 5, 8, 13]
+    profile = gordon_profile(system, f, lam, omega, q_list, [1.5])
+    expected = [gordon_gamma(sample_potential(system, f, lam, omega, 1 - q, 2 * q), q)
+                for q in q_list]
+    assert [q for q, _ in profile.entries] == q_list
+    assert [float.hex(g) for _, g in profile.entries] == list(map(float.hex, expected))
 
 
 class TestGordonProfile:

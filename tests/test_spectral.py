@@ -1,11 +1,12 @@
 import csv
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from gordonlab.arithmetic import GOLDEN, ZERO
+from gordonlab.arithmetic import GOLDEN, ZERO, FixedPointFrac
 from gordonlab.cli import build_function, build_omega, build_parser, build_system, main
 from gordonlab.dynamics import Shift, TorusPoint
 from gordonlab.potentials import (
@@ -17,6 +18,7 @@ from gordonlab.potentials import (
 )
 from gordonlab.spectral import (
     MissingVectorsError,
+    _transfer,
     ThreeBlockReport,
     gordon_three_block_check,
     localization_diagnostics,
@@ -102,6 +104,47 @@ class TestTransferBlock:
             transfer_block(window, 0.0, 0, 5)
         with pytest.raises(WindowTooSmallError):
             transfer_block(window, 0.0, -1, 3)
+
+
+def four_tuple_transfer(values, energy):
+    """The transfer product as one 4-tuple assignment per factor."""
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for v in values:
+        t = energy - v
+        a, b, c, d = t * a - c, t * b - d, a, b
+    return (a, b), (c, d)
+
+
+def entry_bits(entries):
+    return [struct.pack("<d", x) for row in entries for x in row]
+
+
+class TestTransferKernel:
+    """``_transfer`` against the 4-tuple loop, compared as IEEE bit patterns."""
+
+    def test_random_values_and_energies(self):
+        rng = random.Random(2303)
+        for _ in range(300):
+            values = [rng.uniform(-6, 6) for _ in range(rng.randint(0, 60))]
+            energy = rng.choice([0.0, -0.0, rng.uniform(-8, 8), float(rng.randint(-3, 3))])
+            assert entry_bits(_transfer(values, energy)) == entry_bits(
+                four_tuple_transfer(values, energy))
+
+    def test_products_that_overflow_at_coupling_five(self):
+        rng = random.Random(2304)
+        kinds = set()
+        for _ in range(20):
+            omega = TorusPoint((FixedPointFrac(rng.getrandbits(128)),))
+            window = sample_potential(Shift((GOLDEN,)), Cosine((1,)), 5.0, omega, 1, 2500)
+            for n in (1, 2, 3, 400, 1000, 2500):
+                values = window.values[:n].tolist()
+                for energy in (rng.uniform(-7, 7), 0.0, 9.5, -1e300, 1e300):
+                    got = _transfer(values, energy)
+                    assert entry_bits(got) == entry_bits(four_tuple_transfer(values, energy))
+                    entries = got[0] + got[1]
+                    kinds.add("nan" if any(map(math.isnan, entries))
+                              else "inf" if any(map(math.isinf, entries)) else "finite")
+        assert kinds == {"finite", "inf", "nan"}
 
 
 class TestThreeBlock:
