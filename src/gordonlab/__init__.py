@@ -24,10 +24,11 @@ process compiles and runs only the layers it uses.  The CLI loads
 ``arithmetic`` up front and every other layer inside the handler that calls it.
 
 The defect gamma(q) and transfer products run on plain float lists.  numpy
-holds only ``PotentialWindow``'s arrays and the spectra, and scipy only the
-eigensolver, each imported inside the functions that use them: importing the
-package or the CLI loads neither, and of the subcommands only ``spectrum``
-does.
+holds only ``PotentialWindow``'s arrays and the spectra, imported inside the
+functions that use them; the eigensolver is LAPACK ``dstevd`` from scipy's
+compiled extension, loaded from its file (``spectral._lapack``), so no
+process imports the ``scipy`` package.  Importing the package or the CLI
+loads no numpy, and of the subcommands only ``spectrum`` does.
 """
 
 from importlib import import_module

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul, sub
 from typing import TYPE_CHECKING, Sequence
 
@@ -118,9 +119,6 @@ def bourgain_start(omega1: FixedPointFrac, omega2: FixedPointFrac) -> TorusPoint
     return TorusPoint((omega2, omega1))
 
 
-_BELOW_ONE = math.nextafter(1.0, 0.0)
-
-
 def _check_dims(f: SamplingFunction, d: int) -> None:
     """Reject f on a d-dimensional phase space (interval exchanges have d = 1)."""
     if isinstance(f, (Cosine, TrigPoly)):
@@ -138,7 +136,9 @@ def _check_dims(f: SamplingFunction, d: int) -> None:
 def _sample_raw(f: SamplingFunction, phases, count: int, dim: int | None) -> list[float]:
     """f at the count sites of an orbit.  On a dim-torus ``phases(k)`` yields
     integers = k.w (mod 2**128) at each site (``dynamics.raw_phases``), reduced
-    here; on an interval (dim None) it yields the number states, for any k."""
+    here; on an interval (dim None) it yields the number states, for any k.
+    A torus coding picks its piece exactly: the reduced integer x against the
+    raw breakpoints ceil(b * 2**128), since x / 2**128 >= b iff x >= that."""
     if isinstance(f, (Cosine, TrigPoly)):
         out = [0.0] * count
         for freq, amp, phase in f.terms:
@@ -151,13 +151,13 @@ def _sample_raw(f: SamplingFunction, phases, count: int, dim: int | None) -> lis
         return out
     if isinstance(f, PiecewiseConstant):
         if dim is None:
+            cuts = f.breakpoints
             xs = [float(x) - math.floor(float(x)) for x in phases((1,))]
         else:
-            # the exact coordinate is < 1; a just-below-1 value can round up
-            # to 1.0 in double, which must stay in the last piece
-            xs = [min((x % SCALE) / SCALE, _BELOW_ONE) for x in phases((1,))]
+            cuts = [math.ceil(Fraction(b) * SCALE) for b in f.breakpoints]
+            xs = [x % SCALE for x in phases((1,))]
         # index -1 (left of the first breakpoint) is the wrapped last piece
-        return [f.values[bisect_right(f.breakpoints, x) - 1] for x in xs]
+        return [f.values[bisect_right(cuts, x) - 1] for x in xs]
     if isinstance(f, BourgainQuadratic):
         e2 = (0, 1, *[0] * (dim - 2))
         return [math.cos(2 * math.pi * ((x % SCALE) / SCALE)) for x in phases(e2)]
@@ -198,9 +198,10 @@ class PotentialWindow:
 
     ``values`` holds the coupled samples; ``base_values`` the lam-free ones
     (the defect works on base_values so coupling scales it exactly).  Both
-    are read-only, since ``gordon_gamma`` keeps its answers on the window: an
-    array that is writeable or does not own its data is stored as a read-only
-    copy, one copy when ``values is base_values``.
+    are immutable, since ``gordon_gamma`` keeps its answers on the window:
+    each is stored as an array over a ``bytes`` copy of its data, which no
+    flag can make writeable, one copy when ``values is base_values``; an
+    array that bytes already back is stored as it is.
     """
 
     system: SystemSpec
@@ -213,8 +214,8 @@ class PotentialWindow:
     base_values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = _read_only(self.values)
-        base = values if self.base_values is self.values else _read_only(self.base_values)
+        values = _frozen(self.values)
+        base = values if self.base_values is self.values else _frozen(self.base_values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "base_values", base)
 
@@ -224,12 +225,13 @@ class PotentialWindow:
         return float(self.values[n - self.n_min])
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """array itself when it owns its data and is read-only, else a read-only copy."""
-    if array.flags.writeable or not array.flags.owndata:
-        array = array.copy()
-        array.flags.writeable = False
-    return array
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array itself when bytes back it, else a copy over immutable bytes."""
+    import numpy as np
+
+    if isinstance(array.base, bytes):
+        return array
+    return np.frombuffer(array.tobytes(), dtype=array.dtype)
 
 
 def sample_potential(
@@ -246,8 +248,6 @@ def sample_potential(
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     base = np.array(_orbit_samples(system, f, omega, n_min, n_max), dtype=float)
-    values = float(lam) * base
-    base.flags.writeable = values.flags.writeable = False
     return PotentialWindow(
         system=system,
         f=f,
@@ -255,7 +255,7 @@ def sample_potential(
         omega=omega,
         n_min=n_min,
         n_max=n_max,
-        values=values,
+        values=float(lam) * base,
         base_values=base,
     )
 
@@ -273,7 +273,6 @@ def explicit_window(values, n_min: int) -> PotentialWindow:
     base = np.array([float(v) for v in values], dtype=float)
     if base.size == 0:
         raise ValueError("values must be nonempty")
-    base.flags.writeable = False  # read-only, so values and base_values can share it
     return PotentialWindow(
         system=None,
         f=None,

@@ -8,13 +8,22 @@ descriptive statistics only.
 
 Transfer products and the three-block data have one kernel each on plain
 float lists (``_transfer``, ``_three_block``) and load no numpy; only the
-eigensolver does.
+eigensolver does.  It calls LAPACK ``dstevd``, the routine behind
+``scipy.linalg.eigh_tridiagonal``, from scipy's compiled ``_flapack``
+extension, loaded from its file by ``_lapack``: ``scipy.linalg``'s
+``__init__`` (about 0.29 s, most of it a star-import of numpy's test and f2py
+tools) never runs, and the extension alone loads in about 5 ms.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from typing import TYPE_CHECKING
 
 from .potentials import PotentialWindow, WindowTooSmallError, gordon_gamma
@@ -206,12 +215,42 @@ class SpectralReport:
     vectors: np.ndarray | None
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers, loaded once per process from the
+    extension file without importing ``scipy`` or ``scipy.linalg``.
+
+    The extension enters itself in ``sys.modules`` under its own name, so a
+    later ``import scipy.linalg`` uses this module, and a process that
+    imported scipy's first gets that one: one copy per process either way.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the eigensolver needs scipy's LAPACK extension", name="scipy")
+    path = os.path.join(scipy.submodule_search_locations[0], "linalg",
+                        "_flapack" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"no LAPACK extension at {path}", name=_FLAPACK, path=path)
+    loader = ExtensionFileLoader(_FLAPACK, path)
+    module = module_from_spec(spec_from_loader(_FLAPACK, loader))
+    loader.exec_module(module)
+    return module
+
+
 def truncated_spectrum(
     window: PotentialWindow, n_sites: int, report_vectors: bool = False
 ) -> SpectralReport:
-    """Spectrum of the truncation onto the first n_sites sites of the window."""
+    """Spectrum of the truncation onto the first n_sites sites of the window.
+
+    LAPACK ``dstevd`` on the diagonal and unit off-diagonals: the call, and
+    so the bits, of ``scipy.linalg.eigh_tridiagonal``, one site included.
+    """
     import numpy as np
-    from scipy.linalg import eigh_tridiagonal
 
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
@@ -219,16 +258,16 @@ def truncated_spectrum(
         raise WindowTooSmallError(
             f"window holds {window.n_max - window.n_min + 1} sites, need {n_sites}"
         )
-    diag = np.asarray(window.values[:n_sites], dtype=float)
-    off = np.ones(max(0, n_sites - 1), dtype=float)
-    try:
-        if report_vectors:
-            vals, vecs = eigh_tridiagonal(diag, off)
-        else:
-            vals = eigh_tridiagonal(diag, off, eigvals_only=True)
-            vecs = None
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailureError(str(exc)) from exc
+    diag = np.asarray_chkfinite(window.values[:n_sites], dtype=float)
+    if n_sites == 1:
+        vals, vecs = np.array([diag[0]]), np.array([[1.0]])
+    else:
+        off = np.ones(n_sites - 1, dtype=float)
+        vals, vecs, info = _lapack().dstevd(diag, off, compute_v=report_vectors)
+        if info:
+            raise ConvergenceFailureError(f"LAPACK dstevd failed (info={info})")
+    if not report_vectors:
+        vecs = None  # dstevd's placeholder [[0.0]]
     ipr = edge = None
     if vecs is not None:
         norms2 = np.sum(vecs**2, axis=0)

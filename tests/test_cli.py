@@ -699,8 +699,10 @@ class TestBundledRecipes:
 
 
 class TestImportPolicy:
-    """Only ``spectrum`` loads numpy and scipy; every other subcommand, ``gordon``
-    and ``transfer`` included, computes on plain floats and loads neither."""
+    """Only ``spectrum`` loads numpy; every other subcommand, ``gordon`` and
+    ``transfer`` included, computes on plain floats and loads neither numpy
+    nor scipy.  ``spectrum`` calls LAPACK from scipy's extension file and
+    imports neither the ``scipy`` package nor ``scipy.linalg``."""
 
     LIGHT = {
         "cf": "cf --alpha golden --depth 8",
@@ -721,7 +723,7 @@ import gordonlab, gordonlab.cli
 from gordonlab.cli import main
 
 def loaded():
-    return [m for m in ("numpy", "scipy") if m in sys.modules]
+    return [m for m in ("numpy", "scipy", "scipy.linalg") if m in sys.modules]
 
 runs = json.loads(sys.argv[1])
 report = {"import": [loaded(), ""]}
@@ -748,7 +750,8 @@ print(json.dumps(report))
         assert report["import"][0] == []
         for name in self.LIGHT:
             assert report[name][0] == [], name
-        assert report["spectrum"][0] == ["numpy", "scipy"]
+        assert all("scipy.linalg" not in modules for modules, _ in report.values())
+        assert report["spectrum"][0] == ["numpy"]
         # the lazily loaded solver gives the bits of an in-process run
         for name, argv in runs:
             _, out, _ = run_cli(argv, capsys)

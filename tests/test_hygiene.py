@@ -1,9 +1,10 @@
 """Source hygiene: every name a package module imports is used in it, every
 private module-level name is used somewhere in the package, ``__init__``'s
 export table names each export once, from a layer that defines it, and none
-that only the tests use, only ``arithmetic`` holds the raw circle metric, and
+that only the tests use, only ``arithmetic`` holds the raw circle metric,
 no module imports numpy or scipy when it is itself imported, nor while it
-refines IET cuts."""
+refines IET cuts, no module imports scipy at all, and only ``spectral`` names
+scipy's LAPACK extension ``_flapack``."""
 
 import ast
 import importlib
@@ -354,3 +355,68 @@ def test_iet_refinement_and_towers_load_no_heavy_package(src_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Import statements of any scipy module, wherever they sit: importing
+    ``scipy.linalg`` runs its ``__init__``, about 0.3 s in a fresh process."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] == "scipy"]
+    return [f"{m} (line {line})" for line, m in sorted(found)]
+
+
+def flapack_mentions(source: str) -> list[int]:
+    """Lines whose string, name, attribute or import names ``_flapack``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words = [node.value]
+        elif isinstance(node, ast.Name):
+            words = [node.id]
+        elif isinstance(node, ast.Attribute):
+            words = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            words = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+        else:
+            continue
+        if any("_flapack" in word for word in words):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scans_see_scipy_imports_and_flapack_names():
+    source = (
+        "import numpy, scipy.linalg as sl\n"
+        "def f():\n"
+        "    from scipy.linalg import eigh_tridiagonal\n"
+        "    from .scipy import x\n"
+        "    import scipyx\n"
+        "from scipy import _flapack\n"
+        "g = sl._flapack\n"
+        "h = 'scipy.linalg._flapack'\n"
+        "_FLAPACK = 1\n"
+        "path = 'flapack'\n"
+    )
+    assert scipy_imports(source) == [
+        "scipy.linalg (line 1)",
+        "scipy.linalg (line 3)",
+        "scipy (line 6)",
+    ]
+    assert flapack_mentions(source) == [6, 7, 8]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy(module):
+    assert scipy_imports(module.read_text()) == []
+
+
+def test_only_spectral_names_the_lapack_extension():
+    named = [p.name for p in MODULES if flapack_mentions(p.read_text())]
+    assert named == ["spectral.py"]

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ class TestSamplingFunctions:
         g = PiecewiseConstant((0.25, 0.75), (10.0, 20.0))
         assert evaluate_sampling(g, torus1(FixedPointFrac(SCALE - 1))) == 20.0
 
+    def test_piecewise_constant_picks_the_exact_piece_next_to_a_breakpoint(self):
+        # 2**-58 below the breakpoint: the rounded phase x / 2**128 is b itself
+        b = 1 - GOLDEN.value / SCALE
+        f = PiecewiseConstant((0.0, b), (0.0, 1.0))
+        cut = math.ceil(Fraction(b) * SCALE)
+        below = cut - 2**70
+        assert (below / SCALE) == b
+        assert evaluate_sampling(f, torus1(FixedPointFrac(below))) == 0.0
+        assert evaluate_sampling(f, torus1(FixedPointFrac(cut - 1))) == 0.0
+        assert evaluate_sampling(f, torus1(FixedPointFrac(cut))) == 1.0
+        omega = torus1(FixedPointFrac(below - 7 * GOLDEN.value))
+        window = sample_potential(Shift((GOLDEN,)), f, 1.0, omega, 0, 10)
+        assert window.value_at(7) == 0.0
+
     def test_piecewise_constant_validation(self):
         with pytest.raises(ValueError):
             PiecewiseConstant((0.5, 0.25), (1.0, 2.0))
@@ -174,7 +189,7 @@ def reference_sample(f, point: TorusPoint) -> float:
     """f at a torus point, term by term from its raw coordinates."""
     w = point.raw
     if isinstance(f, PiecewiseConstant):
-        x = min(w[0] / SCALE, math.nextafter(1.0, 0.0))
+        x = Fraction(w[0], SCALE)  # exact, compared exactly with the float breakpoints
         return f.values[bisect_right(f.breakpoints, x) - 1]
     if isinstance(f, BourgainQuadratic):
         return math.cos(2 * math.pi * (w[1] / SCALE))
@@ -343,13 +358,26 @@ class TestGammaMemo:
         assert w.values is w.base_values and w.values is not b
         assert not w.values.flags.writeable and w.values.tolist() == [0.0, 1.0] * 3
 
+    def test_no_flag_makes_the_arrays_writeable(self):
+        w = explicit_window([0.0, 1.0] * 3, -1)
+        assert gordon_gamma(w, 2) == 0.0
+        with pytest.raises(ValueError):
+            w.values.flags.writeable = True
+        with pytest.raises(ValueError):
+            w.values[0] = 5.0
+        assert gordon_gamma(w, 2) == 0.0 and gordon_gamma(dataclasses.replace(w), 2) == 0.0
+        for window in self.windows():
+            for array in (window.values, window.base_values, window.values[2:5]):
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
+
     def test_views_and_writeable_arrays_are_copied_read_only(self):
         data = np.arange(8.0)
         view = data[1:7]
         view.flags.writeable = False  # read-only, but data can still change it
         w = PotentialWindow(None, None, 2.0, None, 0, 5, 2.0 * view, view)
         for array in (w.values, w.base_values):
-            assert array.flags.owndata and not array.flags.writeable
+            assert isinstance(array.base, bytes) and not array.flags.writeable
         assert w.base_values is not view and w.values is not w.base_values
         data[:] = -1.0
         assert w.base_values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]

@@ -1,22 +1,29 @@
 import csv
+import json
 import math
 import random
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from gordonlab.arithmetic import GOLDEN, ZERO, FixedPointFrac
 from gordonlab.cli import build_function, build_omega, build_parser, build_system, main
-from gordonlab.dynamics import Shift, TorusPoint
+from gordonlab import spectral
+from gordonlab.dynamics import Shift, SkewShift, TorusPoint
 from gordonlab.potentials import (
+    BourgainQuadratic,
     Cosine,
     WindowTooSmallError,
+    bourgain_start,
     explicit_window,
     gordon_gamma,
     sample_potential,
 )
 from gordonlab.spectral import (
+    ConvergenceFailureError,
     MissingVectorsError,
     _transfer,
     ThreeBlockReport,
@@ -334,6 +341,117 @@ class TestTruncatedSpectrum:
             truncated_spectrum(window, 0)
         with pytest.raises(WindowTooSmallError):
             truncated_spectrum(window, 11)
+
+
+ORACLE_SIZES = (1, 2, 3, 30, 500, 3000)
+
+
+def oracle_window(kind, n):
+    """An n-site window: the free chain, a golden cosine, Bourgain's quadratic
+    phase on the golden skew-shift, or seeded uniform values."""
+    if kind == "zero":
+        return zero_window(1, n)
+    if kind == "cosine":
+        return sample_potential(Shift((GOLDEN,)), Cosine((1,)), 1.3, TorusPoint((ZERO,)), 1, n)
+    if kind == "bourgain":
+        start = bourgain_start(FixedPointFrac.from_float(0.21), FixedPointFrac.from_float(0.68))
+        return sample_potential(SkewShift(GOLDEN), BourgainQuadratic(), 2.5, start, 1, n)
+    rng = random.Random(n)
+    return explicit_window([rng.uniform(-4, 4) for _ in range(n)], n_min=1)
+
+
+def scipy_spectrum(window, n, vectors):
+    """The oracle: scipy.linalg.eigh_tridiagonal on the same diagonal."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, off = np.array(window.values[:n]), np.ones(n - 1)
+    if vectors:
+        return eigh_tridiagonal(diag, off)
+    return eigh_tridiagonal(diag, off, eigvals_only=True), None
+
+
+class TestDirectLapack:
+    """truncated_spectrum calls LAPACK dstevd itself: the bits of
+    scipy.linalg.eigh_tridiagonal, without importing scipy."""
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    @pytest.mark.parametrize("kind", ["zero", "cosine", "bourgain", "random"])
+    def test_bits_match_eigh_tridiagonal(self, kind, n):
+        window = oracle_window(kind, n)
+        for vectors in (False, True):
+            report = truncated_spectrum(window, n, report_vectors=vectors)
+            vals, vecs = scipy_spectrum(window, n, vectors)
+            assert np.array_equal(report.eigenvalues, np.sort(vals))
+            assert np.array_equal(report.vectors, vecs) if vectors else report.vectors is None
+
+    CHILD = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "after":
+    import scipy.linalg
+from gordonlab.potentials import explicit_window
+from gordonlab.spectral import _lapack, truncated_spectrum
+
+spectra = []
+for n in (1, 2, 3, 30, 500):
+    window = explicit_window([((7 * k) % 11) / 3 - 1.5 for k in range(n)], n_min=0)
+    spectra.append((window, truncated_spectrum(window, n, report_vectors=True),
+                    truncated_spectrum(window, n)))
+direct = sorted(m for m in ("scipy", "scipy.linalg") if m in sys.modules)
+import scipy.linalg
+from scipy.linalg import eigh_tridiagonal
+
+same = []
+for window, full, values in spectra:
+    n = window.values.size
+    d, e = np.array(window.values), np.ones(n - 1)
+    w, v = eigh_tridiagonal(d, e)
+    same.append(np.array_equal(full.eigenvalues, np.sort(w)) and np.array_equal(full.vectors, v)
+                and np.array_equal(values.eigenvalues,
+                                   np.sort(eigh_tridiagonal(d, e, eigvals_only=True))))
+shared = _lapack() is sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack
+print(json.dumps([direct, same, shared]))
+"""
+
+    @pytest.mark.parametrize("order", ["before", "after"])
+    def test_direct_path_loaded_before_or_after_scipy_linalg(self, order, src_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, order],
+            capture_output=True, text=True, env=src_env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        direct, same, shared = json.loads(proc.stdout)
+        assert direct == ([] if order == "before" else ["scipy", "scipy.linalg"])
+        assert same == [True] * 5
+        assert shared  # one extension module per process, whoever loaded it first
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_diagonal_raises_value_error(self, bad):
+        for values in ([bad], [0.5, bad, 1.0]):
+            window, n = explicit_window(values, n_min=0), len(values)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                truncated_spectrum(window, n, report_vectors=n == 1)
+
+    def test_nonzero_info_raises_convergence_failure(self, monkeypatch):
+        class Stub:
+            @staticmethod
+            def dstevd(d, e, compute_v):
+                return np.array(d), np.zeros((d.size, d.size)), 7
+
+        monkeypatch.setattr(spectral, "_lapack", lambda: Stub)
+        for vectors in (False, True):
+            with pytest.raises(ConvergenceFailureError, match="info=7"):
+                truncated_spectrum(zero_window(1, 10), 10, report_vectors=vectors)
+        assert main(["spectrum", "--alpha", "golden", "--sites", "10"]) == 1
+
+    def test_a_missing_extension_raises_import_error_naming_its_path(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        fake = type("Spec", (), {"submodule_search_locations": [str(tmp_path)]})
+        monkeypatch.setattr(spectral, "find_spec", lambda name: fake)
+        with pytest.raises(ImportError, match="no LAPACK extension at") as exc:
+            spectral._lapack.__wrapped__()
+        assert exc.value.path.startswith(str(tmp_path / "linalg" / "_flapack"))
+        assert str(exc.value).endswith(exc.value.path)
 
 
 class TestLocalization:
