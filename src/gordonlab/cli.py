@@ -5,8 +5,8 @@ header (schema, code version, config echo, seed) followed by rows, as CSV
 (``#``-prefixed header lines, then RFC-4180 rows) or as one JSON object with
 the same rows.  A config file plus the code version determines every output
 byte.  The echo holds every option the subcommand defines except the
-execution-only ones (format, output path, the ignored thread count, and the
-seed, which has its own line), so re-runs merge byte-identically.
+execution-only ones (format, output path, and the seed, which has its own
+line), so re-runs merge byte-identically.
 
 Exit codes: 0 success, 1 runtime/domain error, 2 config error.
 """
@@ -192,6 +192,8 @@ def build_function(args: argparse.Namespace):
 
 
 def _render(value) -> str:
+    if value is None:
+        return ""  # an empty cell
     if isinstance(value, float):
         # repr of the plain float: shortest round-trip digits, and numpy
         # scalars (float subclasses) would otherwise print their type name
@@ -246,7 +248,7 @@ def emit(
 
 
 # run-only options (the seed has its own header line) and the parser's names
-_NOT_ECHOED = frozenset({"format", "output", "threads", "seed", "command", "handler"})
+_NOT_ECHOED = frozenset({"format", "output", "seed", "command", "handler"})
 
 
 def _config_echo(args: argparse.Namespace, computed: dict) -> dict:
@@ -282,11 +284,7 @@ def cmd_classify(args) -> tuple:
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"c: {args.c!r} is not a number") from exc
     verdict = classify_badly_approximable(alpha, c, args.qmax, method=args.method)
-    row = (
-        verdict.verdict,
-        "" if verdict.witness_q is None else verdict.witness_q,
-        "" if verdict.witness_dist is None else verdict.witness_dist,
-    )
+    row = (verdict.verdict, verdict.witness_q, verdict.witness_dist)
     return ["verdict", "witness_q", "witness_dist"], [row], {}
 
 
@@ -297,10 +295,10 @@ def cmd_orbit(args) -> tuple:
     omega = build_omega(args, system)
     if args.nmin > args.nmax:
         raise ConfigError("nmin: must be <= nmax")
-    states = raw_orbit(system, raw_state(system, omega), args.nmin, args.nmax)
+    states, _, out = raw_orbit(system, raw_state(system, omega), args.nmin, args.nmax)
     sites = range(args.nmin, args.nmax + 1)
     if isinstance(system, Iet):
-        rows = list(zip(sites, states))
+        rows = list(zip(sites, map(out, states)))
     else:  # c / SCALE is the float FixedPointFrac(c).to_float() gives
         rows = [(n, *(c / SCALE for c in state)) for n, state in zip(sites, states)]
     dim = system_dim(system)
@@ -316,13 +314,7 @@ def cmd_repeat(args) -> tuple:
     result = find_repetition_time(system, omega, args.eps, args.r, args.qmax)
     columns = ["status", "q", "k_max", "best_q", "max_dist"]
     if isinstance(result, RepetitionNotFound):
-        row = (
-            "not_found",
-            "",
-            "",
-            "" if result.best_q is None else result.best_q,
-            result.best_dist,
-        )
+        row = ("not_found", None, None, result.best_q, result.best_dist)
         return columns, [row], {}
     return columns, [("found", result.q, result.k_max, result.q, result.max_dist)], {}
 
@@ -343,7 +335,7 @@ def cmd_construct_q(args) -> tuple:
     )
     columns = ["status", "q", "m", "base_q", "epsilon_rep", "verified"]
     if isinstance(rep, ConstructiveNotAvailable):
-        return columns, [("not_available", "", "", "", "", 0)], {"reason": rep.reason}
+        return columns, [("not_available", None, None, None, None, 0)], {"reason": rep.reason}
     steps = rep.certificate.k_max + rep.q
     if steps > _VERIFY_STEP_BUDGET:
         raise ValueError(
@@ -366,7 +358,6 @@ def cmd_prp_measure(args) -> tuple:
         args.qmax,
         args.samples,
         seed=args.seed,
-        threads=args.threads,
     )
     row = (
         est.n_samples,
@@ -388,14 +379,7 @@ def cmd_veech(args) -> tuple:
     tower = veech_tower_search(system, args.eps, args.qmax)
     columns = ["status", "q", "interval_lo", "interval_len", "coverage", "return_overlap"]
     if isinstance(tower, TowerNotFound):
-        row = (
-            "not_found",
-            "",
-            "",
-            "",
-            tower.best_coverage,
-            tower.best_overlap_fraction,
-        )
+        row = ("not_found", None, None, None, tower.best_coverage, tower.best_overlap_fraction)
         return columns, [row], {}
     lo, hi = tower.interval
     row = ("found", tower.q, float(lo), float(hi - lo), tower.coverage, tower.return_overlap)
@@ -567,8 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    # accepted for compatibility and ignored: the Monte Carlo runs serially
-    p.add_argument("--threads", type=int, default=1)
     finish(p, cmd_prp_measure)
 
     p = sub.add_parser("veech", help="tower search for an interval exchange")

@@ -10,10 +10,12 @@ formula in n, with no matrix powers, to the closed form, to the repetition
 plan and to the samplers' phase sequences (``raw_phases``).  An IET has one integer twin (``_iet_twin``): the lengths and the
 points it holds over their common denominator (a float is a dyadic rational),
 stepped by one bisect and one add each way, in orbits, searches, the Monte
-Carlo, cut refinements and towers alike; an IET draw is the exact point
-u*total on it.  Floats, ``Fraction``s, ``FixedPointFrac`` and ``TorusPoint``
-exist only at the API edge: a point is unwrapped (or enters the twin) once and
-its results leave once.
+Carlo, cut refinements, samplers and towers alike; an IET draw is the exact
+point u*total on it.  Floats, ``Fraction``s, ``FixedPointFrac`` and
+``TorusPoint`` exist only at the API edge: a point is unwrapped (or enters the
+twin) once and its results leave once.  ``raw_orbit`` returns an orbit as
+integers over a scale with the map that brings them out; only ``orbit`` and
+the CLI's orbit table apply it.
 """
 
 from __future__ import annotations
@@ -324,13 +326,11 @@ def raw_state(system: SystemSpec, omega):
     return omega.raw
 
 
-def wrap_state(state):
-    """Inverse of raw_state: raw tuples become TorusPoints, IET points pass."""
-    if isinstance(state, tuple):
-        point = object.__new__(TorusPoint)
-        object.__setattr__(point, "raw", state)  # already raw: nothing to convert
-        return point
-    return state
+def wrap_state(state: tuple[int, ...]) -> TorusPoint:
+    """Inverse of raw_state on a torus: a raw tuple becomes its TorusPoint."""
+    point = object.__new__(TorusPoint)
+    object.__setattr__(point, "raw", state)  # already raw: nothing to convert
+    return point
 
 
 def raw_dist(x, y):
@@ -422,17 +422,12 @@ def raw_phases(system: SystemSpec, k: tuple[int, ...], state: tuple[int, ...],
     return islice(seq, count)
 
 
-def raw_orbit(system: SystemSpec, state, n_min: int, n_max: int) -> list:
-    """[T^n state for n in n_min..n_max] on raw states, two-sided; an IET
-    orbit steps on the twin of its point and comes back through ``out``."""
-    states, _, out = _exact_orbit(system, state, n_min, n_max)
-    return states if out is None else list(map(out, states))
-
-
-def _exact_orbit(system: SystemSpec, state, n_min: int, n_max: int):
-    """(states, D, out): the orbit in integers, in units of 1/D.  Torus
-    states are raw (D = 2**128, no out) and reach n_min by the closed form; an
-    IET point enters its integer twin and steps there, back when n_min < 0."""
+def raw_orbit(system: SystemSpec, state, n_min: int, n_max: int):
+    """(states, D, out): [T^n state for n in n_min..n_max], two-sided, as
+    integers in units of 1/D, and the map that brings one back to the API.
+    Torus states are raw (D = 2**128, out ``wrap_state``) and reach n_min by
+    the closed form; an IET point enters its integer twin and steps there,
+    back when n_min < 0 (D the twin's scale, out its ``out``)."""
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     if isinstance(system, Iet):
@@ -442,7 +437,7 @@ def _exact_orbit(system: SystemSpec, state, n_min: int, n_max: int):
         for _ in range(abs(n_min)):
             cur = step_raw(cur) if n_min > 0 else back(cur)
     else:
-        step_raw, scale, out = raw_stepper(system), SCALE, None
+        step_raw, scale, out = raw_stepper(system), SCALE, wrap_state
         cur = _closed_form_raw(system, state, n_min)
     states = [cur]
     for _ in range(n_max - n_min):
@@ -453,7 +448,8 @@ def _exact_orbit(system: SystemSpec, state, n_min: int, n_max: int):
 
 def orbit(system: SystemSpec, omega, n_min: int, n_max: int) -> list:
     """[T^n omega for n in n_min..n_max], two-sided."""
-    return list(map(wrap_state, raw_orbit(system, raw_state(system, omega), n_min, n_max)))
+    states, _, out = raw_orbit(system, raw_state(system, omega), n_min, n_max)
+    return list(map(out, states))
 
 
 # ---------------------------------------------------------------------------

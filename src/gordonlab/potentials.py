@@ -4,10 +4,12 @@
 
 with modulus-of-continuity bounds and finite-horizon decay verdicts.
 
-On a torus every linear form k.T^n w is a polynomial in n (T is unipotent),
-so a sampler reads one integer phase per site and term from
-``dynamics.raw_phases`` (forward differences of the closed form, summed up),
-not a state tuple; an IET orbit steps its number states.
+Every orbit reaches the sampler one way: as integers over a scale.  On a
+torus every linear form k.T^n w is a polynomial in n (T is unipotent), so a
+sampler reads one integer phase per site and term from ``dynamics.raw_phases``
+(forward differences of the closed form, summed up) at scale 2**128, not a
+state tuple; an IET orbit steps on its integer twin (``dynamics.raw_orbit``)
+and is sampled there, at the twin's scale, never as floats.
 
 The defect is computed from the unscaled samples and multiplied by |lam| at
 the end, so coupling homogeneity gamma(lam*V, q) = |lam| * gamma(V, q) holds
@@ -133,34 +135,26 @@ def _check_dims(f: SamplingFunction, d: int) -> None:
         raise DimensionMismatchError("quadratic-phase sampling needs a 2-D state")
 
 
-def _sample_raw(f: SamplingFunction, phases, count: int, dim: int | None) -> list[float]:
-    """f at the count sites of an orbit.  On a dim-torus ``phases(k)`` yields
-    integers = k.w (mod 2**128) at each site (``dynamics.raw_phases``), reduced
-    here; on an interval (dim None) it yields the number states, for any k.
-    A torus coding picks its piece exactly: the reduced integer x against the
-    raw breakpoints ceil(b * 2**128), since x / 2**128 >= b iff x >= that."""
+def _sample_raw(f: SamplingFunction, phases, count: int, scale: int) -> list[float]:
+    """f at the count sites of an orbit held in integers over scale.
+    ``phases(k)`` yields integers = k.x (mod scale) at each site: on a torus
+    the phase sequence at scale 2**128 (``dynamics.raw_phases``), on an IET
+    k[0]*n over its twin's integers n at the twin's scale D.  Each is reduced
+    to x % scale, the exact frac(k.x) in units of 1/scale, and rounded once.
+    A coding picks its piece exactly: x against the breakpoints' integers
+    ceil(b * scale), since x / scale >= b iff x >= that."""
     if isinstance(f, (Cosine, TrigPoly)):
         out = [0.0] * count
         for freq, amp, phase in f.terms:
-            if dim is None:
-                out = [o + amp * math.cos(2 * math.pi * (freq[0] * float(x) + phase))
-                       for o, x in zip(out, phases(freq))]
-            else:
-                out = [o + amp * math.cos(2 * math.pi * ((x % SCALE) / SCALE + phase))
-                       for o, x in zip(out, phases(freq))]
+            out = [o + amp * math.cos(2 * math.pi * ((x % scale) / scale + phase))
+                   for o, x in zip(out, phases(freq))]
         return out
     if isinstance(f, PiecewiseConstant):
-        if dim is None:
-            cuts = f.breakpoints
-            xs = [float(x) - math.floor(float(x)) for x in phases((1,))]
-        else:
-            cuts = [math.ceil(Fraction(b) * SCALE) for b in f.breakpoints]
-            xs = [x % SCALE for x in phases((1,))]
+        cuts = [math.ceil(Fraction(b) * scale) for b in f.breakpoints]
         # index -1 (left of the first breakpoint) is the wrapped last piece
-        return [f.values[bisect_right(cuts, x) - 1] for x in xs]
+        return [f.values[bisect_right(cuts, x % scale) - 1] for x in phases((1,))]
     if isinstance(f, BourgainQuadratic):
-        e2 = (0, 1, *[0] * (dim - 2))
-        return [math.cos(2 * math.pi * ((x % SCALE) / SCALE)) for x in phases(e2)]
+        return [math.cos(2 * math.pi * ((x % scale) / scale)) for x in phases((0, 1))]
     raise TypeError(f"unknown sampling function {type(f).__name__}")
 
 
@@ -168,23 +162,29 @@ def _orbit_samples(
     system: SystemSpec, f: SamplingFunction, omega, n_min: int, n_max: int
 ) -> list[float]:
     """The lam-free samples f(T^n omega), n_min <= n <= n_max, as plain floats:
-    a torus term reads its phase sequence, an IET steps its number states."""
+    a torus term reads its phase sequence, an IET term its twin's integers."""
     _check_dims(f, system_dim(system))
     state = raw_state(system, omega)
     if isinstance(system, Iet):
-        states = raw_orbit(system, state, n_min, n_max)
-        return _sample_raw(f, lambda k: states, len(states), None)
+        states, scale, _ = raw_orbit(system, state, n_min, n_max)
+        return _sample_raw(f, lambda k: [k[0] * n for n in states], len(states), scale)
     phases = lambda k: raw_phases(system, k, state, n_min, n_max)
-    return _sample_raw(f, phases, n_max - n_min + 1, system.dim)
+    return _sample_raw(f, phases, n_max - n_min + 1, SCALE)
 
 
 def evaluate_sampling(f: SamplingFunction, point) -> float:
-    """f at a TorusPoint (torus variants) or a plain number (interval codings)."""
+    """f at a TorusPoint (torus variants) or a plain number (interval codings),
+    the number exactly: its ``as_integer_ratio()``."""
     if isinstance(point, TorusPoint):
         _check_dims(f, point.dim)
-        return _sample_raw(f, lambda k: (sum(map(mul, k, point.raw)),), 1, point.dim)[0]
+        return _sample_raw(f, lambda k: (sum(map(mul, k, point.raw)),), 1, SCALE)[0]
+    if not hasattr(point, "as_integer_ratio"):
+        raise TypeError(f"cannot sample at a {type(point).__name__}: need a TorusPoint or a number")
+    if not -math.inf < point < math.inf:
+        raise ValueError(f"cannot sample at {point!r}: the point must be finite")
     _check_dims(f, 1)
-    return _sample_raw(f, lambda k: (point,), 1, None)[0]
+    n, d = point.as_integer_ratio()
+    return _sample_raw(f, lambda k: (k[0] * n,), 1, d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +379,8 @@ def gordon_profile(
         raise ValueError("q values must be >= 1")
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise ValueError("q_list must be strictly increasing")
-    if not c_list or any(c <= 0 for c in c_list):
-        raise ValueError("c_list must be nonempty and positive")
+    if not c_list or not all(0 < c < math.inf for c in c_list):
+        raise ValueError("c_list must be nonempty, positive and finite")
     q_top = q_list[-1]
     base = _orbit_samples(system, f, omega, 1 - q_top, 2 * q_top)
     entries = tuple((q, _gamma(base[q_top - q : q_top + 2 * q], q, lam)) for q in q_list)
@@ -397,8 +397,8 @@ def modulus_bound(f: SamplingFunction, delta: float) -> float:
     capped at the term's oscillation.  Piecewise-constant codings have no
     modulus near a jump; their oscillation sup is returned instead.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not delta >= 0:
+        raise ValueError(f"delta must be >= 0, got {delta!r}")
     if isinstance(f, (Cosine, TrigPoly)):
         return sum(
             abs(amp) * min(2.0, 2 * math.pi * sum(abs(k) for k in freq) * delta)

@@ -37,13 +37,13 @@ from .dynamics import (
     TorusPoint,
     UnsupportedSystemError,
     _unipotent_power,
-    _exact_orbit,
     _iet_draw_twin,
     _iet_twin,
     _random_raw,
     iet_breakpoint_orbits,
     random_point,
     raw_dist,
+    raw_orbit,
     raw_state,
 )
 
@@ -333,7 +333,7 @@ def verify_certificate_against_definition(
     k_max = r_num * cert.q // r_den
     if cert.k_max != k_max:
         return False
-    states, scale, _ = _exact_orbit(system, raw_state(system, cert.omega), 0, k_max + cert.q)
+    states, scale, _ = raw_orbit(system, raw_state(system, cert.omega), 0, k_max + cert.q)
     thresh = _strict_raw_threshold(cert.epsilon, scale)
     return all(raw_dist(states[k], states[k + cert.q]) < thresh for k in range(k_max + 1))
 

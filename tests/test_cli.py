@@ -82,6 +82,13 @@ class TestHeaders:
         assert [c["lengths"] for c in configs] == ["0.2,0.5,0.3", "0.3,0.4,0.3"]
         assert configs[0]["perm"] == "3,1,2"
 
+    def test_every_unechoed_name_is_a_live_option(self):
+        """A flag removed from the parser cannot leave a stale entry behind."""
+        parser = cli.build_parser()
+        subparsers = parser._subparsers._group_actions[0].choices.values()
+        dests = {action.dest for p in subparsers for action in p._actions}
+        assert cli._NOT_ECHOED - {"command", "handler"} <= dests
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -92,7 +99,7 @@ class TestHeaders:
             ["construct-q", "--alpha", "liouville10", "--eps", "0.3", "--max-base-q", "1000"],
             [
                 "prp-measure", "--system", "skewshift", "--alpha", "golden", "--eps", "0.05",
-                "--qmax", "50", "--samples", "5", "--seed", "3", "--threads", "2",
+                "--qmax", "50", "--samples", "5", "--seed", "3",
             ],
             ["veech", "--system", "iet", "--lengths", "1,1", "--perm", "2,1", "--eps", "0.3", "--qmax", "5"],
             ["gordon", "--alpha", "golden", "--q-list", "3,5"],
@@ -106,9 +113,9 @@ class TestHeaders:
         code, out, err = run_cli(argv + ["--format", "json", "--output", str(target)], capsys)
         assert (code, out, err) == (0, "", "")
         config = json.loads(target.read_text())["config"]
-        assert not set(config) & {"format", "output", "threads", "seed", "command", "handler"}
+        assert not set(config) & {"format", "output", "seed", "command", "handler"}
         given = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
-        assert given - {"seed", "threads"} <= set(config)
+        assert given - {"seed"} <= set(config)
 
 
 class TestRows:
@@ -140,7 +147,14 @@ class TestRows:
             capsys,
         )
         _, _, rows = parse_csv(out)
-        assert rows[0][0] == "not_found"
+        assert rows[0][:3] == ["not_found", "", ""]
+
+    def test_an_empty_cell_is_empty_in_both_formats(self, capsys):
+        argv = ["classify", "--alpha", "golden", "--c", "0.2", "--qmax", "50"]
+        _, out, _ = run_cli(argv, capsys)
+        assert parse_csv(out)[2] == [["BADLY_APPROXIMABLE_UP_TO_BOUND", "", ""]]
+        _, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert json.loads(out)["rows"] == [["BADLY_APPROXIMABLE_UP_TO_BOUND", "", ""]]
 
     def test_orbit_columns_match_dimension(self, capsys):
         _, out, _ = run_cli(
@@ -319,15 +333,15 @@ class TestDeterminism:
         assert payload["rows"] == rows
         assert payload["schema"] == "repeat/v1"
 
-    def test_thread_count_never_changes_output_bytes(self, capsys):
+    def test_there_is_no_threads_flag(self, capsys):
         argv = [
             "prp-measure", "--system", "skewshift", "--alpha", "golden",
             "--eps", "0.05", "--qmax", "200", "--samples", "20", "--seed", "42",
         ]
-        _, out1, _ = run_cli(argv + ["--threads", "1"], capsys)
-        _, out4, _ = run_cli(argv + ["--threads", "4"], capsys)
-        assert out1 == out4
-        assert "threads" not in out1
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
 
     def test_config_file_run_is_byte_identical_to_flags(self, capsys, tmp_path):
         cfg = {

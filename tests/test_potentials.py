@@ -37,7 +37,7 @@ from gordonlab.potentials import (
     sample_potential,
 )
 
-from oracles import brute_defect
+from oracles import brute_defect, iet_orbit_fraction
 
 QUARTER = FixedPointFrac.from_fraction(1, 4)
 THIRD = FixedPointFrac.from_fraction(1, 3)
@@ -131,6 +131,19 @@ class TestSamplingFunctions:
             direct = math.cos(2 * math.pi * (a + b * n + c * n * (n - 1)))
             assert window.value_at(n) == pytest.approx(direct, abs=1e-10)
 
+    def test_a_number_is_sampled_exactly_and_other_points_are_rejected(self):
+        f = PiecewiseConstant((0.0, 0.5), (0.0, 1.0))
+        assert evaluate_sampling(f, Fraction(1, 2) - Fraction(1, 2**200)) == 0.0
+        assert evaluate_sampling(f, Fraction(-1, 2**200)) == 1.0  # frac wraps to 1 - 2**-200
+        assert evaluate_sampling(f, 3) == 0.0
+        for bad in ("0.5", (0.5,), [FixedPointFrac(0)], None):
+            with pytest.raises(TypeError):
+                evaluate_sampling(f, bad)
+        for g in (f, Cosine((1,))):  # a nan cosine point gave nan
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    evaluate_sampling(g, bad)
+
     def test_dimension_mismatches(self):
         with pytest.raises(DimensionMismatchError):
             evaluate_sampling(Cosine((1, 1)), torus1(ZERO))
@@ -157,6 +170,8 @@ SAMPLING_SYSTEMS = {
     "skewproduct-d3": (SkewProduct(3, GOLDEN), _start(0.3, 0.8, 0.55)),
     "skewproduct-d5": (SkewProduct(5, SQRT2), _start(0.9, 0.1, 0.45, 0.3, 0.65)),
     "iet": (Iet((0.2, 0.5, 0.3), Permutation((3, 1, 2))), 0.123),
+    "iet-fraction": (Iet((Fraction(1, 5), Fraction(1, 2), Fraction(3, 10)), Permutation((3, 1, 2))),
+                     Fraction(123, 1000)),
 }
 
 
@@ -200,16 +215,91 @@ def reference_sample(f, point: TorusPoint) -> float:
     return total
 
 
+def reference_iet_sample(f, x: Fraction) -> float:
+    """f at an exact IET point: frac(k*x) is rounded to a float once, and a
+    coding compares frac(x) with the breakpoints as exact Fractions."""
+    if isinstance(f, PiecewiseConstant):
+        return f.values[bisect_right([Fraction(b) for b in f.breakpoints], x % 1) - 1]
+    total = 0.0
+    for (k,), amp, phase in f.terms:
+        total = total + amp * math.cos(2 * math.pi * (float(k * x % 1) + phase))
+    return total
+
+
+def reference_iet_window(iet, f, omega, n_min: int, n_max: int) -> list[float]:
+    """f(T^n omega) for n_min <= 0 <= n_max from exact literal stepping: the
+    past by the inverse exchange, whose intervals are T's image intervals in
+    order, each sent back to where it came from."""
+    images = iet.perm.images
+    inv = sorted(range(len(images)), key=images.__getitem__)  # inv[i] = perm^-1(i+1) - 1
+    past = iet_orbit_fraction([iet.lengths[j] for j in inv], [j + 1 for j in inv], omega, -n_min)
+    future = iet_orbit_fraction(iet.lengths, images, omega, n_max)
+    return [reference_iet_sample(f, x) for x in past[:0:-1] + future]
+
+
 @pytest.mark.parametrize("system, omega, f", COMPATIBLE_PAIRS)
 def test_sample_potential_matches_pointwise_evaluation_along_the_orbit(system, omega, f):
     window = sample_potential(system, f, 2.0, omega, -20, 50)
     points = orbit(system, omega, -20, 50)
     got = list(map(float.hex, window.base_values.tolist()))
-    assert got == [float.hex(evaluate_sampling(f, p)) for p in points]
-    if not isinstance(system, Iet):
+    if isinstance(system, Iet):
+        assert got == list(map(float.hex, reference_iet_window(system, f, omega, -20, 50)))
+        # an IET with float lengths hands out rounded points; exact ones sample alike
+        exact_points = all(isinstance(x, Fraction) for x in system.lengths)
+    else:
         assert got == [float.hex(reference_sample(f, p)) for p in points]
+        exact_points = True
+    if exact_points:
+        assert got == [float.hex(evaluate_sampling(f, p)) for p in points]
     if isinstance(f, TrigPoly) and all(amp == 0.0 for _, amp, _ in f.terms):
         assert got == [float.hex(0.0)] * len(points)
+
+
+def _random_iet_case(rng: random.Random):
+    """A seeded IET (float or Fraction lengths), start point and function."""
+    m = rng.randint(2, 5)
+    images = list(range(1, m + 1))
+    rng.shuffle(images)
+    if rng.random() < 0.5:
+        lengths = [rng.uniform(0.05, 1.0) for _ in range(m)]
+        omega = 0.99 * rng.random() * sum(lengths)
+    else:
+        lengths = [Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(m)]
+        omega = Fraction(rng.randrange(10**6), 10**6) * sum(lengths)
+    kind = rng.choice(["cosine", "trigpoly", "coding"])
+    if kind == "cosine":
+        f = Cosine((rng.randint(-3, 3),), rng.random())
+    elif kind == "trigpoly":
+        f = TrigPoly(tuple(((rng.randint(-4, 4),), rng.uniform(-2, 2), rng.random())
+                           for _ in range(rng.randint(1, 3))))
+    else:
+        cuts = sorted({0.0, *(rng.random() for _ in range(rng.randint(0, 3)))})
+        f = PiecewiseConstant(cuts, [float(rng.randint(-3, 3)) for _ in cuts])
+    return Iet(lengths, Permutation(tuple(images))), omega, f
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_iet_windows_match_the_exact_oracle(seed):
+    """Seeded IET windows, float and Fraction, against literal Fraction
+    stepping with each sample rounded once: bit for bit."""
+    rng = random.Random(2700 + seed)
+    for _ in range(25):
+        iet, omega, f = _random_iet_case(rng)
+        n_min, n_max = -rng.randint(0, 30), rng.randint(0, 60)
+        window = sample_potential(iet, f, 1.0, omega, n_min, n_max)
+        got = list(map(float.hex, window.base_values.tolist()))
+        assert got == list(map(float.hex, reference_iet_window(iet, f, omega, n_min, n_max)))
+
+
+def test_an_iet_coding_picks_the_exact_piece_next_to_a_breakpoint():
+    # omega = 1/2 - 2**-70 rounds to the float 1/2, which sits in the other piece
+    iet = Iet((1 / 2, 1 / 2), Permutation((2, 1)))
+    f = PiecewiseConstant((0.0, 0.5), (0.0, 1.0))
+    omega = Fraction(1, 2) - Fraction(1, 2**70)
+    window = sample_potential(iet, f, 1.0, omega, 0, 3)
+    assert window.base_values.tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert evaluate_sampling(f, omega) == 0.0
+    assert evaluate_sampling(f, float(omega)) == 1.0
 
 
 class TestPotentialWindow:
@@ -563,6 +653,12 @@ class TestGordonProfile:
         with pytest.raises(ValueError):
             gordon_profile(*args, [1, 2], [-1.0])
 
+    @pytest.mark.parametrize("c_list", [[math.nan], [math.inf, 1.01], [1.5, -math.inf], [2.0, math.nan]])
+    def test_a_non_finite_c_is_rejected(self, c_list):
+        # [nan] gave DECAY_CONSISTENT with c_max nan, [inf, 1.01] c_max inf
+        with pytest.raises(ValueError, match="c_list"):
+            gordon_profile(Shift((GOLDEN,)), Cosine((1,)), 1.0, torus1(ZERO), [1, 2], c_list)
+
 
 class TestModulusBound:
     def test_cosine_lipschitz_and_cap(self):
@@ -592,6 +688,13 @@ class TestModulusBound:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             modulus_bound(Cosine((1,)), -0.1)
+
+    def test_nan_delta_rejected_and_infinite_delta_is_the_cap(self):
+        for f in (Cosine((1,)), BourgainQuadratic(), PiecewiseConstant((0.0,), (1.0,))):
+            with pytest.raises(ValueError, match="delta"):
+                modulus_bound(f, math.nan)  # gave 2.0 for the cosine
+        assert modulus_bound(Cosine((1,)), math.inf) == 2.0
+        assert modulus_bound(BourgainQuadratic(), math.inf) == 2.0
 
     def test_bound_dominates_sampled_oscillation(self):
         rng = random.Random(23)

@@ -84,7 +84,7 @@ def stepping_torus_search(system, omega, epsilon, r, q_max):
     misses = []
     for q in range(1, q_max + 1):
         k_max = math.floor(Fraction(r) * q)
-        states = raw_orbit(system, omega.raw, 0, k_max + q)
+        states = raw_orbit(system, omega.raw, 0, k_max + q)[0]
         # rows[k][i]: the circle distance of coordinate i of T^{k+q}w - T^k w
         rows = [
             [min(d, SCALE - d) for d in ((y - x) % SCALE for x, y in zip(states[k], states[k + q]))]
@@ -483,7 +483,7 @@ class TestFindRepetitionTime:
 
         monkeypatch.setattr(dynamics, "_iet_twin", twin_without_steps)
         monkeypatch.setattr(repetition, "_iet_twin", twin_without_steps)
-        monkeypatch.setattr(repetition, "_exact_orbit", no_stepping)
+        monkeypatch.setattr(repetition, "raw_orbit", no_stepping)
         got = answers()
         monkeypatch.undo()
         assert got == expected
