@@ -247,6 +247,17 @@ def emit(
         sys.stdout.write(text)
 
 
+# the least value of each count option; one below it is bad input (exit 2)
+_LEAST = {"qmax": 1, "samples": 1, "max_base_q": 1, "depth": 0, "dim": 1, "q": 1, "sites": 1}
+
+
+def _check_counts(args: argparse.Namespace) -> None:
+    for field, least in _LEAST.items():
+        value = getattr(args, field, None)
+        if value is not None and value < least:
+            raise ConfigError(f"{field.replace('_', '-')}: must be >= {least}")
+
+
 # run-only options (the seed has its own header line) and the parser's names
 _NOT_ECHOED = frozenset({"format", "output", "seed", "command", "handler"})
 
@@ -412,8 +423,6 @@ def cmd_transfer(args) -> tuple:
     omega = build_omega(args, system)
     f = build_function(args)
     q = args.q
-    if q < 1:
-        raise ConfigError("q: must be >= 1")
     # gordon_three_block_check's kernels, fed plain samples over [1-q, 2q]:
     # no PotentialWindow, so no numpy
     base = _orbit_samples(system, f, omega, 1 - q, 2 * q)
@@ -454,8 +463,6 @@ def cmd_spectrum(args) -> tuple:
     system = build_system(args)
     omega = build_omega(args, system)
     f = build_function(args)
-    if args.sites < 1:
-        raise ConfigError("sites: must be >= 1")
     window = sample_potential(system, f, args.lam, omega, 1, args.sites)
     report = truncated_spectrum(window, args.sites, report_vectors=args.vectors)
     if args.vectors:
@@ -627,6 +634,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             config_argv = _args_from_config(args.config, args.subcommands)
             args = parser.parse_args(_attach_negative_values(config_argv))
+        _check_counts(args)
         columns, rows, computed = args.handler(args)
         emit(
             args,

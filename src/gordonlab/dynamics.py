@@ -45,10 +45,12 @@ class UnsupportedSystemError(TypeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class TorusPoint:
     """A point of T^d held as its raw tuple (ints mod 2**128); ``coords`` and
-    ``[i]`` make ``FixedPointFrac``s when read.  Distances use the max metric."""
+    ``[i]`` make ``FixedPointFrac``s when read.  Distances use the max metric.
+    Slotted: the ``raw`` slot and no attribute dict; ``slots=True``, unlike a
+    hand-written ``__slots__``, gives the frozen class pickling's state methods."""
 
     raw: tuple[int, ...]
 

@@ -56,6 +56,8 @@ class Cosine:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "frequency", tuple(int(k) for k in self.frequency))
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase!r}")
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, ...], float, float], ...]:
@@ -79,6 +81,9 @@ class TrigPoly:
             "terms",
             tuple((tuple(int(k) for k in ks), float(a), float(p)) for ks, a, p in self.terms),
         )
+        for _, amp, phase in self.terms:
+            if not (math.isfinite(amp) and math.isfinite(phase)):
+                raise ValueError(f"amplitudes and phases must be finite, got {amp!r} and {phase!r}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,8 @@ class PiecewiseConstant:
             raise ValueError("breakpoints must lie in [0, 1)")
         if list(self.breakpoints) != sorted(self.breakpoints):
             raise ValueError("breakpoints must be ascending")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"values must be finite, got {self.values!r}")
 
 
 @dataclass(frozen=True)
@@ -242,20 +249,22 @@ def sample_potential(
     n_min: int,
     n_max: int,
 ) -> PotentialWindow:
-    """Evaluate the potential along the orbit (exact dynamics, float samples)."""
+    """Evaluate the potential along the orbit (exact dynamics, float samples).
+    At lam = 1, ``values is base_values``: 1.0 * x is x bit for bit."""
     import numpy as np
 
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
+    lam = float(lam)
     base = np.array(_orbit_samples(system, f, omega, n_min, n_max), dtype=float)
     return PotentialWindow(
         system=system,
         f=f,
-        lam=float(lam),
+        lam=lam,
         omega=omega,
         n_min=n_min,
         n_max=n_max,
-        values=float(lam) * base,
+        values=base if lam == 1.0 else lam * base,
         base_values=base,
     )
 
@@ -333,7 +342,8 @@ class GordonProfile:
     verdict is DECAY_CONSISTENT with c_max = the largest tested C whose
     log-space sequence log gamma(q) + q log C is non-increasing along the
     schedule (gamma = 0 entries count as the floor), else
-    NO_DECAY_AT_HORIZON.  Horizon evidence only, never a proof.
+    NO_DECAY_AT_HORIZON, as it is when any gamma is nan or inf.  Horizon
+    evidence only, never a proof.
     """
 
     entries: tuple[tuple[int, float], ...]
@@ -346,6 +356,8 @@ NO_DECAY_AT_HORIZON = "NO_DECAY_AT_HORIZON"
 
 
 def _decay_consistent(entries: Sequence[tuple[int, float]], c: float) -> bool:
+    if not all(math.isfinite(g) for _, g in entries):
+        return False  # a nan or inf defect is consistent with no decay rate
     log_c = math.log(c)
     for (q1, g1), (q2, g2) in zip(entries, entries[1:]):
         if g2 == 0.0:
@@ -381,6 +393,8 @@ def gordon_profile(
         raise ValueError("q_list must be strictly increasing")
     if not c_list or not all(0 < c < math.inf for c in c_list):
         raise ValueError("c_list must be nonempty, positive and finite")
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     q_top = q_list[-1]
     base = _orbit_samples(system, f, omega, 1 - q_top, 2 * q_top)
     entries = tuple((q, _gamma(base[q_top - q : q_top + 2 * q], q, lam)) for q in q_list)

@@ -145,6 +145,8 @@ class ThreeBlockReport:
 
 def _start_vector(u0) -> tuple[float, float]:
     u = (float(u0[0]), float(u0[1]))
+    if not all(map(math.isfinite, u)):
+        raise ValueError(f"u0 must be finite, got {u!r}")
     if u == (0.0, 0.0):
         raise ValueError("u0 must be a nontrivial vector")
     return u
@@ -187,6 +189,8 @@ def gordon_three_block_check(
     ``_three_block`` runs on the window's values over [1, q] as plain floats.
     """
     u = _start_vector(u0)
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy!r}")
     if q < 1:
         raise ValueError("q must be >= 1")
     values = _block_values(window, 1, q)

@@ -627,6 +627,42 @@ class TestExitCodes:
         # a literal too large for a float is bad input, not an OverflowError
         assert run_cli(argv, capsys) == (2, "", f"config error: {message}\n")
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (["classify", "--alpha", "golden", "--c", "0.2"], "--qmax", "qmax: must be >= 1"),
+            (["repeat", "--alpha", "golden", "--eps", "0.1"], "--qmax", "qmax: must be >= 1"),
+            (["prp-measure", "--alpha", "golden", "--eps", "0.1", "--samples", "5", "--seed", "1"],
+             "--qmax", "qmax: must be >= 1"),
+            (["veech", "--system", "iet", "--lengths", "0.5,0.5", "--perm", "2,1", "--eps", "0.3"],
+             "--qmax", "qmax: must be >= 1"),
+            (["prp-measure", "--alpha", "golden", "--eps", "0.1", "--qmax", "5", "--seed", "1"],
+             "--samples", "samples: must be >= 1"),
+            (["construct-q", "--alpha", "golden", "--eps", "0.3"],
+             "--max-base-q", "max-base-q: must be >= 1"),
+            (ORBIT + ["--system", "skewproduct", "--alpha", "golden"], "--dim", "dim: must be >= 1"),
+            (["spectrum", "--alpha", "golden"], "--sites", "sites: must be >= 1"),
+        ],
+        ids=["classify", "repeat", "prp-measure", "veech", "samples", "max-base-q", "dim", "sites"],
+    )
+    def test_a_count_below_its_least_is_a_config_error(self, argv, flag, message, value, capsys,
+                                                      tmp_path):
+        # repeat --qmax 0 exited 1; construct-q --max-base-q -5 exited 0 with a
+        # not_available row
+        assert run_cli(argv + [flag, value], capsys) == (2, "", f"config error: {message}\n")
+        config = dict(zip(argv[1::2], argv[2::2]), **{flag: value})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"subcommand": argv[0],
+                                    **{k[2:].replace("-", "_"): v for k, v in config.items()}}))
+        assert run_cli(["run", str(path)], capsys) == (2, "", f"config error: {message}\n")
+
+    def test_a_negative_depth_is_a_config_error_and_zero_is_an_empty_table(self, capsys):
+        assert run_cli(["cf", "--alpha", "golden", "--depth", "-1"], capsys) == (
+            2, "", "config error: depth: must be >= 0\n")
+        code, out, err = run_cli(["cf", "--alpha", "golden", "--depth", "0"], capsys)
+        assert (code, err, out.splitlines()[-1]) == (0, "", "k,a_k,p_k,q_k")
+
     @pytest.mark.parametrize(
         "text, message",
         [

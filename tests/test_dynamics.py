@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -115,7 +116,8 @@ class TestTorusPoint:
         states = [tuple(rng.getrandbits(128) for _ in range(dim)) for _ in range(20)]
         states += [(0,) * dim, (SCALE - 1,) * dim]
         start = TorusPoint(tuple(map(FixedPointFrac, states[0])))
-        wrapped = [wrap_state(s) for s in states] + orbit(system, start, -3, 3)
+        built_points = [TorusPoint(tuple(map(FixedPointFrac, s))) for s in states[:5]]
+        wrapped = [wrap_state(s) for s in states] + orbit(system, start, -3, 3) + built_points
         for point in wrapped:
             built = TorusPoint(tuple(map(FixedPointFrac, point.raw)))
             assert point == built and hash(point) == hash(built)
@@ -125,14 +127,41 @@ class TestTorusPoint:
             assert [point[i] for i in range(dim)] == list(built.coords)
             for other in wrapped[:3]:
                 assert point.dist_raw(other) == built.dist_raw(other) == other.dist_raw(built)
-            for copied in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point)):
+            for copied in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point), copy.copy(point)):
                 assert copied == point and copied.raw == point.raw and hash(copied) == hash(point)
+                assert type(copied) is TorusPoint and repr(copied) == repr(point)
+                assert not hasattr(copied, "__dict__")
         assert wrap_state(states[0]).raw is states[0]  # the raw tuple is stored, not rebuilt
 
     def test_the_one_field_is_the_raw_tuple(self):
         assert [f.name for f in dataclasses.fields(TorusPoint)] == ["raw"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             TorusPoint((GOLDEN,)).raw = (0,)
+
+    def test_a_point_is_its_one_slot(self):
+        assert TorusPoint.__slots__ == ("raw",)
+        start = TorusPoint((GOLDEN, ZERO))
+        for point in (start, wrap_state((1, 2)), orbit(SkewShift(GOLDEN), start, 0, 1)[1]):
+            assert not hasattr(point, "__dict__")
+            # Python 3.11's frozen slotted __setattr__ raises TypeError for a name
+            # that is not a field (its super() call names the pre-slots class)
+            with pytest.raises((AttributeError, TypeError)):
+                point.extra = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                point.raw = (0, 0)
+
+    def test_an_orbit_retains_at_most_200_bytes_a_point(self):
+        # a dict-backed point retained 234 bytes a point here, its raw tuple
+        # and integers included; the slotted one retains 194
+        start = TorusPoint((FixedPointFrac(2**127 + 12345), FixedPointFrac(3**80)))
+        tracemalloc.start()
+        try:
+            points = orbit(SkewShift(GOLDEN), start, 0, 39_999)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 40_000
+        assert retained / len(points) <= 200
 
     @pytest.mark.parametrize("bad", [0.5, 3, Fraction(1, 2), "0.5", None])
     def test_a_coordinate_that_is_not_fixed_point_fails_at_construction(self, bad):

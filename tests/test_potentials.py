@@ -144,6 +144,18 @@ class TestSamplingFunctions:
                 with pytest.raises(ValueError, match="finite"):
                     evaluate_sampling(g, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_parameter_fails_at_construction(self, bad):
+        # a nan phase gave nan samples, an inf phase failed only when sampled
+        with pytest.raises(ValueError, match="phase must be finite"):
+            Cosine((1,), bad)
+        with pytest.raises(ValueError, match="amplitudes and phases must be finite"):
+            TrigPoly((((1,), bad, 0.0),))
+        with pytest.raises(ValueError, match="amplitudes and phases must be finite"):
+            TrigPoly((((1,), 1.0, 0.0), ((2,), 0.5, bad)))
+        with pytest.raises(ValueError, match="values must be finite"):
+            PiecewiseConstant((0.0, 0.5), (0.0, bad))
+
     def test_dimension_mismatches(self):
         with pytest.raises(DimensionMismatchError):
             evaluate_sampling(Cosine((1, 1)), torus1(ZERO))
@@ -322,6 +334,19 @@ class TestPotentialWindow:
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
             sample_potential(Shift((GOLDEN,)), Cosine((1,)), 1.0, torus1(ZERO), 3, 0)
+
+    @pytest.mark.parametrize("system, omega, f", COMPATIBLE_PAIRS)
+    def test_a_unit_coupling_window_keeps_one_array(self, system, omega, f):
+        # 1.0 * x is x bit for bit, so the product would only be a second copy
+        for lam in (1.0, 1):
+            window = sample_potential(system, f, lam, omega, -20, 50)
+            assert window.values is window.base_values and window.lam == 1.0
+            assert window.values.tobytes() == (1.0 * window.base_values).tobytes()
+            assert not window.values.flags.writeable
+        for lam in (-1.0, 0.5, 2.0):
+            window = sample_potential(system, f, lam, omega, -20, 50)
+            assert window.values is not window.base_values
+            assert window.values.tobytes() == (lam * window.base_values).tobytes()
 
     def test_iet_sampling(self):
         beta = float(GOLDEN)
@@ -652,6 +677,27 @@ class TestGordonProfile:
             gordon_profile(*args, [1, 2], [])
         with pytest.raises(ValueError):
             gordon_profile(*args, [1, 2], [-1.0])
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_lam_is_rejected(self, lam):
+        # gave all-nan or all-inf entries with DECAY_CONSISTENT and c_max 1.01
+        with pytest.raises(ValueError, match="lam must be finite"):
+            gordon_profile(Shift((GOLDEN,)), Cosine((1,)), lam, torus1(GOLDEN), [1, 2, 3], [1.01])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_no_decay_verdict_rests_on_a_non_finite_gamma(self, bad):
+        for entries in (((1, bad),), ((1, bad), (2, bad)), ((1, 0.5), (2, bad)),
+                        ((1, bad), (2, 0.0)), ((1, 0.5), (2, 0.25), (3, bad))):
+            assert not potentials._decay_consistent(entries, 1.01)
+        assert potentials._decay_consistent(((1, 0.5), (2, 0.25), (3, 0.0)), 1.01)
+
+    def test_an_overflowing_sample_gives_no_decay(self):
+        # two terms of amplitude 1e308 sum past the largest float where the
+        # cosine is near 1, so some defect is inf or nan
+        huge = TrigPoly((((1,), 1e308, 0.0), ((1,), 1e308, 0.0)))
+        profile = gordon_profile(Shift((GOLDEN,)), huge, 1.0, torus1(ZERO), [1, 2, 3, 5, 8], [1.01])
+        assert not all(math.isfinite(g) for _, g in profile.entries)
+        assert (profile.verdict, profile.c_max) == (NO_DECAY_AT_HORIZON, None)
 
     @pytest.mark.parametrize("c_list", [[math.nan], [math.inf, 1.01], [1.5, -math.inf], [2.0, math.nan]])
     def test_a_non_finite_c_is_rejected(self, c_list):

@@ -223,6 +223,16 @@ class TestThreeBlock:
         with pytest.raises(WindowTooSmallError):
             gordon_three_block_check(small, 0.0, 1, (1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_energy_or_start_vector_is_rejected_by_name(self, bad):
+        # each gave a report of nan norms, ratio and drift
+        window = self.periodic_window([0.4, -0.9, 1.3], 3)
+        with pytest.raises(ValueError, match="energy must be finite"):
+            gordon_three_block_check(window, bad, 3, (1.0, 0.0))
+        for u0 in ((bad, 0.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="u0 must be finite"):
+                gordon_three_block_check(window, 0.7, 3, u0)
+
     def test_det_drift_small_for_bounded_products(self):
         # rounding drift scales with the matrix norm; products that stay
         # representable (norm <= 1e3) keep drift near machine precision even
