@@ -294,7 +294,7 @@ def cmd_classify(args) -> tuple:
         c = Fraction(args.c)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"c: {args.c!r} is not a number") from exc
-    verdict = classify_badly_approximable(alpha, c, args.qmax, method=args.method)
+    verdict = classify_badly_approximable(alpha, c, args.qmax)
     row = (verdict.verdict, verdict.witness_q, verdict.witness_dist)
     return ["verdict", "witness_q", "witness_dist"], [row], {}
 
@@ -525,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--c", required=True, help="constant c in q<q alpha> >= c")
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--method", default="auto", choices=["auto", "scan"])
     finish(p, cmd_classify)
 
     p = sub.add_parser("orbit", help="orbit coordinates over a site range")

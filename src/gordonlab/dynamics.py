@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import operator
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 
 from .arithmetic import SCALE, FixedPointFrac, _circle
 
@@ -183,8 +183,8 @@ class Iet:
             raise ValueError("lengths and permutation sizes differ")
         if len(self.lengths) < 2:
             raise ValueError("an interval exchange needs m > 1 intervals")
-        if any(not length > 0 for length in self.lengths):
-            raise ValueError("all interval lengths must be positive")
+        if any(not 0 < length < math.inf for length in self.lengths):
+            raise ValueError(f"interval lengths must be positive and finite, got {self.lengths!r}")
 
 
 SystemSpec = Shift | SkewShift | SkewProduct | Iet
@@ -310,6 +310,39 @@ def iet_breakpoint_orbits(twin: _IetTwin):
         yield fwd, bwd
 
 
+def iet_pieces(twin: _IetTwin, never: int = 0):
+    """Yield (q, pieces) for q = 1, 2, ...: the continuity pieces of T^q longer
+    than never, as [c, length, fwd[i], j, slot] sorted by left end, where
+    c = T^-j(beta_i), so T^k (k <= q) moves [c, c + length) by fwd[i][k-j] - c.
+
+    The one IET cut refiner: each q splits the list, one bisect per new cut
+    T^-(q-1)(beta_i); a cut already made (two pull-backs meet) or in a gap
+    makes no piece, and a half no longer than never is dropped.  Both halves
+    inherit the slot (total at first), which the caller may rewrite.
+    """
+    orbits = iet_breakpoint_orbits(twin)
+    fwd, bwd = next(orbits)
+    pieces = [[c, end - c, f, 0, twin.total]
+              for c, end, f in zip(twin.beta, twin.beta[1:], fwd) if end - c > never]
+    for q in count(1):
+        for i in range(1, len(bwd)):  # at q = 1, the beta_i: cuts already
+            x = bwd[i][q - 1]
+            pos = bisect_left(pieces, [x])  # the first piece with c >= x ([x] < [x, ...])
+            if pos == 0:
+                continue  # left of every kept piece
+            a, ln, _, _, slot = parent = pieces[pos - 1]
+            if x - a >= ln:
+                continue  # a cut already, or in a gap between kept pieces
+            if a + ln - x > never:
+                pieces.insert(pos, [x, a + ln - x, fwd[i], q - 1, slot])
+            if x - a > never:
+                parent[1] = x - a
+            else:
+                del pieces[pos - 1]
+        yield q, pieces
+        next(orbits)  # fwd and bwd grow in place, to k = q + 1
+
+
 # ---------------------------------------------------------------------------
 # raw kernels: stepping and closed forms
 # ---------------------------------------------------------------------------
@@ -347,9 +380,6 @@ def raw_stepper(system: SystemSpec):
     """The one-step map T of a torus system, as a function of one raw state."""
     if isinstance(system, Shift):
         alpha = tuple(a.value for a in system.alpha)
-        if len(alpha) == 1:
-            a = alpha[0]
-            return lambda w: ((w[0] + a) % SCALE,)
         return lambda w: tuple([(x + a) % SCALE for x, a in zip(w, alpha)])
     if isinstance(system, SkewShift):
         two_alpha = 2 * system.alpha.value
@@ -475,26 +505,19 @@ class IetContinuityPiece:
 def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
     """Maximal intervals on which T^q is a translation (at most q(m-1)+1).
 
-    Runs on the integer twin (``_iet_twin``).  The cuts are 0 and the
-    pull-backs T^-j(beta_i), 1 <= i < m, 0 <= j < q; the piece whose left end
-    is c = T^-j(beta_i) translates by T^(q-j)(beta_i) - c, read from the
-    two-sided breakpoint orbits (``iet_breakpoint_orbits``, shared with the
-    Veech tower search).  That is m q steps each way and one lookup per
-    piece.  Neighbours with equal translations merge, exactly, and the pieces
-    come back in the IET's own arithmetic.
+    Runs on the integer twin (``_iet_twin``): the q-th yield of ``iet_pieces``
+    with nothing dropped, the refiner the Veech tower search shares.  The
+    piece whose left end is c = T^-j(beta_i) translates by T^(q-j)(beta_i) - c,
+    a lookup in the breakpoint orbits; neighbours with equal translations
+    merge, exactly, and the pieces come back in the IET's own arithmetic.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     twin = _iet_twin(iet)
-    fwd, bwd = next(islice(iet_breakpoint_orbits(twin), q - 1, None))  # q steps each way
-    cuts = sorted([(0, 0, 0), *((bwd[i][j], i, j) for i in range(1, len(bwd)) for j in range(q))])
+    _, pieces = next(islice(iet_pieces(twin), q - 1, None))
     starts = []  # (left end, translation) of each maximal piece
-    prev = None
-    for c, i, j in cuts:
-        if c == prev:
-            continue  # one point pulled back along two breakpoint orbits
-        prev = c
-        translation = fwd[i][q - j] - c
+    for c, _, f, j, _ in pieces:
+        translation = f[q - j] - c
         if not starts or starts[-1][1] != translation:
             starts.append((c, translation))
     ends = [lo for lo, _ in starts[1:]] + [twin.total]

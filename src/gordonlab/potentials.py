@@ -256,6 +256,8 @@ def sample_potential(
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     base = np.array(_orbit_samples(system, f, omega, n_min, n_max), dtype=float)
     return PotentialWindow(
         system=system,

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .arithmetic import (
     SCALE,
@@ -40,7 +39,7 @@ from .dynamics import (
     _iet_draw_twin,
     _iet_twin,
     _random_raw,
-    iet_breakpoint_orbits,
+    iet_pieces,
     random_point,
     raw_dist,
     raw_orbit,
@@ -658,16 +657,13 @@ def veech_tower_search(
     integer twin (``_iet_twin``); intervals come back in the IET's own
     arithmetic, scores as floats.
 
-    Each q adds the cuts T^-(q-1)(beta_i).  The piece whose left end is
-    c = T^-j(beta_i) moves under T^k (k <= q) by t_k = T^(k-j)(beta_i) - c,
-    a lookup in the breakpoint orbits (``iet_breakpoint_orbits``).  Its
-    floors miss J while low = min |t_k| over 1 <= k < q is >= |J|, and both
-    halves of a split keep low (T^k, k < q, is one translation on the whole
-    parent).  With eps = num/den exactly, a piece of length ln has coverage
-    > 1 - eps at q iff longer // q < ln <= total // q, where
-    longer = (den-num) total // den, so pieces no longer than longer // q_max
-    are dropped.  Each q walks the kept pieces by left end once: it reads
-    t_q, scores the piece if it is a candidate, and folds |t_q| into low.
+    Each q walks the pieces of T^q (``iet_pieces``) by left end once.  T^k
+    moves a piece by t_k, and its floors miss J while its slot low = min |t_k|
+    over 1 <= k < q is >= |J| (T^k, k < q, is one translation on a split's
+    parent).  With eps = num/den, a piece of length ln has coverage > 1 - eps
+    at q iff longer // q < ln <= total // q, longer = (den-num) total // den,
+    so pieces no longer than longer // q_max are never kept.  The walk reads
+    t_q, scores a candidate, and folds |t_q| into low.
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
@@ -681,28 +677,7 @@ def veech_tower_search(
     total, out = twin.total, twin.out
     num, den = epsilon.as_integer_ratio()
     longer = (den - num) * total // den
-    never = longer // q_max
-    orbits = iet_breakpoint_orbits(twin)
-    fwd, bwd = next(orbits)
-    # [c, length, fwd[i], j, low] for each piece [c, c + length) longer than
-    # never, by left end, with c = T^-j(beta_i)
-    pieces = [[c, end - c, f, 0, total] for c, end, f in zip(twin.beta, twin.beta[1:], fwd)]
-    pieces = [piece for piece in pieces if piece[1] > never]
-    for q in range(1, q_max + 1):
-        for i in range(1, len(bwd)):  # at q = 1, the beta_i: cuts already
-            x = bwd[i][q - 1]
-            pos = bisect_left(pieces, [x])  # the first piece with c >= x ([x] < [x, ...])
-            if pos == 0:
-                continue  # left of every kept piece
-            a, ln, _, _, low = parent = pieces[pos - 1]
-            if x - a >= ln:
-                continue  # a cut already, or in a gap between kept pieces
-            if a + ln - x > never:
-                pieces.insert(pos, [x, a + ln - x, fwd[i], q - 1, low])
-            if x - a > never:
-                parent[1] = x - a
-            else:
-                del pieces[pos - 1]
+    for q, pieces in islice(iet_pieces(twin, longer // q_max), q_max):
         lo, hi = longer // q, total // q
         for piece in pieces:
             c, ln, f, j, low = piece
@@ -718,5 +693,4 @@ def veech_tower_search(
                     return VeechTower(q, (out(c), out(c + ln)), coverage, float(out(overlap)))
             if t < low:
                 piece[4] = t  # the floor k = q, for the next q
-        next(orbits)  # fwd and bwd grow in place, to k = q + 1
     return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)

@@ -99,6 +99,8 @@ def transfer_block(window: PotentialWindow, energy: float, n_lo: int, n_hi: int)
         raise ValueError("n_lo must be <= n_hi")
     values = _block_values(window, n_lo, n_hi)
     energy = float(energy)
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy!r}")
     return TransferProduct(_transfer(values, energy), energy, n_lo, n_hi)
 
 

@@ -684,14 +684,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.endswith("error: argument --eps: 'abc' is not a number\n")
 
-    def test_unknown_classify_method_is_an_argparse_error(self, capsys):
+    def test_classify_has_no_method_option(self, capsys, tmp_path):
+        # the exhaustive scan is the library's oracle, not a CLI choice
+        argv = ["classify", "--alpha", "golden", "--c", "0.2", "--qmax", "10", "--method", "scan"]
         with pytest.raises(SystemExit) as exc:
-            main(["classify", "--alpha", "golden", "--c", "0.2", "--qmax", "10",
-                  "--method", "convergents"])
+            main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --method: invalid choice: 'convergents'" in captured.err
+        assert captured.err.endswith("error: unrecognized arguments: --method scan\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"subcommand": "classify", "alpha": "golden", "c": 0.2,
+                                    "qmax": 10, "method": "scan"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method scan" in capsys.readouterr().err
 
     def test_missing_required_flag_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

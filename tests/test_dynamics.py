@@ -26,6 +26,7 @@ from gordonlab.dynamics import (
     _closed_form_raw,
     _unipotent_power,
     iet_breakpoint_orbits,
+    iet_pieces,
     iet_refine_continuity,
     orbit,
     random_point,
@@ -442,6 +443,14 @@ class TestIet:
         with pytest.raises(ValueError):
             Iet((0.5, 0.25, 0.25), Permutation((2, 1)))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_a_non_finite_length_is_rejected_by_name(self, bad):
+        # an infinite length built, and its first step raised OverflowError
+        for lengths in ((bad, 1.0), (0.5, bad, 0.5)):
+            perm = Permutation(tuple(range(len(lengths), 0, -1)))
+            with pytest.raises(ValueError, match="lengths must be positive and finite"):
+                Iet(lengths, perm)
+
     def test_halves_exchange(self):
         iet = Iet((0.5, 0.5), Permutation((2, 1)))
         assert orbit(iet, 0.25, 1, 1) == [0.75]
@@ -588,6 +597,18 @@ class TestContinuityRefinement:
             assert repr(iet_refine_continuity(iet, q)) == repr(refine_continuity_stepping(iet, q))
 
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_exact_pieces_with_small_denominators_match_per_piece_stepping(self, m):
+        # lengths over denominators <= 12 make pull-backs of two breakpoints
+        # meet; a cut already made splits nothing, and nothing is counted twice
+        rng = random.Random(400 + m)
+        for _ in range(4):
+            den = rng.randint(2, 12)
+            perm = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+            iet = Iet(tuple(Fraction(rng.randint(1, den), den) for _ in range(m)), perm)
+            for q in (1, 2, 7, 40, 150):
+                assert repr(iet_refine_continuity(iet, q)) == repr(refine_continuity_stepping(iet, q))
+
     @pytest.mark.parametrize("q", [1, 2, 40])
     def test_near_periodic_float_rotation_is_refined_exactly(self, q):
         # lengths 0.2, 0.5, 0.3 rotate by 0.8 less a few ulps: T^40 is a
@@ -597,6 +618,58 @@ class TestContinuityRefinement:
         assert repr(pieces) == repr(refine_continuity_stepping(iet, q))
         assert len(pieces) == 2
         assert q * (Fraction(0.5) + Fraction(0.3)) % 1 != 0
+
+
+class TestIetPieces:
+    @staticmethod
+    def random_twin(rng, m):
+        perm = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+        return _iet_twin(Iet(tuple(rng.randrange(1, 60) for _ in range(m)), perm))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_pieces_partition_and_translate_by_their_orbit(self, m):
+        rng = random.Random(500 + m)
+        for _ in range(4):
+            twin = self.random_twin(rng, m)
+            for q, pieces in itertools.islice(iet_pieces(twin), 30):
+                ends = [c + ln for c, ln, _, _, _ in pieces]
+                assert [c for c, _, _, _, _ in pieces] == [0, *ends[:-1]]
+                assert ends[-1] == twin.total
+                for c, ln, f, j, _ in pieces:
+                    assert 0 <= j < q and ln > 0
+                    for x in (c, c + ln - 1):  # T^q by q steps, at both ends
+                        y = x
+                        for _ in range(q):
+                            y = twin.step(y)
+                        assert y == x + f[q - j] - c
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_a_floor_keeps_exactly_the_longer_pieces(self, m):
+        # every ancestor of a piece is at least as long, so dropping the short
+        # ones early loses none of the long ones
+        rng = random.Random(600 + m)
+        key = lambda piece: (piece[0], piece[1], piece[2][0], piece[3])  # c, length, beta_i, j
+        for _ in range(4):
+            twin = self.random_twin(rng, m)
+            never = rng.randrange(1, twin.total // 4 + 2)
+            both = zip(iet_pieces(twin), iet_pieces(twin, never))
+            for (_, pieces), (_, kept) in itertools.islice(both, 40):
+                assert [key(p) for p in kept] == [key(p) for p in pieces if p[1] > never]
+
+    def test_both_halves_of_a_split_inherit_the_slot(self):
+        rng = random.Random(7)
+        for m in (2, 3, 4, 5):
+            twin = self.random_twin(rng, m)
+            refiner = iet_pieces(twin)
+            _, pieces = next(refiner)
+            assert all(piece[4] == twin.total for piece in pieces)
+            for _ in range(20):
+                for piece in pieces:
+                    piece[4] = piece[0]  # mark each piece by its left end
+                lefts = [piece[0] for piece in pieces]
+                _, pieces = next(refiner)
+                for piece in pieces:  # the mark of the piece it was cut from
+                    assert piece[4] == max(c for c in lefts if c <= piece[0])
 
 
 class TestBreakpointOrbits:

@@ -2,7 +2,7 @@
 private module-level name is used somewhere in the package, ``__init__``'s
 export table names each export once, from a layer that defines it, and none
 that only the tests use, only ``arithmetic`` holds the raw circle metric,
-no module imports numpy or scipy when it is itself imported, nor while it
+only ``dynamics`` refines IET cuts, no module imports numpy or scipy when it is itself imported, nor while it
 refines IET cuts, no module imports scipy at all, and only ``spectral`` names
 scipy's LAPACK extension ``_flapack``."""
 
@@ -275,6 +275,76 @@ def test_the_scan_sees_a_private_circle_metric():
 )
 def test_only_arithmetic_owns_the_circle_metric(module):
     assert circle_metric_copies(module.read_text()) == []
+
+
+BISECTS = {"bisect", "bisect_left", "bisect_right"}
+INSORTS = {"insort", "insort_left", "insort_right"}
+
+
+def callee(call: ast.Call) -> str | None:
+    """The called name: f for f(...) and m for x.m(...)."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def iet_cut_refiners(source: str) -> list[str]:
+    """What only ``dynamics`` may hold: any use of ``iet_breakpoint_orbits``
+    (importing it too), and a piece split, a function that inserts into a
+    sorted list by ``insort``, or bisects a list and calls its ``insert``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name == "iet_breakpoint_orbits":
+            found.append((node.lineno, name))
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = [n for n in ast.walk(node) if isinstance(n, ast.Call) and n.args]
+        bisected = {ast.unparse(c.args[0]) for c in calls if callee(c) in BISECTS}
+        inserted = {ast.unparse(c.func.value) for c in calls
+                    if isinstance(c.func, ast.Attribute) and c.func.attr == "insert"}
+        sorted_in = {ast.unparse(c.args[0]) for c in calls if callee(c) in INSORTS}
+        for target in sorted(bisected & inserted | sorted_in):
+            found.append((node.lineno, f"split of {target} in {node.name}"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_an_iet_cut_refiner():
+    source = (
+        "from bisect import bisect_left, bisect_right, insort\n"
+        "from .dynamics import iet_breakpoint_orbits\n"
+        "def towers(twin, pieces):\n"
+        "    orbits = iet_breakpoint_orbits(twin)\n"
+        "    pos = bisect_left(pieces, [3])\n"
+        "    pieces.insert(pos, [3, 1])\n"
+        "def sorted_cuts(cuts, x):\n"
+        "    insort(cuts, x)\n"
+        "def lookup(cuts, values, x):\n"
+        "    values.insert(0, cuts[bisect_right(cuts, x) - 1])\n"
+        "g = dynamics.iet_breakpoint_orbits\n"
+    )
+    assert iet_cut_refiners(source) == [
+        "iet_breakpoint_orbits (line 2)",
+        "split of pieces in towers (line 3)",
+        "iet_breakpoint_orbits (line 4)",
+        "split of cuts in sorted_cuts (line 7)",
+        "iet_breakpoint_orbits (line 11)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [p for p in MODULES if p.name != "dynamics.py"],
+    ids=lambda p: p.name,
+)
+def test_only_dynamics_refines_iet_cuts(module):
+    # one refiner, ``dynamics.iet_pieces``, serves the continuity pieces and
+    # the Veech tower search alike
+    assert iet_cut_refiners(module.read_text()) == []
+
+
+def test_dynamics_holds_the_one_piece_split():
+    found = iet_cut_refiners((PACKAGE / "dynamics.py").read_text())
+    splits = [what.split(" (line")[0] for what in found if what.startswith("split")]
+    assert splits == ["split of pieces in iet_pieces"]
 
 
 def import_time_heavy_imports(source: str) -> list[str]:

@@ -335,6 +335,12 @@ class TestPotentialWindow:
         with pytest.raises(ValueError):
             sample_potential(Shift((GOLDEN,)), Cosine((1,)), 1.0, torus1(ZERO), 3, 0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_lam_is_rejected(self, lam):
+        # gave an all-nan or all-inf window; gordon_profile rejects the same lam
+        with pytest.raises(ValueError, match="lam must be finite"):
+            sample_potential(Shift((GOLDEN,)), Cosine((1,)), lam, torus1(ZERO), 0, 5)
+
     @pytest.mark.parametrize("system, omega, f", COMPATIBLE_PAIRS)
     def test_a_unit_coupling_window_keeps_one_array(self, system, omega, f):
         # 1.0 * x is x bit for bit, so the product would only be a second copy

@@ -56,6 +56,12 @@ class TestTransferBlock:
         assert block.entries == ((1.0, 0.0), (0.0, 1.0))
         assert block.det() == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_energy_is_rejected_by_name(self, bad):
+        # a nan energy gave nan entries; gordon_three_block_check rejects it
+        with pytest.raises(ValueError, match="energy must be finite"):
+            transfer_block(zero_window(1, 4), bad, 1, 4)
+
     def test_single_step_entries(self):
         window = explicit_window([0.7], n_min=3)
         block = transfer_block(window, 2.2, 3, 3)
