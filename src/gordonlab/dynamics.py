@@ -45,6 +45,12 @@ class UnsupportedSystemError(TypeError):
 # ---------------------------------------------------------------------------
 
 
+def _fixed_point(what: str, values) -> None:
+    bad = [type(v).__name__ for v in values if not isinstance(v, FixedPointFrac)]
+    if bad:
+        raise TypeError(f"{what} are FixedPointFrac, got {bad[0]}")
+
+
 @dataclass(frozen=True, init=False, slots=True)
 class TorusPoint:
     """A point of T^d held as its raw tuple (ints mod 2**128); ``coords`` and
@@ -58,9 +64,7 @@ class TorusPoint:
         coords = tuple(coords)
         if not coords:
             raise ValueError("TorusPoint needs at least one coordinate")
-        bad = [type(c).__name__ for c in coords if not isinstance(c, FixedPointFrac)]
-        if bad:
-            raise TypeError(f"TorusPoint coordinates are FixedPointFrac, got {bad[0]}")
+        _fixed_point("TorusPoint coordinates", coords)
         object.__setattr__(self, "raw", tuple(c.value for c in coords))
 
     @classmethod
@@ -136,6 +140,7 @@ class Shift:
         object.__setattr__(self, "alpha", tuple(self.alpha))
         if len(self.alpha) < 1:
             raise ValueError("Shift needs at least one rotation number")
+        _fixed_point("Shift rotation numbers", self.alpha)
 
     @property
     def dim(self) -> int:
@@ -147,6 +152,9 @@ class SkewShift:
     """T(w1, w2) = (w1 + 2*alpha, w1 + w2) on T^2."""
 
     alpha: FixedPointFrac
+
+    def __post_init__(self) -> None:
+        _fixed_point("SkewShift rotation numbers", (self.alpha,))
 
     @property
     def dim(self) -> int:
@@ -161,8 +169,11 @@ class SkewProduct:
     alpha: FixedPointFrac
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dim, int):
+            raise TypeError(f"SkewProduct dimension is an int, got {type(self.dim).__name__}")
         if self.dim < 1:
             raise ValueError("SkewProduct dimension must be >= 1")
+        _fixed_point("SkewProduct rotation numbers", (self.alpha,))
 
 
 @dataclass(frozen=True)
@@ -228,19 +239,14 @@ def _random_raw(system: SystemSpec, rng: random.Random):
 class _IetTwin:
     """An IET on integers: its lengths, and the points it holds, over one scale D.
 
-    beta and beta_pi are the source and image breakpoints (0, ..., total);
-    interval j translates by jumps[j-1] = beta_pi[perm(j)-1] - beta[j-1], and
-    image interval i comes back by back[i-1] = jumps[perm^-1(i)-1].  step and
-    inverse are T and T^-1, one bisect and one add each.  enter(x) = x*D
-    raises outside [0, total); out(n) = n/D is a Fraction for exact IETs, else
-    the rounded float, but a point never rounds onto the total: it leaves as
-    the float below, so every float the API returns steps again.
+    beta are the breakpoints (0, ..., total); step and inverse are T and T^-1,
+    one bisect and one add each.  enter(x) = x*D raises outside [0, total);
+    out(n) = n/D is a Fraction for exact IETs, else the rounded float, but a
+    point never rounds onto the total: it leaves as the float below, so every
+    float the API returns steps again.
     """
 
     beta: tuple[int, ...]
-    beta_pi: tuple[int, ...]
-    jumps: tuple[int, ...]
-    back: tuple[int, ...]
     total: int
     scale: int
     enter: Callable[[object], int]
@@ -280,7 +286,7 @@ def _iet_twin(iet: Iet, *points) -> _IetTwin:
         out = lambda n: Fraction(n, scale)
     step = lambda n: n + jumps[bisect_right(beta, n) - 1]
     inverse = lambda n: n - back[bisect_right(beta_pi, n) - 1]
-    return _IetTwin(beta, beta_pi, jumps, back, total, scale, enter, out, step, inverse)
+    return _IetTwin(beta, total, scale, enter, out, step, inverse)
 
 
 def _iet_draw_twin(iet: Iet) -> _IetTwin:
@@ -289,39 +295,21 @@ def _iet_draw_twin(iet: Iet) -> _IetTwin:
     return _iet_twin(iet, *(Fraction(x) / 2**53 for x in iet.lengths))
 
 
-def iet_breakpoint_orbits(twin: _IetTwin):
-    """Yield the two-sided orbits of beta_0 = 0 and the internal breakpoints,
-    one step longer each time: after the n-th yield, fwd[i][k] = T^k(beta_i)
-    and bwd[i][k] = T^-k(beta_i) for k = 0..n (the same lists, grown).
-
-    The orbits step exactly, by the twin's step and inverse.  The cuts of
-    T^q are 0 and T^-j(beta_i) for i >= 1, 0 <= j < q, and on the piece whose
-    left end is c = T^-j(beta_i), T^k (k <= q) is the translation by
-    T^(k-j)(beta_i) - c: a lookup in these orbits, not a walk.
-    """
-    forward, backward = twin.step, twin.inverse
-    fwd = [[b] for b in twin.beta[:-1]]
-    bwd = [[b] for b in twin.beta[:-1]]
-    pairs = list(zip(fwd, bwd))
-    while True:
-        for f, b in pairs:
-            f.append(forward(f[-1]))
-            b.append(backward(b[-1]))
-        yield fwd, bwd
-
-
 def iet_pieces(twin: _IetTwin, never: int = 0):
     """Yield (q, pieces) for q = 1, 2, ...: the continuity pieces of T^q longer
     than never, as [c, length, fwd[i], j, slot] sorted by left end, where
-    c = T^-j(beta_i), so T^k (k <= q) moves [c, c + length) by fwd[i][k-j] - c.
+    c = T^-j(beta_i) and fwd[i][k] = T^k(beta_i), so T^k (k <= q) moves
+    [c, c + length) by fwd[i][k-j] - c: a lookup, not a walk.
 
     The one IET cut refiner: each q splits the list, one bisect per new cut
-    T^-(q-1)(beta_i); a cut already made (two pull-backs meet) or in a gap
-    makes no piece, and a half no longer than never is dropped.  Both halves
-    inherit the slot (total at first), which the caller may rewrite.
+    T^-(q-1)(beta_i) = bwd[i][q-1]; a cut already made (two pull-backs meet)
+    or in a gap makes no piece, and a half no longer than never is dropped.
+    Both halves inherit the slot (total at first), which the caller may
+    rewrite.  fwd and bwd grow by one twin step each way per yield.
     """
-    orbits = iet_breakpoint_orbits(twin)
-    fwd, bwd = next(orbits)
+    step, inverse = twin.step, twin.inverse
+    fwd = [[b, step(b)] for b in twin.beta[:-1]]
+    bwd = [[b, inverse(b)] for b in twin.beta[:-1]]
     pieces = [[c, end - c, f, 0, twin.total]
               for c, end, f in zip(twin.beta, twin.beta[1:], fwd) if end - c > never]
     for q in count(1):
@@ -340,7 +328,9 @@ def iet_pieces(twin: _IetTwin, never: int = 0):
             else:
                 del pieces[pos - 1]
         yield q, pieces
-        next(orbits)  # fwd and bwd grow in place, to k = q + 1
+        for f, b in zip(fwd, bwd):
+            f.append(step(f[-1]))
+            b.append(inverse(b[-1]))
 
 
 # ---------------------------------------------------------------------------

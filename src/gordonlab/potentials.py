@@ -47,6 +47,13 @@ class WindowTooSmallError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _frequency(ks) -> tuple[int, ...]:
+    ks = tuple(ks)  # as ints: a non-integral frequency is no function on the torus
+    if not all(k % 1 == 0 for k in ks):  # nan and inf leave a nan remainder
+        raise ValueError(f"frequency must be integral, got {ks!r}")
+    return tuple(map(int, ks))
+
+
 @dataclass(frozen=True)
 class Cosine:
     """f(x) = cos(2*pi*(k . x + phase)) for an integer frequency vector k."""
@@ -55,7 +62,7 @@ class Cosine:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frequency", tuple(int(k) for k in self.frequency))
+        object.__setattr__(self, "frequency", _frequency(self.frequency))
         if not math.isfinite(self.phase):
             raise ValueError(f"phase must be finite, got {self.phase!r}")
 
@@ -79,7 +86,7 @@ class TrigPoly:
         object.__setattr__(
             self,
             "terms",
-            tuple((tuple(int(k) for k in ks), float(a), float(p)) for ks, a, p in self.terms),
+            tuple((_frequency(ks), float(a), float(p)) for ks, a, p in self.terms),
         )
         for _, amp, phase in self.terms:
             if not (math.isfinite(amp) and math.isfinite(phase)):
@@ -284,6 +291,8 @@ def explicit_window(values, n_min: int) -> PotentialWindow:
     base = np.array([float(v) for v in values], dtype=float)
     if base.size == 0:
         raise ValueError("values must be nonempty")
+    if bad := base[~np.isfinite(base)].tolist():
+        raise ValueError(f"values must be finite, got {bad[0]}")
     return PotentialWindow(
         system=None,
         f=None,

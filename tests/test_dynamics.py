@@ -25,7 +25,6 @@ from gordonlab.dynamics import (
     _random_raw,
     _closed_form_raw,
     _unipotent_power,
-    iet_breakpoint_orbits,
     iet_pieces,
     iet_refine_continuity,
     orbit,
@@ -501,16 +500,23 @@ class TestIet:
                 with pytest.raises(OutOfDomainError):
                     orbit(iet, x, n, n)
 
-    def test_tables_jumps(self):
+    def test_step_and_inverse_at_every_breakpoint(self):
         lengths = (0.2, 0.5, 0.3)
         perm = Permutation((3, 1, 2))
         twin = _iet_twin(Iet(lengths, perm))
-        # jump of interval j moves beta_{j-1} onto beta^pi_{perm(j)-1}, and
-        # image interval i comes back by the jump of perm^-1(i), exactly
+        # interval j moves beta_{j-1} onto the image breakpoint beta^pi_{perm(j)-1},
+        # its last point just below the next one, and the inverse brings both back
+        widths = [b - a for a, b in zip(twin.beta, twin.beta[1:])]
+        beta_pi = (0, *itertools.accumulate(widths[j - 1] for j in perm.inverse().images))
+        assert beta_pi[-1] == twin.beta[-1] == twin.total
+        # the image breakpoints and jumps are the steps' own tables, not fields
+        assert [f.name for f in dataclasses.fields(twin)] == [
+            "beta", "total", "scale", "enter", "out", "step", "inverse"]
         for j in (1, 2, 3):
-            assert twin.beta[j - 1] + twin.jumps[j - 1] == twin.beta_pi[perm(j) - 1]
-            assert twin.back[perm(j) - 1] == twin.jumps[j - 1]
-        assert twin.beta_pi[-1] == twin.beta[-1] == twin.total
+            lo, hi = twin.beta[j - 1], twin.beta[j]
+            img_lo, img_hi = beta_pi[perm(j) - 1], beta_pi[perm(j)]
+            assert twin.step(lo) == img_lo and twin.step(hi - 1) == img_hi - 1
+            assert twin.inverse(img_lo) == lo and twin.inverse(img_hi - 1) == hi - 1
 
     def test_interval_lengths_preserved(self):
         lengths = (0.2, 0.5, 0.3)
@@ -546,6 +552,12 @@ class TestContinuityRefinement:
                     x = piece.lo + piece.length * t
                     y = orbit(iet, x, q, q)[0]
                     assert y - x == pytest.approx(piece.translation, abs=1e-9)
+
+    def test_q_below_one_is_rejected(self):
+        iet = Iet((0.15, 0.55, 0.3), Permutation((3, 2, 1)))
+        for q in (0, -1):
+            with pytest.raises(ValueError, match="q must be >= 1"):
+                iet_refine_continuity(iet, q)
 
     def test_adjacent_pieces_have_distinct_translations(self):
         # (3,2,1) is the only non-cyclic irreducible 3-permutation: all three
@@ -675,26 +687,23 @@ class TestIetPieces:
 class TestBreakpointOrbits:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_two_sided_orbit_identity(self, m):
-        # every cut is c = T^-j(beta_i), and T^k(c) = T^(k-j)(beta_i): the
-        # orbits index both sides, checked against one-point stepping
+        # every cut of T^n is c = T^-j(beta_i), and its piece carries the forward
+        # orbit f[k] = T^k(beta_i), so T^k(c) = f[k-j]: checked against stepping
         rng = random.Random(300 + m)
         for _ in range(6):
             perm = Permutation(tuple(rng.sample(range(1, m + 1), m)))
             iet = Iet(tuple(rng.randrange(1, 10**6) for _ in range(m)), perm)
             twin = _iet_twin(iet)
             n = 25
-            orbits = iet_breakpoint_orbits(twin)
-            for _ in range(n):
-                fwd, bwd = next(orbits)
-            assert [f[0] for f in fwd] == [b[0] for b in bwd] == list(twin.beta[:-1])
-            for i in range(m):
-                assert len(fwd[i]) == len(bwd[i]) == n + 1
-                assert orbit(iet, twin.beta[i], -n, n) == bwd[i][::-1] + fwd[i][1:]
-                for j in range(n + 1):
-                    assert orbit(iet, bwd[i][j], 0, n) == [
-                        fwd[i][k - j] if k >= j else bwd[i][j - k] for k in range(n + 1)
-                    ]
-                assert all(type(v) is int for v in fwd[i] + bwd[i])
+            _, pieces = next(itertools.islice(iet_pieces(twin), n - 1, None))
+            cuts = {0} | {orbit(iet, b, -j, -j)[0] for b in twin.beta[1:-1] for j in range(n)}
+            assert [c for c, *_ in pieces] == sorted(cuts)
+            for c, _, f, j, _ in pieces:
+                assert f[0] in twin.beta[:-1] and 0 <= j < n
+                assert len(f) == n + 1 and all(type(v) is int for v in f)
+                assert orbit(iet, f[0], -j, -j) == [c]
+                assert orbit(iet, f[0], 0, n) == f
+                assert orbit(iet, c, j, n) == f[:n - j + 1]
 
     @pytest.mark.parametrize(
         "lengths",
@@ -812,6 +821,29 @@ class TestAdvisoriesAndSampling:
             point, bound = re.fullmatch(r"IET point (.*) outside \[0, (.*)\)", str(info.value)).groups()
             assert point == repr(x) != bound
             assert Fraction(bound) == total
+
+    @pytest.mark.parametrize("bad", [0.3, 3, Fraction(1, 3), "0.3", None],
+                             ids=["float", "int", "Fraction", "str", "None"])
+    def test_a_rotation_number_that_is_not_fixed_point_fails_at_construction(self, bad):
+        # SkewShift(0.3) built, and its first search raised AttributeError on .value
+        name = type(bad).__name__
+        for build in (lambda: Shift((bad,)), lambda: Shift((GOLDEN, bad)),
+                      lambda: SkewShift(bad), lambda: SkewProduct(2, bad)):
+            with pytest.raises(TypeError, match=f"rotation numbers are FixedPointFrac, got {name}"):
+                build()
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None], ids=["2.5", "2.0", "str", "None"])
+    def test_a_skewproduct_dimension_that_is_not_an_int_fails_at_construction(self, bad):
+        # SkewProduct(2.5, GOLDEN) built, and a search then found no point of dimension 2.5
+        with pytest.raises(TypeError, match=f"dimension is an int, got {type(bad).__name__}"):
+            SkewProduct(bad, GOLDEN)
+
+    def test_an_empty_shift_and_a_skewproduct_below_dimension_one_are_rejected(self):
+        with pytest.raises(ValueError, match="at least one rotation number"):
+            Shift(())
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="dimension must be >= 1"):
+                SkewProduct(dim, GOLDEN)
 
     def test_system_dim(self):
         assert system_dim(Shift((GOLDEN, GOLDEN))) == 2

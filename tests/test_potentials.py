@@ -156,6 +156,21 @@ class TestSamplingFunctions:
         with pytest.raises(ValueError, match="values must be finite"):
             PiecewiseConstant((0.0, 0.5), (0.0, bad))
 
+    @pytest.mark.parametrize("k", [1.5, 2.7, -0.5, math.nan, math.inf])
+    def test_a_non_integral_frequency_is_rejected_by_name(self, k):
+        # int(k) truncated it: Cosine((1.5,)) sampled as Cosine((1,))
+        with pytest.raises(ValueError, match="frequency must be integral"):
+            Cosine((k,))
+        with pytest.raises(ValueError, match="frequency must be integral"):
+            Cosine((1, k))
+        with pytest.raises(ValueError, match="frequency must be integral"):
+            TrigPoly((((1,), 1.0, 0.0), ((k,), 1.0, 0.0)))
+
+    def test_an_integral_float_frequency_is_an_int(self):
+        assert Cosine((2.0, -3.0)).frequency == (2, -3)
+        assert TrigPoly((((2.0,), 1.0, 0.0),)).terms == (((2,), 1.0, 0.0),)
+        assert all(type(k) is int for k in Cosine((2.0, Fraction(4, 2))).frequency)
+
     def test_dimension_mismatches(self):
         with pytest.raises(DimensionMismatchError):
             evaluate_sampling(Cosine((1, 1)), torus1(ZERO))
@@ -372,6 +387,11 @@ class TestPotentialWindow:
         with pytest.raises(ValueError):
             explicit_window([], 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_an_explicit_non_finite_value_is_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"values must be finite, got {bad}"):
+            explicit_window([1.0, bad, 2.0], 0)
+
 
 class TestGordonGamma:
     def golden_window(self, lam=1.0, q_top=8):
@@ -530,6 +550,13 @@ def numpy_gamma(window, q):
     return abs(window.lam) * float(diffs.max())
 
 
+def unchecked_window(values, n_min):
+    """A unit-coupling window over values as given, nan and inf too, which
+    ``explicit_window`` rejects: the defect kernel must still see them."""
+    base = np.array(values, dtype=float)
+    return PotentialWindow(None, None, 1.0, None, n_min, n_min + base.size - 1, base, base)
+
+
 class TestGammaKernel:
     """The plain-float kernel against numpy's max, nan and inf included."""
 
@@ -551,7 +578,7 @@ class TestGammaKernel:
         for n in range(q):
             values = [0.25 * k for k in range(3 * q)]
             values[self.BLOCKS[block] * q + n] = bad
-            window = explicit_window(values, n_min=1 - q)
+            window = unchecked_window(values, n_min=1 - q)
             gamma = gordon_gamma(window, q)
             assert repr(gamma) == repr(numpy_gamma(window, q))
             assert repr(gamma) == ("nan" if math.isnan(bad) else "inf")
@@ -561,14 +588,14 @@ class TestGammaKernel:
         for values in ([9.0, 1.0, 2.0, 0.0, 1.0, math.nan],
                        [9.0, 2.0, 1.0, math.nan, 0.0, 1.0],
                        [math.nan, 9.0, 1.0, 2.0, 0.0, 1.0]):
-            assert math.isnan(gordon_gamma(explicit_window(values, n_min=-1), 2))
+            assert math.isnan(gordon_gamma(unchecked_window(values, n_min=-1), 2))
 
     def test_inf_facing_inf_is_nan(self):
         q = 3
         for other in (0, 2):  # the mid site's partner in the minus or plus block
             values = [0.5] * (3 * q)
             values[q] = values[other * q] = math.inf
-            window = explicit_window(values, n_min=1 - q)
+            window = unchecked_window(values, n_min=1 - q)
             assert math.isnan(gordon_gamma(window, q))
             assert math.isnan(numpy_gamma(window, q))
 

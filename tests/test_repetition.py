@@ -814,6 +814,15 @@ class TestConstructive:
         assert rep3.certificate.k_max == 3 * rep3.q
         assert rep1.certificate.k_max == rep1.q
 
+    def test_validation(self):
+        cf = cf_expand(GOLDEN, 8)
+        for epsilon in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="epsilon must lie in"):
+                skewshift_constructive_q(GOLDEN, ZERO, epsilon, cf)
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError, match="r must be positive"):
+                skewshift_constructive_q(GOLDEN, ZERO, 0.3, cf, r=r)
+
 
 class TestObstruction:
     def cert(self, epsilon=0.3):

@@ -16,6 +16,7 @@ from gordonlab.dynamics import Shift, SkewShift, TorusPoint
 from gordonlab.potentials import (
     BourgainQuadratic,
     Cosine,
+    PotentialWindow,
     WindowTooSmallError,
     bourgain_start,
     explicit_window,
@@ -441,10 +442,28 @@ print(json.dumps([direct, same, shared]))
         assert same == [True] * 5
         assert shared  # one extension module per process, whoever loaded it first
 
+    def test_the_copy_already_in_sys_modules_is_the_one_used(self, monkeypatch):
+        # in-process, so the branch runs where a tracer sees it; _lapack is
+        # cached, so each call below starts from an empty cache
+        import scipy.linalg
+
+        loaded = object()
+        monkeypatch.setitem(sys.modules, spectral._FLAPACK, loaded)
+        spectral._lapack.cache_clear()
+        try:
+            assert spectral._lapack() is loaded
+            monkeypatch.undo()
+            spectral._lapack.cache_clear()
+            assert spectral._lapack() is sys.modules[spectral._FLAPACK] is scipy.linalg.lapack._flapack
+        finally:
+            spectral._lapack.cache_clear()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_diagonal_raises_value_error(self, bad):
         for values in ([bad], [0.5, bad, 1.0]):
-            window, n = explicit_window(values, n_min=0), len(values)
+            # built directly: explicit_window rejects the non-finite value itself
+            diag, n = np.array(values), len(values)
+            window = PotentialWindow(None, None, 1.0, None, 0, n - 1, diag, diag)
             with pytest.raises(ValueError, match="infs or NaNs"):
                 truncated_spectrum(window, n, report_vectors=n == 1)
 
