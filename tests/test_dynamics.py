@@ -825,7 +825,7 @@ class TestAdvisoriesAndSampling:
     @pytest.mark.parametrize("bad", [0.3, 3, Fraction(1, 3), "0.3", None],
                              ids=["float", "int", "Fraction", "str", "None"])
     def test_a_rotation_number_that_is_not_fixed_point_fails_at_construction(self, bad):
-        # SkewShift(0.3) built, and its first search raised AttributeError on .value
+        # the kernels read .value off each rotation number: fail here, not mid-search
         name = type(bad).__name__
         for build in (lambda: Shift((bad,)), lambda: Shift((GOLDEN, bad)),
                       lambda: SkewShift(bad), lambda: SkewProduct(2, bad)):
@@ -834,7 +834,7 @@ class TestAdvisoriesAndSampling:
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None], ids=["2.5", "2.0", "str", "None"])
     def test_a_skewproduct_dimension_that_is_not_an_int_fails_at_construction(self, bad):
-        # SkewProduct(2.5, GOLDEN) built, and a search then found no point of dimension 2.5
+        # no point has a non-integral dimension, so no search could start
         with pytest.raises(TypeError, match=f"dimension is an int, got {type(bad).__name__}"):
             SkewProduct(bad, GOLDEN)
 

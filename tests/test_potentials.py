@@ -158,7 +158,7 @@ class TestSamplingFunctions:
 
     @pytest.mark.parametrize("k", [1.5, 2.7, -0.5, math.nan, math.inf])
     def test_a_non_integral_frequency_is_rejected_by_name(self, k):
-        # int(k) truncated it: Cosine((1.5,)) sampled as Cosine((1,))
+        # cos(2*pi*k*x) is 1-periodic only for integral k: no function on the torus
         with pytest.raises(ValueError, match="frequency must be integral"):
             Cosine((k,))
         with pytest.raises(ValueError, match="frequency must be integral"):
