@@ -14,6 +14,8 @@ A claimed metric meets the claim rule when the change is better in at least
 9 of every 10 pairs and the median gap (parent median minus change median,
 in the better direction) exceeds the interquartile range of the parent's
 runs.  The script only runs the benchmark; it imports nothing of gordonlab.
+It exits 1 when any run is not correct or has failed operations, so no
+claim rests on a broken run.
 
 Usage:
     python scripts/bench_pairs.py PARENT CHANGE --workload pipeline --pairs 10 \\
@@ -151,7 +153,7 @@ def main() -> int:
            if not p[side]["correct"] or p[side]["failed"]]
     if bad:
         print(f"runs not correct or with failures: {bad}")
-    return 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -239,14 +239,19 @@ def _random_raw(system: SystemSpec, rng: random.Random):
 class _IetTwin:
     """An IET on integers: its lengths, and the points it holds, over one scale D.
 
-    beta are the breakpoints (0, ..., total); step and inverse are T and T^-1,
-    one bisect and one add each.  enter(x) = x*D raises outside [0, total);
-    out(n) = n/D is a Fraction for exact IETs, else the rounded float, but a
-    point never rounds onto the total: it leaves as the float below, so every
-    float the API returns steps again.
+    beta and beta_pi are the source and image breakpoints (0, ..., total);
+    interval j translates by jumps[j-1] = beta_pi[perm(j)-1] - beta[j-1], and
+    image interval i comes back by back[i-1] = jumps[perm^-1(i)-1].  step and
+    inverse are T and T^-1, one bisect and one add each.  enter(x) = x*D
+    raises outside [0, total); out(n) = n/D is a Fraction for exact IETs, else
+    the rounded float, but a point never rounds onto the total: it leaves as
+    the float below, so every float the API returns steps again.
     """
 
     beta: tuple[int, ...]
+    beta_pi: tuple[int, ...]
+    jumps: tuple[int, ...]
+    back: tuple[int, ...]
     total: int
     scale: int
     enter: Callable[[object], int]
@@ -286,7 +291,7 @@ def _iet_twin(iet: Iet, *points) -> _IetTwin:
         out = lambda n: Fraction(n, scale)
     step = lambda n: n + jumps[bisect_right(beta, n) - 1]
     inverse = lambda n: n - back[bisect_right(beta_pi, n) - 1]
-    return _IetTwin(beta, total, scale, enter, out, step, inverse)
+    return _IetTwin(beta, beta_pi, jumps, back, total, scale, enter, out, step, inverse)
 
 
 def _iet_draw_twin(iet: Iet) -> _IetTwin:
@@ -302,19 +307,21 @@ def iet_pieces(twin: _IetTwin, never: int = 0):
     [c, c + length) by fwd[i][k-j] - c: a lookup, not a walk.
 
     The one IET cut refiner: each q splits the list, one bisect per new cut
-    T^-(q-1)(beta_i) = bwd[i][q-1]; a cut already made (two pull-backs meet)
-    or in a gap makes no piece, and a half no longer than never is dropped.
-    Both halves inherit the slot (total at first), which the caller may
-    rewrite.  fwd and bwd grow by one twin step each way per yield.
+    T^-(q-1)(beta_i) (i >= 1); a cut already made (two pull-backs meet) or in
+    a gap makes no piece, and a half no longer than never is dropped.  Both
+    halves inherit the slot (total at first); the caller may rewrite it, and
+    may drop pieces.  The orbits grow inline by the twin's tables, no call.
     """
-    step, inverse = twin.step, twin.inverse
-    fwd = [[b, step(b)] for b in twin.beta[:-1]]
-    bwd = [[b, inverse(b)] for b in twin.beta[:-1]]
+    beta, beta_pi, jumps, back = twin.beta, twin.beta_pi, twin.jumps, twin.back
+    fwd = [[b] for b in beta[:-1]]
+    bwd = [[b] for b in beta[1:-1]]  # beta_0 = 0 makes no cut, so no bwd
     pieces = [[c, end - c, f, 0, twin.total]
-              for c, end, f in zip(twin.beta, twin.beta[1:], fwd) if end - c > never]
+              for c, end, f in zip(beta, beta[1:], fwd) if end - c > never]
     for q in count(1):
-        for i in range(1, len(bwd)):  # at q = 1, the beta_i: cuts already
-            x = bwd[i][q - 1]
+        for f in fwd:
+            f.append((x := f[-1]) + jumps[bisect_right(beta, x) - 1])
+        for f, b in zip(fwd[1:], bwd):  # at q = 1, the beta_i: cuts already
+            x = b[-1]
             pos = bisect_left(pieces, [x])  # the first piece with c >= x ([x] < [x, ...])
             if pos == 0:
                 continue  # left of every kept piece
@@ -322,15 +329,14 @@ def iet_pieces(twin: _IetTwin, never: int = 0):
             if x - a >= ln:
                 continue  # a cut already, or in a gap between kept pieces
             if a + ln - x > never:
-                pieces.insert(pos, [x, a + ln - x, fwd[i], q - 1, slot])
+                pieces.insert(pos, [x, a + ln - x, f, q - 1, slot])
             if x - a > never:
                 parent[1] = x - a
             else:
                 del pieces[pos - 1]
         yield q, pieces
-        for f, b in zip(fwd, bwd):
-            f.append(step(f[-1]))
-            b.append(inverse(b[-1]))
+        for b in bwd:
+            b.append((x := b[-1]) - back[bisect_right(beta_pi, x) - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +516,6 @@ def iet_refine_continuity(iet: Iet, q: int) -> list[IetContinuityPiece]:
         translation = f[q - j] - c
         if not starts or starts[-1][1] != translation:
             starts.append((c, translation))
-    ends = [lo for lo, _ in starts[1:]] + [twin.total]
     out = twin.out
-    return [IetContinuityPiece(out(lo), out(hi), out(t)) for (lo, t), hi in zip(starts, ends)]
+    edges = [*(out(lo) for lo, _ in starts), out(twin.total)]
+    return [IetContinuityPiece(lo, hi, out(t)) for lo, hi, (_, t) in zip(edges, edges[1:], starts)]

@@ -24,6 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from operator import mul, sub
 from typing import TYPE_CHECKING, Sequence
 
@@ -49,6 +50,8 @@ class WindowTooSmallError(ValueError):
 
 def _frequency(ks) -> tuple[int, ...]:
     ks = tuple(ks)  # as ints: a non-integral frequency is no function on the torus
+    if bad := [k for k in ks if not isinstance(k, Real)]:  # a str's % formats, a complex has none
+        raise TypeError(f"frequency must be a real number, got {bad[0]!r}")
     if not all(k % 1 == 0 for k in ks):  # nan and inf leave a nan remainder
         raise ValueError(f"frequency must be integral, got {ks!r}")
     return tuple(map(int, ks))

@@ -662,8 +662,10 @@ def veech_tower_search(
     over 1 <= k < q is >= |J| (T^k, k < q, is one translation on a split's
     parent).  With eps = num/den, a piece of length ln has coverage > 1 - eps
     at q iff longer // q < ln <= total // q, longer = (den-num) total // den,
-    so pieces no longer than longer // q_max are never kept.  The walk reads
-    t_q, scores a candidate, and folds |t_q| into low.
+    so pieces no longer than never = longer // q_max are never kept.  The
+    walk reads t_q, scores a candidate, and folds |t_q| into low.  It drops
+    a piece whose low falls to never: a candidate has never < ln <= low, and
+    the halves cut from it later inherit its low.
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
@@ -677,12 +679,14 @@ def veech_tower_search(
     total, out = twin.total, twin.out
     num, den = epsilon.as_integer_ratio()
     longer = (den - num) * total // den
-    for q, pieces in islice(iet_pieces(twin, longer // q_max), q_max):
+    never = longer // q_max
+    for q, pieces in islice(iet_pieces(twin, never), q_max):
         lo, hi = longer // q, total // q
+        dead = False
         for piece in pieces:
             c, ln, f, j, low = piece
             t = abs(f[q - j] - c)
-            if lo < ln <= hi and ln <= low:  # a candidate: floors k < q miss J
+            if ln <= low and lo < ln <= hi:  # a candidate: floors k < q miss J
                 overlap = ln - t if t < ln else 0
                 coverage, overlap_fraction = q * ln / total, overlap / ln
                 score = min(coverage, overlap_fraction)
@@ -693,4 +697,7 @@ def veech_tower_search(
                     return VeechTower(q, (out(c), out(c + ln)), coverage, float(out(overlap)))
             if t < low:
                 piece[4] = t  # the floor k = q, for the next q
+                dead = dead or t <= never
+        if dead:
+            pieces[:] = [piece for piece in pieces if piece[4] > never]
     return TowerNotFound(epsilon, q_max, best_q, best_cov, best_ovf)

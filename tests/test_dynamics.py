@@ -509,9 +509,12 @@ class TestIet:
         widths = [b - a for a, b in zip(twin.beta, twin.beta[1:])]
         beta_pi = (0, *itertools.accumulate(widths[j - 1] for j in perm.inverse().images))
         assert beta_pi[-1] == twin.beta[-1] == twin.total
-        # the image breakpoints and jumps are the steps' own tables, not fields
+        # the tables are fields, which step and inverse and iet_pieces all read
         assert [f.name for f in dataclasses.fields(twin)] == [
-            "beta", "total", "scale", "enter", "out", "step", "inverse"]
+            "beta", "beta_pi", "jumps", "back", "total", "scale", "enter", "out", "step", "inverse"]
+        assert twin.beta_pi == beta_pi
+        assert twin.jumps == tuple(beta_pi[perm(j) - 1] - twin.beta[j - 1] for j in (1, 2, 3))
+        assert twin.back == tuple(twin.jumps[j - 1] for j in perm.inverse().images)
         for j in (1, 2, 3):
             lo, hi = twin.beta[j - 1], twin.beta[j]
             img_lo, img_hi = beta_pi[perm(j) - 1], beta_pi[perm(j)]
@@ -667,6 +670,25 @@ class TestIetPieces:
             both = zip(iet_pieces(twin), iet_pieces(twin, never))
             for (_, pieces), (_, kept) in itertools.islice(both, 40):
                 assert [key(p) for p in kept] == [key(p) for p in pieces if p[1] > never]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_a_dropped_piece_leaves_a_gap(self, m):
+        # the caller may drop pieces: the later pieces are those of the full
+        # refiner that do not lie in a dropped span, with the same orbits
+        rng = random.Random(700 + m)
+        key = lambda piece: (piece[0], piece[1], piece[2], piece[3])  # c, length, fwd, j
+        for _ in range(4):
+            twin = self.random_twin(rng, m)
+            both = itertools.islice(zip(iet_pieces(twin), iet_pieces(twin)), 40)
+            gaps = []
+            for (q, pieces), (_, kept) in both:
+                assert [key(p) for p in kept] == [
+                    key(p) for p in pieces if not any(a <= p[0] < b for a, b in gaps)]
+                if q % 5 == 0 and len(kept) > 1:
+                    gone = kept[rng.randrange(len(kept))]
+                    gaps.append((gone[0], gone[0] + gone[1]))
+                    kept[:] = [p for p in kept if p is not gone]
+            assert gaps
 
     def test_both_halves_of_a_split_inherit_the_slot(self):
         rng = random.Random(7)

@@ -2,7 +2,7 @@
 private module-level name is used somewhere in the package, ``__init__``'s
 export table names each export once, from a layer that defines it, and none
 that only the tests use, only ``arithmetic`` holds the raw circle metric,
-only ``dynamics`` refines IET cuts, no module imports numpy or scipy when it is itself imported, nor while it
+only ``dynamics`` refines IET cuts or reads an IET jump table, no module imports numpy or scipy when it is itself imported, nor while it
 refines IET cuts, no module imports scipy at all, and only ``spectral`` names
 scipy's LAPACK extension ``_flapack``."""
 
@@ -345,6 +345,60 @@ def test_dynamics_holds_the_one_piece_split():
     found = iet_cut_refiners((PACKAGE / "dynamics.py").read_text())
     splits = [what.split(" (line")[0] for what in found if what.startswith("split")]
     assert splits == ["split of pieces in iet_pieces"]
+
+
+JUMP_TABLES = {"jumps", "back"}
+
+
+def jump_table_lookups(source: str) -> list[str]:
+    """Subscripts of an IET jump table, ``jumps[...]`` or ``back[...]`` (as a
+    name or an attribute), each named by its outermost enclosing def."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Subscript):
+            table = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+            if table in JUMP_TABLES:
+                found.append((node.lineno, f"{table}[ in {where}"))
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if where == "<module>" and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_a_jump_table_lookup():
+    source = (
+        "def make(twin, jumps, x):\n"
+        "    step = lambda n: n + jumps[n]\n"
+        "    def inner(y):\n"
+        "        return twin.back[y]\n"
+        "    return jumps(x), back, twin.jumps\n"
+        "t = twin.jumps[0]\n"
+    )
+    assert jump_table_lookups(source) == [
+        "jumps[ in make (line 2)",
+        "back[ in make (line 4)",
+        "jumps[ in <module> (line 6)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [p for p in MODULES if p.name != "dynamics.py"],
+    ids=lambda p: p.name,
+)
+def test_only_dynamics_reads_iet_jump_tables(module):
+    # the twin's tables have two readers, its maps and ``iet_pieces``
+    assert jump_table_lookups(module.read_text()) == []
+
+
+def test_dynamics_reads_jump_tables_only_in_its_maps_and_iet_pieces():
+    found = jump_table_lookups((PACKAGE / "dynamics.py").read_text())
+    readers = {what.split(" in ")[1].split(" (line")[0] for what in found}
+    assert readers == {"_iet_twin", "iet_pieces"}
 
 
 def import_time_heavy_imports(source: str) -> list[str]:

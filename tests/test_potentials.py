@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -164,6 +165,16 @@ class TestSamplingFunctions:
         with pytest.raises(ValueError, match="frequency must be integral"):
             Cosine((1, k))
         with pytest.raises(ValueError, match="frequency must be integral"):
+            TrigPoly((((1,), 1.0, 0.0), ((k,), 1.0, 0.0)))
+
+    @pytest.mark.parametrize("k", ["2", 1 + 0j, None], ids=["str", "complex", "none"])
+    def test_a_frequency_that_is_no_real_number_is_rejected_by_name(self, k):
+        message = f"frequency must be a real number, got {k!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Cosine((k,))
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Cosine((1, k))
+        with pytest.raises(TypeError, match=re.escape(message)):
             TrigPoly((((1,), 1.0, 0.0), ((k,), 1.0, 0.0)))
 
     def test_an_integral_float_frequency_is_an_int(self):

@@ -1163,6 +1163,38 @@ class TestVeechTowers:
                     want = veech_tower_search_stepping(iet, epsilon, q_max)
                     assert repr(got) == repr(want)
 
+    def test_dropping_dead_pieces_matches_from_scratch_stepping(self, monkeypatch):
+        # a piece whose floors came within never = longer // q_max of it can be
+        # no candidate at any q <= q_max, nor can the halves later cut from it,
+        # so the walk drops it; the oracle keeps and steps every piece.  The
+        # wrapper counts the pieces the walk dropped at each q, so the
+        # comparison cannot pass on searches that never drop one
+        dropped = []
+
+        def counting_pieces(twin, never=0):
+            for q, pieces in dynamics.iet_pieces(twin, never):
+                kept = len(pieces)
+                yield q, pieces
+                dropped.append(kept - len(pieces))
+
+        monkeypatch.setattr(repetition, "iet_pieces", counting_pieces)
+        rng = random.Random(5)
+        pruned = []
+        for images in ((3, 1, 2), (4, 3, 2, 1), (2, 5, 3, 1, 4)):
+            for k in range(16):
+                if k % 2:
+                    den = rng.randint(20, 60)
+                    lengths = tuple(Fraction(rng.randint(1, den), den) for _ in images)
+                else:
+                    lengths = tuple(rng.random() + 0.05 for _ in images)
+                iet, epsilon = Iet(lengths, Permutation(images)), rng.choice((0.1, 0.3, 0.5))
+                dropped.clear()
+                got = veech_tower_search(iet, epsilon, 80)
+                assert repr(got) == repr(veech_tower_search_stepping(iet, epsilon, 80))
+                if sum(dropped):
+                    pruned.append(type(got))
+        assert pruned.count(TowerNotFound) >= 10 and pruned.count(VeechTower) >= 2
+
     def test_half_of_a_dead_piece_is_a_tower(self):
         # at q = 5 the piece P of T^5 around J has a floor meeting P; the cut
         # T^-5(beta_i) splits it at q = 6, and the half J, which inherits P's
