@@ -662,7 +662,9 @@ def veech_tower_search(
     over 1 <= k < q is >= |J| (T^k, k < q, is one translation on a split's
     parent).  With eps = num/den, a piece of length ln has coverage > 1 - eps
     at q iff longer // q < ln <= total // q, longer = (den-num) total // den,
-    so pieces no longer than never = longer // q_max are never kept.  The
+    and ln <= low gives ln <= total // q: the floors T^k J, k < q, are then
+    pairwise disjoint (T^a J and T^b J meet only if J and T^(b-a) J do).  So
+    pieces no longer than never = longer // q_max are never kept.  The
     walk reads t_q, scores a candidate, and folds |t_q| into low.  It drops
     a piece whose low falls to never: a candidate has never < ln <= low, and
     the halves cut from it later inherit its low.
@@ -681,12 +683,12 @@ def veech_tower_search(
     longer = (den - num) * total // den
     never = longer // q_max
     for q, pieces in islice(iet_pieces(twin, never), q_max):
-        lo, hi = longer // q, total // q
+        lo = longer // q
         dead = False
         for piece in pieces:
             c, ln, f, j, low = piece
             t = abs(f[q - j] - c)
-            if ln <= low and lo < ln <= hi:  # a candidate: floors k < q miss J
+            if ln <= low and lo < ln:  # a candidate: floors k < q miss J
                 overlap = ln - t if t < ln else 0
                 coverage, overlap_fraction = q * ln / total, overlap / ln
                 score = min(coverage, overlap_fraction)
